@@ -2,8 +2,8 @@
 
 Every data plane built in PRs 3-6 funnels through the tokenizer in
 :mod:`repro.xmlmodel.events`.  PR 7 puts an accelerated front-end
-(:mod:`repro.xmlmodel.accel`, ``xml.parsers.expat`` with an optional lxml
-tier) behind the same ``Event`` dialect, with the pure tokenizer retained
+(:mod:`repro.xmlmodel.accel`, ``xml.parsers.expat``) behind the same
+``Event`` dialect, with the pure tokenizer retained
 as the reference oracle.  Two gates pin the PR's claims, in the style of
 the PR 1-6 gates (plain ``perf_counter`` timing under
 ``--benchmark-disable``):
@@ -11,7 +11,7 @@ the PR 1-6 gates (plain ``perf_counter`` timing under
 * ``test_accel_output_identical_report`` — on the PR-4 ~104k-node gate
   document the accelerated file->events stream must equal the pure
   tokenizer's *event for event*: same kinds, names and payloads in the
-  same order.  Runs everywhere, with or without lxml.
+  same order.
 
 * ``test_accel_tokenizer_speedup_report`` — tokenizing the gate document
   from its file must be ≥ 5× faster on the accelerated path (mmap +

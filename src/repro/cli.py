@@ -798,6 +798,22 @@ def _add_stats_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_tokenizer_flag(sub: argparse.ArgumentParser) -> None:
+    """``--tokenizer``: the event tokenizer backend of a document command."""
+    from repro.xmlmodel.accel import ENGINES
+
+    sub.add_argument(
+        "--tokenizer",
+        choices=ENGINES,
+        default=None,
+        help=(
+            "tokenizer backend: accel (an alias of expat) is the C tokenizer, "
+            "with the pure tokenizer as the identical-output fallback; "
+            "default: REPRO_TOKENIZER, else auto"
+        ),
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
 
@@ -898,12 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
             "violations print after the key report, exit 1"
         ),
     )
-    shred.add_argument(
-        "--tokenizer",
-        choices=["auto", "pure", "accel", "expat", "lxml"],
-        default=None,
-        help="tokenizer backend: accel probes for the fastest C tokenizer (expat, or lxml when installed) with the pure tokenizer as the identical-output fallback; default: REPRO_TOKENIZER, else auto",
-    )
+    _add_tokenizer_flag(shred)
     _add_stats_flags(shred)
     shred.set_defaults(handler=cmd_shred)
 
@@ -944,12 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
             "identical violations, even on documents that violate the DTD"
         ),
     )
-    check_doc.add_argument(
-        "--tokenizer",
-        choices=["auto", "pure", "accel", "expat", "lxml"],
-        default=None,
-        help="tokenizer backend: accel probes for the fastest C tokenizer (expat, or lxml when installed) with the pure tokenizer as the identical-output fallback; default: REPRO_TOKENIZER, else auto",
-    )
+    _add_tokenizer_flag(check_doc)
     _add_stats_flags(check_doc)
     check_doc.set_defaults(handler=cmd_check_doc)
 
@@ -1028,12 +1034,7 @@ def build_parser() -> argparse.ArgumentParser:
             "database is touched — a non-conforming document aborts the load"
         ),
     )
-    load.add_argument(
-        "--tokenizer",
-        choices=["auto", "pure", "accel", "expat", "lxml"],
-        default=None,
-        help="tokenizer backend: accel probes for the fastest C tokenizer (expat, or lxml when installed) with the pure tokenizer as the identical-output fallback; default: REPRO_TOKENIZER, else auto",
-    )
+    _add_tokenizer_flag(load)
     _add_stats_flags(load)
     load.set_defaults(handler=cmd_load)
 
@@ -1155,12 +1156,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="save the edited document over --xml after all operations applied",
     )
-    apply_delta.add_argument(
-        "--tokenizer",
-        choices=["auto", "pure", "accel", "expat", "lxml"],
-        default=None,
-        help="tokenizer backend: accel probes for the fastest C tokenizer (expat, or lxml when installed) with the pure tokenizer as the identical-output fallback; default: REPRO_TOKENIZER, else auto",
-    )
+    _add_tokenizer_flag(apply_delta)
     _add_stats_flags(apply_delta)
     apply_delta.set_defaults(handler=cmd_apply_delta)
 

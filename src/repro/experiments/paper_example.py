@@ -87,14 +87,6 @@ def paper_keys() -> List[XMLKey]:
     return parse_keys(_PAPER_KEYS_TEXT)
 
 
-def paper_key(name: str) -> XMLKey:
-    """Fetch one of K1 … K7 by name."""
-    for key in paper_keys():
-        if key.name == name:
-            return key
-    raise KeyError(f"no paper key named {name!r}")
-
-
 # ----------------------------------------------------------------------
 # Example 2.4 — the transformation σ = (Rule(book), Rule(chapter), Rule(section))
 # ----------------------------------------------------------------------

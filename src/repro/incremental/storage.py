@@ -38,7 +38,7 @@ from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.relational.instance import RelationInstance
-from repro.relational.sql import encode_row, insert_template, quote_identifier
+from repro.relational.sql import insert_template, quote_identifier
 from repro.storage.backend import StorageError
 from repro.storage.loader import BulkLoader
 
@@ -266,9 +266,3 @@ class DeltaStore:
                     )
         if inserts:
             self.backend.executemany(self._insert_statement(table), inserts)
-
-
-def encode_instance_rows(instance: RelationInstance) -> List[Params]:
-    """Every row of an instance as bound parameter tuples (counter seeds)."""
-    schema = instance.schema
-    return [encode_row(schema, row) for row in instance.rows]

@@ -255,9 +255,6 @@ class BitFDSet:
     def rhs_mask(self, position: int) -> int:
         return self._rhs[position]
 
-    def is_active(self, position: int) -> bool:
-        return self._active[position]
-
     def __len__(self) -> int:
         return sum(self._active)
 

@@ -92,9 +92,6 @@ class FunctionalDependency:
         """Split into singleton-RHS FDs (the form used internally)."""
         return [FunctionalDependency(self.lhs, {attribute}) for attribute in sorted(self.rhs)]
 
-    def with_lhs(self, lhs: AttrSetLike) -> "FunctionalDependency":
-        return FunctionalDependency(lhs, self.rhs)
-
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FunctionalDependency):
@@ -193,9 +190,6 @@ class FDSet:
         if not isinstance(other, FDSet):
             return NotImplemented
         return self._seen == other._seen
-
-    def as_list(self) -> List[FunctionalDependency]:
-        return list(self._fds)
 
     def attributes(self) -> FrozenSet[str]:
         result: Set[str] = set()

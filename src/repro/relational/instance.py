@@ -455,13 +455,6 @@ class RelationInstance:
                 )
         return null_determinant + value_conflicts
 
-    def fd_accumulator(self, lhs: AttrSetLike, rhs: AttrSetLike) -> FDViolationAccumulator:
-        """An accumulator over this instance's rows (for mergeable checking)."""
-        accumulator = FDViolationAccumulator(lhs, rhs)
-        for row in self.rows:
-            accumulator.observe(row)
-        return accumulator
-
     def satisfies_fd(self, lhs: AttrSetLike, rhs: AttrSetLike) -> bool:
         return not self.fd_violations(lhs, rhs)
 

@@ -81,10 +81,6 @@ class LoadReport:
     #: Document id → the LoadError that rolled it back (``on_error="skip"``).
     rejected: Dict[str, LoadError] = field(default_factory=dict)
 
-    @property
-    def total_rows(self) -> int:
-        return sum(self.rows.values())
-
     def merge_counts(self, counts: Mapping[str, int]) -> None:
         for table, count in counts.items():
             self.rows[table] = self.rows.get(table, 0) + count

@@ -4,9 +4,8 @@
 plane built on top of it (streaming shred, parallel shard→map→merge,
 storage loading, incremental deltas) funnels each document character
 through the pure-Python tokenizer.  This module puts a C tokenizer in
-front of it — ``xml.parsers.expat`` from the standard library, with an
-optional (explicitly requested) lxml tier — while keeping the pure
-tokenizer as the *reference oracle*: the accelerated stream is
+front of it — ``xml.parsers.expat`` from the standard library — while
+keeping the pure tokenizer as the *reference oracle*: the accelerated stream is
 event-for-event identical — kinds, payloads, ordering, hence node-id
 assignment — and raises exactly the pure tokenizer's
 :exc:`~repro.xmlmodel.parser.XMLSyntaxError` on malformed input.
@@ -30,10 +29,11 @@ Identity is engineered, not assumed, through two mechanisms:
   second scan of documents that fail to parse; the malformed path is not
   the hot path.)
 
-Backend selection follows the libearth ``compat.etree`` model: probe for
-the fastest available implementation, fall back gracefully, and let both
-an environment variable (``REPRO_TOKENIZER``) and an ``engine=`` keyword
-pin the choice.  ``auto`` (the default) uses the accelerated backend for
+Backend selection follows the libearth ``compat.etree`` model: one
+façade over an ordered list of backends — expat, then the pure fallback —
+with both an environment variable (``REPRO_TOKENIZER``) and an
+``engine=`` keyword able to pin the choice (``accel`` is an alias of
+``expat``).  ``auto`` (the default) uses the accelerated backend for
 in-memory strings, byte buffers and file paths, and leaves file-like
 objects and chunk iterables on the pure incremental tokenizer, whose
 peak memory is bounded by the longest token rather than the document.
@@ -64,10 +64,9 @@ AUTO = "auto"
 PURE = "pure"
 ACCEL = "accel"
 EXPAT = "expat"
-LXML = "lxml"
 
 #: Engine names accepted by ``resolve_engine`` (and the CLI).
-ENGINES = (AUTO, PURE, ACCEL, EXPAT, LXML)
+ENGINES = (AUTO, PURE, ACCEL, EXPAT)
 
 #: Bytes fed to the C parser per ``Parse`` call.  Events are handed to the
 #: consumer between segments, so peak accelerated memory is one segment's
@@ -107,40 +106,17 @@ def _expat_module():
     return expat
 
 
-def _lxml_module():
-    try:
-        from lxml import etree
-    except ImportError:
-        return None
-    return etree
-
-
 def available_backends() -> Tuple[str, ...]:
     """The concrete backends usable in this interpreter, fastest first."""
-    names: List[str] = []
-    if _lxml_module() is not None:
-        names.append(LXML)
-    if _expat_module() is not None:
-        names.append(EXPAT)
-    names.append(PURE)
-    return tuple(names)
-
-
-def _best_backend() -> Optional[str]:
-    """The backend ``accel`` resolves to, or ``None`` if only pure exists."""
-    if _lxml_module() is not None:
-        return LXML
-    if _expat_module() is not None:
-        return EXPAT
-    return None  # pragma: no cover - expat ships with CPython
+    return (EXPAT, PURE) if _expat_module() is not None else (PURE,)
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an engine request to ``auto``, ``pure``, ``expat`` or ``lxml``.
+    """Resolve an engine request to ``auto``, ``pure`` or ``expat``.
 
     ``engine`` overrides the ``REPRO_TOKENIZER`` environment variable,
-    which overrides the default ``auto``.  ``accel`` resolves to the
-    fastest installed C backend.  Requesting an unavailable backend raises
+    which overrides the default ``auto``.  ``accel`` is an alias of
+    ``expat``.  Requesting expat where it is not available raises
     :exc:`TokenizerUnavailable`; an unknown name raises
     :exc:`ValueError`.
     """
@@ -153,23 +129,16 @@ def resolve_engine(engine: Optional[str] = None) -> str:
             f"unknown tokenizer engine {engine!r} (expected one of {', '.join(ENGINES)})"
         )
     if engine == ACCEL:
-        backend = _best_backend()
-        if backend is None:  # pragma: no cover - expat ships with CPython
-            raise TokenizerUnavailable(
-                "no accelerated tokenizer backend is available (expat/lxml missing)"
-            )
-        return backend
-    if engine == EXPAT and _expat_module() is None:  # pragma: no cover
+        engine = EXPAT
+    if engine == EXPAT and _expat_module() is None:
         raise TokenizerUnavailable("the expat tokenizer backend is not available")
-    if engine == LXML and _lxml_module() is None:
-        raise TokenizerUnavailable("the lxml tokenizer backend is not installed")
     return engine
 
 
 # ----------------------------------------------------------------------
 # The capability probe
 # ----------------------------------------------------------------------
-# A staged scan for every construct the C backends would *silently*
+# A staged scan for every construct expat would *silently*
 # normalize away from the pure dialect:
 #   * a leading U+FEFF — expat consumes a BOM, the pure tokenizer treats
 #     it as (bad) content;
@@ -188,7 +157,7 @@ _DIVERGENCE_BYTES = re.compile(b"=[ \t\n]*(?:\"[^\"]*[\t\n]|'[^']*[\t\n])")
 
 
 def _diverges(data: Union[str, bytes, bytearray, memoryview, "mmap.mmap"]) -> bool:
-    """Whether the C backends could normalize ``data`` away from pure."""
+    """Whether expat could normalize ``data`` away from pure."""
     if isinstance(data, str):
         if data.startswith("\ufeff") or "\r" in data:
             return True
@@ -222,7 +191,7 @@ def decode_buffer(data: Union[bytes, bytearray, memoryview, "mmap.mmap"]) -> str
 # ----------------------------------------------------------------------
 # Prolog skipping over byte buffers
 # ----------------------------------------------------------------------
-# The C parsers are fed the document *body*: the prolog dialect (skipped
+# Expat is fed the document *body*: the prolog dialect (skipped
 # DOCTYPE with internal subset, any number of comments/PIs) is the pure
 # tokenizer's, and handing it to a validating parser would change both
 # behavior and errors.  This is the byte-buffer port of
@@ -510,93 +479,13 @@ def _expat_segments(
         yield out
 
 
-def _lxml_segments(
-    pieces: Sequence[Union[str, bytes, memoryview]],
-    strip_whitespace: bool,
-    skip=None,
-) -> Iterator[List[Event]]:
-    """The lxml tier: same contract as :func:`_expat_segments`.
-
-    Only reachable when lxml is installed and explicitly selected (or
-    wins the ``accel`` probe); the replay fallback and the differential
-    suite provide the same oracle guarantee as for expat.  ``skip`` is
-    accepted for signature uniformity but ignored (``_stream`` nulls it
-    for this backend): the lxml stream simply contains no SKIP events,
-    which every consumer handles correctly.
-    """
-    etree = _lxml_module()
-
-    out: List[Event] = []
-    parts: List[str] = []
-    tuple_new = tuple.__new__
-    starts: dict = {}
-    ends: dict = {}
-
-    def flush_text():
-        if parts:
-            content = "".join(parts)
-            parts.clear()
-            if not strip_whitespace or content.strip():
-                out.append(tuple_new(Event, (TEXT, "#text", content)))
-
-    class _Target:
-        def start(self, tag, attrib):
-            flush_text()
-            event = starts.get(tag)
-            if event is None:
-                event = starts[tag] = tuple_new(Event, (START, tag, None))
-                ends[tag] = tuple_new(Event, (END, tag, None))
-            out.append(event)
-            for name, value in attrib.items():
-                out.append(tuple_new(Event, (ATTR, name, value)))
-
-        def end(self, tag):
-            flush_text()
-            out.append(ends[tag])
-
-        def data(self, text):
-            parts.append(text)
-
-        def comment(self, _text):
-            flush_text()
-
-        def pi(self, _target, _data=None):
-            flush_text()
-
-        def close(self):
-            return None
-
-    parser = etree.XMLParser(
-        target=_Target(), resolve_entities=True, recover=False, huge_tree=True
-    )
-    feed = parser.feed
-    try:
-        for piece in pieces:
-            limit = len(piece)
-            for cursor in range(0, limit, _SEGMENT):
-                with _gc_paused():
-                    feed(piece[cursor : cursor + _SEGMENT])
-                if out:
-                    yield out
-                    out = []
-        parser.close()
-    except etree.XMLSyntaxError:
-        raise _Fallback from None
-    if out:
-        yield out
-
-
-_SEGMENT_SOURCES = {EXPAT: _expat_segments, LXML: _lxml_segments}
-
-
 def _stream(
-    backend: str,
     pieces: Sequence[Union[str, bytes, memoryview]],
     strip_whitespace: bool,
     replay_text: Callable[[], str],
     skip=None,
 ) -> Iterator[Event]:
-    """Run a C backend over ``pieces``; replay pure on any parse error.
+    """Run expat over ``pieces``; replay pure on any parse error.
 
     ``replay_text`` materializes the *whole* document text (prolog
     included) so the replayed pure tokenizer reports its canonical events
@@ -613,15 +502,12 @@ def _stream(
     and pulled the next one.
     """
 
-    if backend == LXML:
-        skip = None  # lxml never skips; its replay must not either
-
     def batches() -> Iterator[Iterable[Event]]:
         from repro.xmlmodel import events as events_mod
 
         emitted = 0
         try:
-            for batch in _SEGMENT_SOURCES[backend](pieces, strip_whitespace, skip):
+            for batch in _expat_segments(pieces, strip_whitespace, skip):
                 yield batch
                 emitted += len(batch)
         except _Fallback:
@@ -646,10 +532,9 @@ def _stream(
 def _buffer_events(
     data: Union[str, bytes, bytearray, memoryview, "mmap.mmap"],
     strip_whitespace: bool,
-    backend: str,
     skip=None,
 ) -> Iterator[Event]:
-    """Tokenize one fully materialized document with a C backend."""
+    """Tokenize one fully materialized document with expat."""
     from repro.xmlmodel import events as events_mod
 
     is_str = isinstance(data, str)
@@ -678,12 +563,10 @@ def _buffer_events(
         body: Union[str, memoryview] = data if root == 0 else data[root:]
     else:
         body = memoryview(data)[root:]
-    return _stream(backend, (body,), strip_whitespace, replay_text, skip)
+    return _stream((body,), strip_whitespace, replay_text, skip)
 
 
-def _mapped_events(
-    path: str, strip_whitespace: bool, backend: str, skip=None
-) -> Iterator[Event]:
+def _mapped_events(path: str, strip_whitespace: bool, skip=None) -> Iterator[Event]:
     """Tokenize a file by path: ``mmap`` it and feed the map zero-copy.
 
     The mapping is released by a terminal link in the returned chain
@@ -701,11 +584,11 @@ def _mapped_events(
             data = handle.read()
         finally:
             handle.close()
-        return _buffer_events(data, strip_whitespace, backend, skip)
+        return _buffer_events(data, strip_whitespace, skip)
     except BaseException:
         handle.close()
         raise
-    inner = _buffer_events(mapped, strip_whitespace, backend, skip)
+    inner = _buffer_events(mapped, strip_whitespace, skip)
     return itertools.chain(inner, _release_mapping(mapped, handle))
 
 
@@ -721,7 +604,7 @@ def _release_mapping(mapped: "mmap.mmap", handle) -> Iterator[Event]:
 
 
 def _materialize(source) -> Union[str, bytes]:
-    """Buffer a file-like object or chunk iterable for a C backend."""
+    """Buffer a file-like object or chunk iterable for expat."""
     read = getattr(source, "read", None)
     if read is not None:
         return read()
@@ -746,24 +629,20 @@ def accelerated_events(
     buffers when it must.
     """
     if resolved == AUTO:
-        backend = _best_backend()
-        if backend is None:  # pragma: no cover - expat ships with CPython
+        if _expat_module() is None:  # pragma: no cover - expat ships with CPython
             return None
-        if isinstance(source, str) or isinstance(
-            source, (bytes, bytearray, memoryview, mmap.mmap)
-        ):
+        if isinstance(source, (str, bytes, bytearray, memoryview, mmap.mmap)):
             if len(source) < _AUTO_THRESHOLD:
                 return None
-            return _buffer_events(source, strip_whitespace, backend, skip)
+            return _buffer_events(source, strip_whitespace, skip)
         if hasattr(source, "__fspath__"):
-            return _mapped_events(os.fspath(source), strip_whitespace, backend, skip)
+            return _mapped_events(os.fspath(source), strip_whitespace, skip)
         return None
-    backend = resolved
     if isinstance(source, (str, bytes, bytearray, memoryview, mmap.mmap)):
-        return _buffer_events(source, strip_whitespace, backend, skip)
+        return _buffer_events(source, strip_whitespace, skip)
     if hasattr(source, "__fspath__"):
-        return _mapped_events(os.fspath(source), strip_whitespace, backend, skip)
-    return _buffer_events(_materialize(source), strip_whitespace, backend, skip)
+        return _mapped_events(os.fspath(source), strip_whitespace, skip)
+    return _buffer_events(_materialize(source), strip_whitespace, skip)
 
 
 # ----------------------------------------------------------------------
@@ -785,9 +664,7 @@ def fragment_byte_events(
     are dropped; errors and fallbacks replay the pure tokenizer over the
     decoded, wrapped fragment — exactly what the string path raises.
     """
-    resolved = resolve_engine(engine)
-    backend = _best_backend() if resolved == AUTO else resolved
-    if backend in (PURE, None) or _diverges(fragment):
+    if resolve_engine(engine) == PURE or _expat_module() is None or _diverges(fragment):
         from repro.xmlmodel import shards
 
         yield from shards.fragment_events(
@@ -804,7 +681,7 @@ def fragment_byte_events(
         memoryview(fragment),
         f"</{root_tag}>".encode("utf-8"),
     )
-    events = _stream(backend, pieces, strip_whitespace, replay_text, skip)
+    events = _stream(pieces, strip_whitespace, replay_text, skip)
     next(events)  # the synthetic root START (present even on replay)
     pending = next(events, None)
     for event in events:

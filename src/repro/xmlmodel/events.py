@@ -1,13 +1,12 @@
-"""Event-driven XML tokenization — the streaming side of the data plane.
+"""Event-driven XML tokenization — the one XML front end.
 
-The DOM parser of :mod:`repro.xmlmodel.parser` materializes a full
-:class:`~repro.xmlmodel.tree.XMLTree` before anything can look at the
-document.  That is the right model for the paper's *schema-level* algorithms
-(propagation, covers, implication), but the *data-level* pipeline — shredding
-documents through a transformation and checking key satisfaction — must
-handle documents far larger than a comfortable DOM.  This module provides the
-``iterparse``-style layer that sits beside the DOM, the way lxml's event API
-sits beside its tree:
+Every reader of XML text goes through :func:`iter_events`.  The paper's
+*schema-level* algorithms (propagation, covers, implication) work on a DOM,
+and :func:`~repro.xmlmodel.parser.parse_document` builds it as
+``tree_from_events(iter_events(...))``.  The *data-level* pipeline —
+shredding documents through a transformation and checking key
+satisfaction — must handle documents far larger than a comfortable DOM, so
+it consumes the events directly:
 
 * :func:`iter_events` tokenizes a document into a flat stream of
   ``start`` / ``attr`` / ``text`` / ``end`` events.  The input may be a
@@ -16,17 +15,16 @@ sits beside its tree:
   peak memory is independent of document size.
 * :func:`iter_tree_events` replays an in-memory tree as the same event
   stream, so every streaming consumer can also run over DOM input.
-* :func:`tree_from_events` rebuilds a DOM from an event stream — the bridge
-  used by the differential test suite to pin the tokenizer against the
-  recursive-descent parser event-for-event and node-for-node.
+* :func:`tree_from_events` rebuilds a DOM from an event stream with an
+  explicit stack, so nesting depth is bounded by memory rather than by the
+  interpreter's recursion limit.
 
-The tokenizer accepts exactly the dialect of the DOM parser (predefined
-entities, character references, CDATA, comments, processing instructions,
-a skipped DOCTYPE) and mirrors its text-node segmentation: character data
-and CDATA accumulate into a single text event, which is flushed by element
-boundaries, comments and processing instructions, and dropped when
-whitespace-only under ``strip_whitespace``.  ``tree_from_events(iter_events(s))``
-is therefore structurally identical to ``parse_document(s)``.
+The dialect is the data-exchange subset documented in
+:mod:`repro.xmlmodel.parser` (predefined entities, character references,
+CDATA, comments, processing instructions, a skipped DOCTYPE).  Character
+data and CDATA accumulate into a single text event, which is flushed by
+element boundaries, comments and processing instructions, and dropped when
+whitespace-only under ``strip_whitespace``.
 
 Event order mirrors the document-order node numbering of Figure 1: an
 element's ``start`` is followed by one ``attr`` event per attribute (in
@@ -106,10 +104,10 @@ _COMPACT_THRESHOLD = 1 << 16
 _NAME_DELIMITERS = "=<>/?\"'"
 
 # Hot-path scanners for the in-memory tokenizer.  The character classes are
-# exactly the DOM parser's: a name runs until whitespace or one of
+# the chunked tokenizer's: a name runs until whitespace or one of
 # ``=<>/?"'``; attribute values are quoted, quotes cannot be escaped other
 # than via entities.  Inputs the regexes cannot handle fall back to the
-# character-level code, which reproduces the DOM parser's error messages.
+# character-level code, which raises the canonical error messages.
 _NAME_RE = re.compile(r"[^\s=<>/?\"']+")
 _ATTR_RE = re.compile(r"\s*([^\s=<>/?\"']+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)')")
 _END_TAG_RE = re.compile(r"([^\s=<>/?\"']+)\s*>")
@@ -151,15 +149,14 @@ def iter_events(
     ``source`` may be a string, a byte buffer (``bytes`` / ``memoryview`` /
     ``mmap``, UTF-8), a filesystem path (:class:`os.PathLike`), a file-like
     object (read in ``chunk_size`` pieces) or an iterable of string chunks.
-    ``strip_whitespace`` drops whitespace-only text events, matching the
-    DOM parser's default.
+    ``strip_whitespace`` drops whitespace-only text events.
 
     ``engine`` selects the tokenizer backend (default: the
     ``REPRO_TOKENIZER`` environment variable, else ``auto``):
 
     * ``pure`` — the in-tree reference tokenizer below;
-    * ``accel`` / ``expat`` / ``lxml`` — the C front-ends of
-      :mod:`repro.xmlmodel.accel`, which emit the identical event stream
+    * ``accel`` / ``expat`` — the expat front-end of
+      :mod:`repro.xmlmodel.accel`, which emits the identical event stream
       and errors (falling back to a pure replay whenever the C dialect
       could disagree);
     * ``auto`` — accelerate in-memory strings, buffers and paths; keep
@@ -174,7 +171,7 @@ def iter_events(
     single-buffer scanner (the hot path of the shredding benchmarks);
     everything else runs through the incremental chunked tokenizer.  All
     backends accept the same dialect and raise the same errors (pinned
-    against each other, and against the DOM parser, by the test suite).
+    against each other by the test suite).
 
     ``skip`` is an optional :class:`~repro.xmlmodel.static.SkipSet`: when a
     non-root element opens whose label the set marks skippable, the
@@ -185,9 +182,9 @@ def iter_events(
     tokenizes normally, so the (document, skip set) pair fully determines
     the stream — including on documents that violate the schema the set
     was compiled from.  The in-memory string scanner and the expat backend
-    implement skipping; the bounded-memory chunked tokenizer and the lxml
-    backend accept the parameter but always tokenize in full (their
-    streams simply contain no ``skip`` events, which is also correct).
+    implement skipping; the bounded-memory chunked tokenizer accepts the
+    parameter but always tokenizes in full (its stream simply contains no
+    ``skip`` events, which is also correct).
     """
     from repro.xmlmodel import accel
 
@@ -448,7 +445,7 @@ def _string_events(source: str, strip_whitespace: bool, skip=None) -> Iterator[E
                     pos = end + 3
                     continue
                 # anything else after '<!' parses as an element whose name
-                # starts with '!', exactly like the DOM parser
+                # starts with '!', exactly like the chunked tokenizer
             elif nxt == "?":
                 if text_parts:
                     content = "".join(text_parts)
@@ -831,7 +828,8 @@ class _Tokenizer:
     The buffer holds at most the current token plus one pulled-ahead chunk;
     the consumed prefix is dropped once it crosses ``_COMPACT_THRESHOLD``,
     so memory stays bounded regardless of document length.  ``base + pos``
-    is the absolute offset used in error messages, matching the DOM parser.
+    is the absolute offset used in error messages, matching the in-memory
+    scanner.
     """
 
     def __init__(self, chunks: Iterator[str], strip_whitespace: bool) -> None:
@@ -901,7 +899,7 @@ class _Tokenizer:
             if not self._pull():
                 return -1
 
-    # -- lexical helpers (mirroring the DOM parser) --------------------
+    # -- lexical helpers ------------------------------------------------
     def _skip_spaces(self) -> None:
         while True:
             buf, length = self.buf, len(self.buf)

@@ -1,10 +1,15 @@
-"""A small XML parser producing :class:`~repro.xmlmodel.tree.XMLTree` trees.
+"""The DOM front end: XML text to :class:`~repro.xmlmodel.tree.XMLTree`.
 
-The library implements its own parser (instead of wrapping ``xml.etree``) so
-that the resulting tree model is exactly the paper's: attribute nodes are
-first-class, node identities are assigned in document order, and whitespace
-handling is explicit.  The supported subset is the one needed for data
-exchange documents:
+:func:`parse_document` is the event tokenizer of
+:mod:`repro.xmlmodel.events` feeding
+:func:`~repro.xmlmodel.events.tree_from_events`, so the DOM and every
+streaming plane read documents through one front end, with one engine
+selection (``REPRO_TOKENIZER``, else ``auto``) and one set of errors.
+The library builds its own tree (instead of wrapping ``xml.etree``) so
+that the resulting model is exactly the paper's: attribute nodes are
+first-class, node identities are assigned in document order, and
+whitespace handling is explicit.  The supported subset is the one needed
+for data exchange documents:
 
 * elements with attributes, text and nested elements;
 * XML declarations (``<?xml ...?>``), processing instructions and comments
@@ -13,13 +18,15 @@ exchange documents:
 * CDATA sections;
 * the five predefined entities plus decimal / hexadecimal character
   references.
+
+This module also owns what every tokenizer shares: :exc:`XMLSyntaxError`
+and :func:`expand_entities`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.xmlmodel.nodes import ElementNode, TextNode
 from repro.xmlmodel.tree import XMLTree
 
 
@@ -43,10 +50,9 @@ _PREDEFINED_ENTITIES = {
 def expand_entities(raw: str) -> str:
     """Expand predefined entities and character references in ``raw``.
 
-    Unknown entities and stray ``&`` characters are kept literally, exactly
-    like the DOM parser does; the streaming tokenizer of
-    :mod:`repro.xmlmodel.events` shares this function so both front ends
-    produce byte-identical character data.
+    Unknown entities and stray ``&`` characters are kept literally.  Every
+    tokenizer backend shares this function, so all of them produce
+    byte-identical character data.
     """
     if "&" not in raw:
         return raw
@@ -78,206 +84,13 @@ def parse_document(source: str, strip_whitespace: bool = True) -> XMLTree:
 
     ``strip_whitespace`` drops text nodes that consist solely of whitespace
     (the usual behaviour wanted for data-centric documents such as the ones
-    the paper shreds into relations).
+    the paper shreds into relations).  The tree is built iteratively, so
+    nesting depth is bounded by memory, not by the recursion limit.
     """
-    parser = _Parser(source, strip_whitespace=strip_whitespace)
-    root = parser.parse()
-    return XMLTree(root)
+    # Function-local: the tokenizer modules import XMLSyntaxError from here.
+    from repro.xmlmodel.events import iter_events, tree_from_events
 
-
-def parse_fragment(source: str, strip_whitespace: bool = True) -> ElementNode:
-    """Parse a single element (without wrapping it into a tree)."""
-    parser = _Parser(source, strip_whitespace=strip_whitespace)
-    return parser.parse()
-
-
-class _Parser:
-    """Recursive-descent parser over a character buffer."""
-
-    def __init__(self, source: str, strip_whitespace: bool = True) -> None:
-        self.source = source
-        self.pos = 0
-        self.length = len(source)
-        self.strip_whitespace = strip_whitespace
-
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-    def parse(self) -> ElementNode:
-        self._skip_prolog()
-        if self.pos >= self.length or self.source[self.pos] != "<":
-            raise XMLSyntaxError("expected a root element", self.pos)
-        root = self._parse_element()
-        self._skip_misc()
-        if self.pos < self.length:
-            raise XMLSyntaxError("content after the root element", self.pos)
-        return root
-
-    # ------------------------------------------------------------------
-    # Prolog / misc
-    # ------------------------------------------------------------------
-    def _skip_prolog(self) -> None:
-        while True:
-            self._skip_spaces()
-            if self.source.startswith("<?", self.pos):
-                self._skip_until("?>")
-            elif self.source.startswith("<!--", self.pos):
-                self._skip_until("-->")
-            elif self.source.startswith("<!DOCTYPE", self.pos):
-                self._skip_doctype()
-            else:
-                return
-
-    def _skip_misc(self) -> None:
-        while True:
-            self._skip_spaces()
-            if self.source.startswith("<?", self.pos):
-                self._skip_until("?>")
-            elif self.source.startswith("<!--", self.pos):
-                self._skip_until("-->")
-            else:
-                return
-
-    def _skip_doctype(self) -> None:
-        depth = 0
-        while self.pos < self.length:
-            char = self.source[self.pos]
-            if char == "[":
-                depth += 1
-            elif char == "]":
-                depth -= 1
-            elif char == ">" and depth <= 0:
-                self.pos += 1
-                return
-            self.pos += 1
-        raise XMLSyntaxError("unterminated DOCTYPE declaration", self.pos)
-
-    # ------------------------------------------------------------------
-    # Elements
-    # ------------------------------------------------------------------
-    def _parse_element(self) -> ElementNode:
-        start = self.pos
-        if self.source[self.pos] != "<":
-            raise XMLSyntaxError("expected '<'", self.pos)
-        self.pos += 1
-        name = self._parse_name()
-        element = ElementNode(name)
-        # Attributes
-        while True:
-            self._skip_spaces()
-            if self.pos >= self.length:
-                raise XMLSyntaxError("unterminated start tag", start)
-            char = self.source[self.pos]
-            if char == ">":
-                self.pos += 1
-                break
-            if self.source.startswith("/>", self.pos):
-                self.pos += 2
-                return element
-            attr_name = self._parse_name()
-            self._skip_spaces()
-            self._expect("=")
-            self._skip_spaces()
-            attr_value = self._parse_quoted()
-            element.set_attribute(attr_name, attr_value)
-        # Content
-        self._parse_content(element)
-        return element
-
-    def _parse_content(self, element: ElementNode) -> None:
-        text_parts: List[str] = []
-
-        def flush_text() -> None:
-            if not text_parts:
-                return
-            content = "".join(text_parts)
-            text_parts.clear()
-            if self.strip_whitespace and not content.strip():
-                return
-            element.append_child(TextNode(content))
-
-        while True:
-            if self.pos >= self.length:
-                raise XMLSyntaxError(f"unterminated element <{element.tag}>", self.pos)
-            if self.source.startswith("</", self.pos):
-                flush_text()
-                self.pos += 2
-                name = self._parse_name()
-                if name != element.tag:
-                    raise XMLSyntaxError(
-                        f"mismatched end tag </{name}> for <{element.tag}>", self.pos
-                    )
-                self._skip_spaces()
-                self._expect(">")
-                return
-            if self.source.startswith("<!--", self.pos):
-                flush_text()
-                self._skip_until("-->")
-                continue
-            if self.source.startswith("<![CDATA[", self.pos):
-                end = self.source.find("]]>", self.pos)
-                if end < 0:
-                    raise XMLSyntaxError("unterminated CDATA section", self.pos)
-                text_parts.append(self.source[self.pos + 9 : end])
-                self.pos = end + 3
-                continue
-            if self.source.startswith("<?", self.pos):
-                flush_text()
-                self._skip_until("?>")
-                continue
-            if self.source[self.pos] == "<":
-                flush_text()
-                element.append_child(self._parse_element())
-                continue
-            # Character data (with entity expansion).
-            next_tag = self.source.find("<", self.pos)
-            if next_tag < 0:
-                next_tag = self.length
-            text_parts.append(self._expand_entities(self.source[self.pos : next_tag]))
-            self.pos = next_tag
-
-    # ------------------------------------------------------------------
-    # Lexical helpers
-    # ------------------------------------------------------------------
-    def _parse_name(self) -> str:
-        start = self.pos
-        while self.pos < self.length and not self.source[self.pos].isspace() and self.source[
-            self.pos
-        ] not in "=<>/?\"'":
-            self.pos += 1
-        if self.pos == start:
-            raise XMLSyntaxError("expected a name", self.pos)
-        return self.source[start : self.pos]
-
-    def _parse_quoted(self) -> str:
-        if self.pos >= self.length or self.source[self.pos] not in "\"'":
-            raise XMLSyntaxError("expected a quoted attribute value", self.pos)
-        quote = self.source[self.pos]
-        self.pos += 1
-        end = self.source.find(quote, self.pos)
-        if end < 0:
-            raise XMLSyntaxError("unterminated attribute value", self.pos)
-        raw = self.source[self.pos : end]
-        self.pos = end + 1
-        return self._expand_entities(raw)
-
-    def _expand_entities(self, raw: str) -> str:
-        return expand_entities(raw)
-
-    def _skip_spaces(self) -> None:
-        while self.pos < self.length and self.source[self.pos].isspace():
-            self.pos += 1
-
-    def _skip_until(self, marker: str) -> None:
-        end = self.source.find(marker, self.pos)
-        if end < 0:
-            raise XMLSyntaxError(f"unterminated construct (missing {marker!r})", self.pos)
-        self.pos = end + len(marker)
-
-    def _expect(self, literal: str) -> None:
-        if not self.source.startswith(literal, self.pos):
-            raise XMLSyntaxError(f"expected {literal!r}", self.pos)
-        self.pos += len(literal)
+    return tree_from_events(iter_events(source, strip_whitespace=strip_whitespace))
 
 
 def _expand_entity(entity: str) -> Optional[str]:

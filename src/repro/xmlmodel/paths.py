@@ -288,10 +288,6 @@ class PathExpression:
         concrete = PathExpression(PathStep.label(label) for label in labels)
         return contains(self, concrete)
 
-    def contained_in(self, other: PathLike) -> bool:
-        """``self ⊆ other`` (language containment)."""
-        return contains(PathExpression.of(other), self)
-
     # ------------------------------------------------------------------
     # Value semantics / rendering
     # ------------------------------------------------------------------

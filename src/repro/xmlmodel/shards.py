@@ -105,10 +105,6 @@ class DocumentShards:
         piece = self.slices[index]
         return self.text[piece.start:piece.end]
 
-    def shard_source(self, index: int) -> str:
-        """The slice wrapped in a synthetic root, ready for the tokenizer."""
-        return f"<{self.root_tag}>{self.slice_text(index)}</{self.root_tag}>"
-
     def shard_events(
         self,
         index: int,

@@ -1,14 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
-import importlib.util
-
 import pytest
 
 from repro.cli import main
 from repro.experiments import paper_example as pe
+from repro.xmlmodel import accel
 from repro.xmlmodel.serializer import serialize
-
-HAS_LXML = importlib.util.find_spec("lxml") is not None
 
 
 KEYS_TEXT = """
@@ -575,9 +572,9 @@ class TestExitCodes:
         assert main(argv + [engine]) == 1
         assert capsys.readouterr().out == pure_out
 
-    @pytest.mark.skipif(HAS_LXML, reason="lxml is installed here")
     @pytest.mark.parametrize("command", ["check-doc", "shred", "load"])
-    def test_unavailable_tokenizer_exit_two(self, violating_workspace, command):
+    def test_unavailable_tokenizer_exit_two(self, violating_workspace, monkeypatch, command):
+        monkeypatch.setattr(accel, "_expat_module", lambda: None)
         ws = violating_workspace
         argv = {
             "check-doc": ["check-doc", "--keys", ws["keys"], "--xml", ws["xml"]],
@@ -585,7 +582,7 @@ class TestExitCodes:
             "load": ["load", "--transform", ws["transform"], "--xml", ws["xml"],
                      "--db", ws["db"]],
         }[command]
-        assert main(argv + ["--tokenizer", "lxml"]) == 2
+        assert main(argv + ["--tokenizer", "expat"]) == 2
 
     def test_unknown_tokenizer_is_an_argparse_error(self, violating_workspace):
         ws = violating_workspace

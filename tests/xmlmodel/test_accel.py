@@ -39,8 +39,6 @@ from repro.xmlmodel.events import iter_events
 from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.shards import fragment_events
 
-HAS_LXML = accel._lxml_module() is not None
-
 MALFORMED_DOCUMENTS = {
     "mismatched-close": "<a><b></a>",
     "undefined-entity-eof": "<a>&bogus text",
@@ -104,8 +102,8 @@ class TestEngineResolution:
     def test_names_are_case_and_space_insensitive(self):
         assert resolve_engine("  EXPAT ") == "expat"
 
-    def test_accel_resolves_to_installed_backend(self):
-        assert resolve_engine("accel") in ("expat", "lxml")
+    def test_accel_is_an_alias_of_expat(self):
+        assert resolve_engine("accel") == "expat"
 
     def test_unknown_name_raises_value_error(self):
         with pytest.raises(ValueError, match="unknown tokenizer engine"):
@@ -116,10 +114,12 @@ class TestEngineResolution:
         with pytest.raises(ValueError, match="unknown tokenizer engine"):
             iter_events("<a/>")
 
-    @pytest.mark.skipif(HAS_LXML, reason="lxml is installed here")
-    def test_missing_lxml_raises_unavailable(self):
-        with pytest.raises(TokenizerUnavailable, match="lxml"):
-            resolve_engine("lxml")
+    @pytest.mark.parametrize("engine", ["accel", "expat"])
+    def test_missing_expat_raises_unavailable(self, monkeypatch, engine):
+        monkeypatch.setattr(accel, "_expat_module", lambda: None)
+        with pytest.raises(TokenizerUnavailable, match="expat"):
+            resolve_engine(engine)
+        assert available_backends() == ("pure",)
 
     def test_unavailable_is_a_value_error(self):
         assert issubclass(TokenizerUnavailable, ValueError)

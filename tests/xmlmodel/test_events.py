@@ -99,37 +99,42 @@ class TestChunkedInput:
 
 
 class TestErrors:
+    # The dialect's canonical messages and offsets, as literals: the
+    # in-memory scanner, the chunked tokenizer and parse_document must all
+    # report exactly these.
     @pytest.mark.parametrize(
-        "text",
+        "text, message, position",
         [
-            "<a><b></a>",
-            "<a",
-            "<a>text",
-            "<a><!--oops</a>",
-            "junk",
-            "<a/><b/>",
-            "<a foo=bar/>",
-            '<a foo="1/>',
-            "<a></ >",
-            "<>",
+            ("<a><b></a>", "mismatched end tag </a> for <b>", 9),
+            ("<a", "unterminated start tag", 0),
+            ("<a>text", "unterminated element <a>", 7),
+            ("<a><!--oops</a>", "unterminated construct (missing '-->')", 3),
+            ("junk", "expected a root element", 0),
+            ("<a/><b/>", "content after the root element", 4),
+            ("<a foo=bar/>", "expected a quoted attribute value", 7),
+            ('<a foo="1/>', "unterminated attribute value", 8),
+            ("<a></ >", "expected a name", 5),
+            ("<>", "expected a name", 1),
         ],
     )
-    def test_errors_match_dom_parser(self, text):
-        with pytest.raises(XMLSyntaxError) as dom_error:
+    def test_errors_are_pinned(self, text, message, position):
+        expected = f"{message} (at offset {position})"
+        for source in (text, chunked(text, 1)):
+            with pytest.raises(XMLSyntaxError) as error:
+                list(iter_events(source))
+            assert (str(error.value), error.value.position) == (expected, position)
+        with pytest.raises(XMLSyntaxError) as error:
             parse_document(text)
-        with pytest.raises(XMLSyntaxError) as stream_error:
-            list(iter_events(text))
-        assert str(stream_error.value) == str(dom_error.value)
+        assert (str(error.value), error.value.position) == (expected, position)
 
 
 class TestTreeBridge:
-    def test_tree_from_events_matches_dom_parse(self, figure1):
+    def test_tree_from_events_matches_figure1(self, figure1):
         text = serialize(figure1, xml_declaration=True)
         via_events = tree_from_events(iter_events(text))
-        via_dom = parse_document(text)
-        assert serialize(via_events) == serialize(via_dom)
+        assert serialize(via_events) == serialize(figure1)
         assert [(n.node_id, n.label) for n in via_events.iter_nodes()] == [
-            (n.node_id, n.label) for n in via_dom.iter_nodes()
+            (n.node_id, n.label) for n in figure1.iter_nodes()
         ]
 
     def test_iter_tree_events_round_trip(self, figure1):

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.xmlmodel.parser import XMLSyntaxError, parse_document, parse_fragment
+from repro.experiments.scenarios import deep_nesting_chunks
+from repro.xmlmodel.accel import ENGINE_ENV
+from repro.xmlmodel.parser import XMLSyntaxError, parse_document
 from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.tree import XMLTree
 
@@ -90,6 +92,16 @@ class TestEntities:
         assert tree.root.text_content() == "&unknown;"
 
 
+class TestDepth:
+    @pytest.mark.parametrize("engine", ["pure", "expat"])
+    def test_nesting_deeper_than_the_recursion_limit(self, monkeypatch, engine):
+        monkeypatch.setenv(ENGINE_ENV, engine)
+        tree = parse_document("".join(deep_nesting_chunks(depth=5000, repeat=1)))
+        # chain + 5000 links + 5000 @n + payload + its text
+        assert len(tree) == 10_003
+        assert tree.elements_by_tag("payload")[0].text_content() == "bottom 0"
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "source",
@@ -130,11 +142,6 @@ class TestRoundTrip:
         text1 = serialize(first)
         second = parse_document(text1)
         assert XMLTree.value(first.root) == XMLTree.value(second.root)
-
-    def test_parse_fragment_returns_element(self):
-        fragment = parse_fragment("<a b='1'/>")
-        assert fragment.label == "a"
-        assert fragment.attribute_value("b") == "1"
 
     def test_figure1_like_document(self):
         source = """

@@ -9,14 +9,19 @@ event processing:
 * **key checking** — ``stream_violations`` (one pass, context-bucketed
   hash indexes) instead of per-key ``violations`` over a DOM.
 
-Two gates pin the PR's claims, in the style of PR 1/PR 2's speedup gates
+Three gates pin the claims, in the style of PR 1/PR 2's speedup gates
 (plain ``perf_counter`` timing, so they run under ``--benchmark-disable``):
 
 * ``test_checker_speedup_report`` — streaming key checking must beat the
   DOM pipeline (parse + per-key checks) ≥ 5× on a ~10k-node document;
 * ``test_event_iterator_memory_report`` — tokenizing a 10× larger document
   must not grow the event iterator's peak memory (documents are synthesized
-  as lazy text chunks, so nothing ever holds the full input).
+  as lazy text chunks, so nothing ever holds the full input);
+* ``test_shredder_vs_checker_report`` — on the ~104k-node gate document of
+  ``benchmarks/bench_parallel.py``, with the events materialized first,
+  the streaming shredder's ``feed`` must cost at most 2× the 24-key
+  streaming checker's: the two consumers step the same kind of automata
+  over the same events, and a ratio holds across hardware.
 
 The ``@pytest.mark.benchmark`` cases record the absolute throughputs per
 push into the ``BENCH_PR3.json`` CI artifact.  PR 7 adds the
@@ -39,10 +44,11 @@ from repro.experiments.scenarios import (
     synthesized_node_count,
 )
 from repro.keys.satisfaction import violations
-from repro.keys.stream import stream_violations
+from repro.keys.stream import KeyStreamChecker, stream_violations
 from repro.relational import sql as sql_module
 from repro.transform.evaluate import evaluate_rule
-from repro.transform.stream import stream_evaluate_rule
+from repro.transform.rule import Transformation
+from repro.transform.stream import StreamShredder, stream_evaluate_rule
 from repro.xmlmodel.events import iter_events
 from repro.xmlmodel.parser import parse_document
 
@@ -168,6 +174,71 @@ def test_event_iterator_memory_report():
     assert ratio < 2.0, (
         f"tokenizer peak memory grew {ratio:.2f}x for a 10x larger document "
         f"({small_peak} -> {large_peak} bytes)"
+    )
+
+
+# ----------------------------------------------------------------------
+# Gate 3: shredder feed <= 2x the 24-key checker feed on the same events
+# ----------------------------------------------------------------------
+#: The PR-4 gate document, built as ``benchmarks/bench_parallel.py`` does.
+RATIO_GATE = dict(fields=20, depth=4, keys=24, fanout=4, repeat=30, duplicate_every=211)
+MAX_SHREDDER_TO_CHECKER = 2.0
+
+
+def test_shredder_vs_checker_report():
+    gate = RATIO_GATE
+    workload = generate_workload(
+        gate["fields"], depth=gate["depth"], num_keys=gate["keys"], seed=2
+    )
+    events = list(
+        iter_events(
+            "".join(
+                synthesize_document_chunks(
+                    workload,
+                    fanout=gate["fanout"],
+                    top_level_repeat=gate["repeat"],
+                    duplicate_every=gate["duplicate_every"],
+                )
+            )
+        )
+    )
+    transformation = Transformation([workload.rule])
+
+    def shred():
+        shredder = StreamShredder(transformation)
+        for event in events:
+            shredder.feed(event)
+        return shredder
+
+    def check():
+        checker = KeyStreamChecker(workload.keys)
+        for event in events:
+            checker.feed(event)
+        return checker
+
+    # Alternate the two consumers so machine noise hits both alike.
+    shred_time = check_time = float("inf")
+    for _ in range(3):
+        elapsed, shredder = _best_of(shred, repeats=1)
+        shred_time = min(shred_time, elapsed)
+        elapsed, checker = _best_of(check, repeats=1)
+        check_time = min(check_time, elapsed)
+    rows = shredder.finish()[workload.rule.relation].rows
+    # One row per deepest spine element: fanout top-level subtrees per
+    # repeat, fanout^(depth-1) leaves each.
+    assert len(rows) == gate["repeat"] * gate["fanout"] ** gate["depth"]
+    assert checker.finish()
+
+    ratio = shred_time / check_time
+    print(
+        f"\n[bench_shred] feed over {len(events)} events: shredder "
+        f"{shred_time * 1000:.1f} ms ({len(rows)} rows), checker "
+        f"{check_time * 1000:.1f} ms ({len(workload.keys)} keys) -> "
+        f"{ratio:.2f}x (gate <= {MAX_SHREDDER_TO_CHECKER:.1f}x)"
+    )
+    assert ratio <= MAX_SHREDDER_TO_CHECKER, (
+        f"shredder feed costs {ratio:.2f}x the checker feed "
+        f"({shred_time * 1000:.1f} vs {check_time * 1000:.1f} ms)"
     )
 
 

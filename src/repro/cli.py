@@ -106,10 +106,11 @@ from repro.core import (
     minimum_cover_from_keys,
 )
 from repro.design import design_from_scratch
-from repro.keys import KeyStreamChecker, parse_keys, violations
+from repro.keys import KeyStreamChecker, parse_keys, stream_violations, violations
 from repro.relational import sql as sql_module
 from repro.relational.schema import DatabaseSchema
 from repro.transform import StreamShredder, evaluate_transformation, parse_transformation
+from repro.transform.stream import record_shred_rows
 from repro.xmlmodel import iter_events, parse_document
 
 
@@ -303,6 +304,7 @@ def cmd_shred(args: argparse.Namespace) -> int:
         if dtd is not None:
             exit_code = max(exit_code, _print_dtd_report(dtd.validate(tree)))
         instances = evaluate_transformation(transformation, tree)
+        record_shred_rows(instances)
     log.info(
         "shredded %d relation(s) from %s",
         len(instances),
@@ -371,25 +373,25 @@ def cmd_check_doc(args: argparse.Namespace) -> int:
             ).violations
             or []
         )
-    else:
-        # One pass feeds the key checker and (without --prune) the
-        # streaming DTD validator together.  Pruning and validation are
-        # mutually exclusive by construction: a skipped subtree elides
-        # exactly the events the validator would need to see.
-        skip = None
-        validator = None
-        if args.prune:
-            from repro.xmlmodel.static import compile_plan
+    elif args.prune:
+        # Pruning and validation are mutually exclusive by construction: a
+        # skipped subtree elides exactly the events the validator would
+        # need to see.  The serial checking pass counts the skips it saw.
+        from repro.xmlmodel.static import compile_plan
 
-            plan = compile_plan(dtd, keys=keys)
-            skip = plan.skipset if plan.skipset else None
-        elif dtd is not None:
+        found = stream_violations(
+            Path(args.xml), keys, jobs=1, engine=engine, plan=compile_plan(dtd, keys=keys)
+        )
+    else:
+        # One pass feeds the key checker and the streaming DTD validator.
+        validator = None
+        if dtd is not None:
             from repro.xmlmodel.dtd import DTDStreamValidator
 
             validator = DTDStreamValidator(dtd)
         checker = KeyStreamChecker(keys)
         events = 0
-        for event in iter_events(Path(args.xml), engine=engine, skip=skip):
+        for event in iter_events(Path(args.xml), engine=engine):
             events += 1
             checker.feed(event)
             if validator is not None:

@@ -64,6 +64,7 @@ from repro.transform.stream import (
     RuleStreamer,
     StreamShredder,
     merge_rule_shards,
+    record_shred_rows,
 )
 from repro.xmlmodel.events import ATTR, SKIP, iter_events
 from repro.xmlmodel.shards import (
@@ -431,15 +432,9 @@ def run_sharded(
             for row in rows:
                 instance.add_row(row)
             instances[rule.relation] = instance
-        if obs.enabled():
-            # The serial plane records these inside StreamShredder.finish;
-            # the sharded plane only knows the final rows after the merge,
-            # and the byte-identical-output guarantee makes them equal.
-            registry = obs.metrics()
-            for relation, instance in instances.items():
-                registry.inc(
-                    "shred.rows", len(instance.rows), relation=relation
-                )
+        # The sharded plane only knows the final rows after the merge, and
+        # the byte-identical-output guarantee makes them the serial counts.
+        record_shred_rows(instances)
 
     violations: Optional[List[KeyViolation]] = None
     if key_list:

@@ -302,14 +302,30 @@ class RelationInstance:
     # Population
     # ------------------------------------------------------------------
     def add_row(self, values: Mapping[str, Value]) -> Row:
-        unknown = set(values) - set(self.schema.attributes)
-        if unknown:
-            raise ValueError(
-                f"row mentions attributes {sorted(unknown)} absent from "
-                f"schema {self.schema.name!r}"
-            )
-        complete = {attribute: values.get(attribute, NULL) for attribute in self.schema.attributes}
-        row = Row(complete)
+        schema = self.schema
+        row = Row.__new__(Row)
+        if (
+            type(values) is dict
+            and tuple(values) == schema.attributes
+            and None not in values.values()
+        ):
+            # Already complete, in schema order and normalised — rows
+            # straight from a shredder: one copy is all that is left to do.
+            row._values = values.copy()
+        else:
+            if not schema.attribute_set.issuperset(values):
+                unknown = set(values) - schema.attribute_set
+                raise ValueError(
+                    f"row mentions attributes {sorted(unknown)} absent from "
+                    f"schema {schema.name!r}"
+                )
+            # Missing attributes and Python None both become NULL — the
+            # normalisation Row.__init__ applies, done in the same pass.
+            get = values.get
+            row._values = {
+                attribute: NULL if (value := get(attribute)) is None else value
+                for attribute in schema.attributes
+            }
         self.rows.append(row)
         return row
 

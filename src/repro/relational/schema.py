@@ -40,6 +40,7 @@ class RelationSchema:
             ordered.append(attribute)
         self.name = name
         self.attributes: Tuple[str, ...] = tuple(ordered)
+        self.attribute_set: FrozenSet[str] = frozenset(ordered)
         self.keys: List[FrozenSet[str]] = []
         for key in keys:
             self.add_key(key)

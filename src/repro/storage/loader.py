@@ -396,28 +396,27 @@ class BulkLoader:
         strip_whitespace: bool,
         engine: Optional[str] = None,
     ) -> Dict[str, int]:
+        sinks = {rule.relation: self._sink(rule.relation, document) for rule in rules}
         streamers = [
-            (RuleStreamer(rule, deduplicate=self.deduplicate), rule) for rule in rules
+            RuleStreamer(
+                rule, deduplicate=self.deduplicate, sink=sinks[rule.relation].push
+            )
+            for rule in rules
         ]
-        sinks = {
-            rule.relation: self._sink(rule.relation, document) for _, rule in streamers
-        }
+        feeds = [streamer.feed for streamer in streamers]
+        events = 0
         for event in as_events(
             source, strip_whitespace=strip_whitespace, engine=engine
         ):
-            for streamer, rule in streamers:
-                streamer.feed(event)
-                if streamer.ready:
-                    sink = sinks[rule.relation]
-                    for row in streamer.drain():
-                        sink.push(row)
-        for streamer, rule in streamers:
+            events += 1
+            for feed in feeds:
+                feed(event)
+        if obs.enabled():
+            obs.metrics().inc("pipeline.events", events)
+        for streamer in streamers:
             streamer.finish()
-            sink = sinks[rule.relation]
-            for row in streamer.drain():
-                sink.push(row)
         counts: Dict[str, int] = {}
-        for rule_streamer, rule in streamers:
+        for rule in rules:
             sink = sinks[rule.relation]
             sink.flush()
             if sink.rejected:

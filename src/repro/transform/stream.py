@@ -4,26 +4,37 @@
 then the *global* Cartesian product of variable bindings — fine for the
 paper's worked examples, quadratic-and-worse in memory for data-scale
 imports.  This module evaluates the same table rules over the event stream
-of :mod:`repro.xmlmodel.events` instead:
+of :mod:`repro.xmlmodel.events` instead, through one *binding plan* per
+rule (:func:`compile_rule`), compiled once and shared by every streamer:
 
 * the table tree's *anchor* variables (the children of the root variable —
   the only mappings allowed to use ``//``) are matched against the document
   with small per-path NFAs over the open-element stack;
-* only the subtrees rooted at anchor matches are ever materialized; the
-  rest of the document flows through as events and is dropped;
-* bindings are generated *per anchor subtree* when the subtree closes
-  (paths below an anchor are simple, so they never look outside it), and
-  the paper's semantics — ``NULL`` for an empty binding set, an implicit
-  product for multiple nodes (Example 2.5) — are preserved exactly: the
-  final rows are the product of the per-anchor row blocks, which equals the
-  DOM evaluator's bag tuple-for-tuple (pinned by
-  ``tests/property/test_shred_differential.py``).
+* below an anchor every mapping is a simple path, so the anchor's whole
+  subtree of variables compiles into one combined automaton whose states
+  are sets of ``(variable, step)`` pairs: one memoised transition per open
+  element advances all of them at once.  A completed path appends a
+  binding to the list its parent binding keeps for that variable — a small
+  record for a non-leaf variable, the node's ``value()`` string for a leaf
+  — and every open anchor match keeps its own bindings, so nested matches
+  (``//a`` inside an ``a``) stay independent.  No document node is ever
+  materialized;
+* field variables are leaves of the table tree, so each bound node's
+  ``value()`` string is built once, from the events, when the node closes
+  (an attribute's when its element's attribute section closes, so the last
+  duplicate wins, as in the DOM);
+* rows are expanded per anchor match when it closes, in the DOM
+  evaluator's variable order, and the paper's semantics — ``NULL`` for an
+  empty binding set, an implicit product for multiple nodes (Example 2.5) —
+  are preserved exactly: the final rows are the product of the per-anchor
+  row blocks, which equals the DOM evaluator's bag tuple-for-tuple (pinned
+  by ``tests/property/test_shred_differential.py``).
 
 Rules with a single anchor (the common shape — ``Rule(chapter)``,
 ``Rule(section)``, the universal relation) emit their tuples incrementally,
-as each anchor subtree closes; multi-anchor rules must buffer one row block
-per anchor (values only, never nodes) and emit the product at end of
-stream.  Peak memory is therefore bounded by the largest anchor subtree
+as each anchor match closes; multi-anchor rules must buffer one row block
+per anchor (values only) and emit the product at end of stream.  Peak
+memory is therefore bounded by the bindings of the largest anchor match
 plus the emitted values, not by the document.
 
 Sharded execution (the parallel plane of :mod:`repro.parallel`)
@@ -44,10 +55,13 @@ dispatches the shards onto a process pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from itertools import product
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.relational.instance import NULL, RelationInstance, Row, Value
+from repro.relational.instance import NULL, RelationInstance, Value
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.transform.rule import TableRule, Transformation
 from repro.transform.table_tree import TableTree
@@ -61,290 +75,566 @@ from repro.xmlmodel.events import (
     EventSource,
     as_events,
 )
-from repro.xmlmodel.matching import PathNFA
-from repro.xmlmodel.nodes import AttributeNode, ElementNode, Node, TextNode
-from repro.xmlmodel.tree import XMLTree
+from repro.xmlmodel.matching import MEMO_LIMIT, PathNFA
+from repro.xmlmodel.paths import StepKind
+from repro.xmlmodel.tree import compose_value
+
+#: ``NULL`` → its stand-in in deduplication keys, exactly as ``Row`` freezes it.
+_NULL_KEY = {NULL: "\0NULL\0"}
 
 
-# ----------------------------------------------------------------------
-# Per-anchor binding expansion (the DOM semantics, scoped to a subtree)
-# ----------------------------------------------------------------------
-def _subtree_variables(table_tree: TableTree, anchor: str) -> List[str]:
-    return table_tree.descendants(anchor, include_self=True)
+def _row_key(row: Dict[str, Value]) -> tuple:
+    """Hashable identity of a row among the rows of one rule.
 
-
-def _subtree_bindings(
-    table_tree: TableTree, variables: List[str], anchor: str, node: Node
-) -> List[Dict[str, Optional[Node]]]:
-    """Expand the bindings of ``anchor``'s subtree for one matched node.
-
-    This is exactly the variable-by-variable expansion of
-    :func:`repro.transform.evaluate.evaluate_rule`, restricted to the
-    anchor's subtree: an empty ``w[[P]]`` binds ``None`` (→ NULL), several
-    nodes take the implicit product.
+    Every row of one rule carries the same fields in the same insertion
+    order, so the value tuple is a faithful — and much cheaper — stand-in
+    for the sorted freeze of :class:`~repro.relational.instance.Row`.
     """
-    bindings: List[Dict[str, Optional[Node]]] = [{anchor: node}]
-    for variable in variables:
-        if variable == anchor:
-            continue
-        path = table_tree.path_from_parent(variable)
-        parent = table_tree.parent(variable)
-        expanded: List[Dict[str, Optional[Node]]] = []
-        for binding in bindings:
-            parent_node = binding.get(parent)
-            if parent_node is None:
-                new_binding = dict(binding)
-                new_binding[variable] = None
-                expanded.append(new_binding)
+    values = row.values()
+    return tuple(map(_NULL_KEY.get, values, values))
+
+
+# ----------------------------------------------------------------------
+# The compiled binding plan
+# ----------------------------------------------------------------------
+# A *binding* is what one variable is bound to inside one anchor match: for
+# a leaf variable the node's value() string (leaves are the field
+# variables), for a non-leaf variable a *record* — a list holding, per
+# child variable, the list of that child's bindings (``None`` until the
+# first).  A non-leaf variable bound to an attribute has no reachable
+# children; its binding is the all-``None`` tuple, exactly like NULL's.
+class _BindState:
+    """A state of one anchor's combined binding automaton.
+
+    ``items`` are the ``(variable index, steps consumed)`` pairs live at an
+    element; the parallel list of parent bindings travels with the state
+    in the open frame.  ``moves`` memoises the element transitions,
+    ``attr_hits`` maps an attribute name to the paths it completes.
+    """
+
+    __slots__ = ("plan", "items", "moves", "attr_hits")
+
+    def __init__(self, plan: "_AnchorPlan", items: Tuple[Tuple[int, int], ...]) -> None:
+        self.plan = plan
+        self.items = items
+        #: tag → (next state or None, carried item indexes, completions)
+        self.moves: Dict[str, tuple] = {}
+        hits: Dict[str, List[tuple]] = {}
+        for src, (index, done) in enumerate(items):
+            var = plan.vars[index]
+            step = var.steps[done]
+            if step.kind is StepKind.ATTRIBUTE and done + 1 == len(var.steps):
+                # A leaf binds the attribute's value, a non-leaf the empty
+                # record (an attribute node has no children).
+                hits.setdefault(step.name, []).append(
+                    (src, var.pos, None if var.leaf else var.null)
+                )
+        self.attr_hits: Optional[Dict[str, tuple]] = (
+            {name: tuple(found) for name, found in hits.items()} or None
+        )
+
+    def advance(self, tag: str) -> tuple:
+        """The memoised transition into a child element labelled ``tag``.
+
+        Returns ``(next state, carry, completions)``: ``carry`` lists, for
+        each advanced pair of the next state, the index of the pair it came
+        from (its parent binding is unchanged); each completion is ``(src,
+        position in the parent record, record width, captures value)``.
+        The next state's pairs are the advanced ones followed by the child
+        variables of every completed non-leaf variable, in order.
+        """
+        move = self.moves.get(tag)
+        if move is not None:
+            return move
+        plan = self.plan
+        items: List[Tuple[int, int]] = []
+        carry: List[int] = []
+        completions: List[tuple] = []
+        spawned: List[Tuple[int, int]] = []
+        for src, (index, done) in enumerate(self.items):
+            var = plan.vars[index]
+            step = var.steps[done]
+            if step.kind is not StepKind.LABEL or step.name != tag:
                 continue
-            nodes = path.evaluate(parent_node)
-            if not nodes:
-                new_binding = dict(binding)
-                new_binding[variable] = None
-                expanded.append(new_binding)
+            if done + 1 < len(var.steps):
+                items.append((index, done + 1))
+                carry.append(src)
                 continue
-            for reached in nodes:
-                new_binding = dict(binding)
-                new_binding[variable] = reached
-                expanded.append(new_binding)
-        bindings = expanded
-    return bindings
+            completions.append((src, var.pos, len(var.children), var.captures))
+            spawned.extend((child, 0) for child in var.children)
+        items.extend(spawned)
+        move = (plan.state(tuple(items)), tuple(carry), tuple(completions))
+        if len(self.moves) < MEMO_LIMIT:
+            self.moves[tag] = move
+        return move
 
 
-class _Anchor:
-    """One anchor variable: its NFA, its subtree and its field rules."""
+class _Var:
+    """One variable of an anchor's subtree, as the binder sees it."""
 
-    __slots__ = ("variable", "nfa", "variables", "fields", "rows", "matches")
+    __slots__ = ("steps", "pos", "children", "leaf", "captures", "null")
+
+    def __init__(self, steps, pos: int, children: List[int], captures: bool) -> None:
+        self.steps = steps
+        #: Position of this variable's list in its parent's record.
+        self.pos = pos
+        self.children = children
+        self.leaf = not children
+        #: Leaf with at least one field: its node's value() is needed.
+        self.captures = captures
+        #: The binding of an unbound variable (NULL or an empty record).
+        self.null = NULL if self.leaf else (None,) * len(children)
+
+
+class _AnchorPlan:
+    """One anchor variable: its NFA, its binding automaton and row layout."""
+
+    __slots__ = (
+        "nfa", "fields", "vars", "levels", "names", "project", "initial", "_states",
+    )
 
     def __init__(self, table_tree: TableTree, variable: str) -> None:
-        self.variable = variable
         self.nfa = PathNFA(table_tree.path_from_parent(variable))
-        self.variables = _subtree_variables(table_tree, variable)
-        in_subtree = set(self.variables)
+        # The DOM evaluator's variable order (BFS), restricted to the subtree.
+        names = table_tree.descendants(variable, include_self=True)
+        index = {name: i for i, name in enumerate(names)}
+        rule = table_tree.rule
         self.fields: List[Tuple[str, str]] = [
-            (rule.field, rule.variable)
-            for rule in table_tree.rule.fields
-            if rule.variable in in_subtree
+            (rule_field.field, rule_field.variable)
+            for rule_field in rule.fields
+            if rule_field.variable in index
         ]
-        #: Completed row blocks (field → value dicts), one entry per binding.
-        self.rows: List[Dict[str, Value]] = []
-        #: Anchor nodes matched so far (the shard-result binding counter).
-        self.matches = 0
+        with_fields = {var for _, var in self.fields}
+        self.vars: List[_Var] = []
+        positions: Dict[str, int] = {variable: 0}
+        for name in names:
+            children = table_tree.children(name)
+            for pos, child in enumerate(children):
+                positions[child] = pos
+            self.vars.append(
+                _Var(
+                    table_tree.path_from_parent(name).steps,
+                    positions[name],
+                    [index[child] for child in children],
+                    name in with_fields and not children,
+                )
+            )
+        #: Row expansion: the non-anchor variables, BFS level by BFS level,
+        #: as (parent's index, position in the parent record, unbound choice).
+        depth = {variable: 0}
+        levels: List[List[Tuple[int, int, tuple]]] = []
+        for i, name in enumerate(names[1:], start=1):
+            parent = table_tree.parent(name)
+            depth[name] = depth[parent] + 1
+            if depth[name] > len(levels):
+                levels.append([])
+            levels[-1].append((index[parent], self.vars[i].pos, (self.vars[i].null,)))
+        self.levels = [tuple(level) for level in levels]
+        #: Field names, and the projection of a full binding onto them.
+        self.names = tuple(field_name for field_name, _ in self.fields)
+        slots = [index[var] for _, var in self.fields]
+        if len(slots) > 1:
+            self.project = itemgetter(*slots)
+        else:
+            self.project = lambda binding: tuple(binding[i] for i in slots)
+        self._states: Dict[Tuple[Tuple[int, int], ...], _BindState] = {}
+        anchor = self.vars[0]
+        self.initial = self.state(tuple((child, 0) for child in anchor.children))
+
+    @property
+    def anchor(self) -> _Var:
+        return self.vars[0]
+
+    def state(self, items: Tuple[Tuple[int, int], ...]) -> Optional[_BindState]:
+        """The interned state over ``items`` (``None`` when empty: dead)."""
+        if not items:
+            return None
+        state = self._states.get(items)
+        if state is None:
+            state = self._states[items] = _BindState(self, items)
+        return state
 
     def null_row(self) -> Dict[str, Value]:
-        return {field: NULL for field, _ in self.fields}
+        return {field_name: NULL for field_name, _ in self.fields}
 
-    def rows_for_node(self, table_tree: TableTree, node: Node) -> List[Dict[str, Value]]:
-        result: List[Dict[str, Value]] = []
-        for binding in _subtree_bindings(table_tree, self.variables, self.variable, node):
-            row: Dict[str, Value] = {}
-            for field, variable in self.fields:
-                bound = binding.get(variable)
-                row[field] = NULL if bound is None else XMLTree.value(bound)
-            result.append(row)
-        return result
+    def rows(self, binding) -> List[Dict[str, Value]]:
+        """Expand one anchor match into its rows.
+
+        Every partial binding is extended by each binding its parent reached
+        for the next variable in BFS order — or by the unbound choice when
+        there is none — which is exactly the expansion order of
+        :func:`~repro.transform.evaluate.evaluate_rule`.  The variables of
+        one BFS level depend only on earlier levels, so a level extends a
+        partial binding by the product of their choices in one step.
+        """
+        partials = [(binding,)]
+        for level in self.levels:
+            extended: List[tuple] = []
+            for done in partials:
+                choices = [done[parent][pos] or unbound for parent, pos, unbound in level]
+                extended.extend(map(done.__add__, product(*choices)))
+            partials = extended
+        names, project = self.names, self.project
+        return [dict(zip(names, project(done))) for done in partials]
 
 
+class _Vector:
+    """The joint state of a rule's anchor NFAs at one element."""
+
+    __slots__ = ("states", "matched", "dead", "moves")
+
+    def __init__(self, anchors: List[_AnchorPlan], states: tuple) -> None:
+        self.states = states
+        #: Indexes of the anchors matching the element.
+        self.matched = tuple(
+            i for i, anchor in enumerate(anchors) if anchor.nfa.matches(states[i])
+        )
+        #: No anchor matches here or anywhere below.
+        self.dead = not self.matched and not any(states)
+        #: tag → the child element's vector (memoised transitions).
+        self.moves: Dict[str, _Vector] = {}
+
+
+class _RulePlan:
+    """Everything about one rule that does not depend on the document."""
+
+    __slots__ = (
+        "anchors", "root_fields", "single_anchor", "initial", "attr_anchors", "_vectors",
+    )
+
+    def __init__(self, rule: TableRule) -> None:
+        table_tree = TableTree(rule)
+        root = rule.root_variable
+        self.anchors: List[_AnchorPlan] = [
+            _AnchorPlan(table_tree, variable) for variable in table_tree.children(root)
+        ]
+        self.root_fields = rule.fields_of_variable(root)
+        self.single_anchor = len(self.anchors) == 1 and not self.root_fields
+        self._vectors: Dict[tuple, _Vector] = {}
+        #: The document root's vector.
+        self.initial = self._vector(tuple(anchor.nfa.initial for anchor in self.anchors))
+        #: Anchors whose path can end in an attribute node.
+        self.attr_anchors = [
+            (i, anchor) for i, anchor in enumerate(self.anchors)
+            if anchor.nfa.has_attribute_steps
+        ]
+
+    def product(self, blocks: Sequence[List[Dict[str, Value]]]) -> List[Dict[str, Value]]:
+        """All rows from one row block per anchor (an empty one: NULL row).
+
+        The bindings of distinct anchors are independent, so the full
+        binding set is the product of the per-anchor blocks.
+        """
+        rows: List[Dict[str, Value]] = [{}]
+        for anchor, block in zip(self.anchors, blocks):
+            block = block or [anchor.null_row()]
+            rows = [dict(done, **part) for done in rows for part in block]
+        return rows
+
+    def _vector(self, states: tuple) -> _Vector:
+        vector = self._vectors.get(states)
+        if vector is None:
+            vector = self._vectors[states] = _Vector(self.anchors, states)
+        return vector
+
+    def move(self, vector: _Vector, tag: str) -> _Vector:
+        """The memoised vector of a child element labelled ``tag``."""
+        child = self._vector(
+            tuple(
+                anchor.nfa.advance(vector.states[i], tag)
+                for i, anchor in enumerate(self.anchors)
+            )
+        )
+        if len(vector.moves) < MEMO_LIMIT:
+            vector.moves[tag] = child
+        return child
+
+
+@lru_cache(maxsize=256)
+def _compile(key: tuple) -> _RulePlan:
+    relation, root_variable, mappings, fields = key
+    rule = TableRule(relation, root_variable=root_variable)
+    for mapping in mappings:
+        rule.add_mapping(mapping.variable, mapping.source, mapping.path)
+    for rule_field in fields:
+        rule.add_field(rule_field.field, rule_field.variable)
+    return _RulePlan(rule)
+
+
+def compile_rule(rule: TableRule) -> _RulePlan:
+    """The binding plan of ``rule``, compiled once per rule *content*.
+
+    Rules are mutable and cross process boundaries by pickling, so the
+    cache is keyed on what they say — relation, root variable, mappings and
+    field rules (all frozen values) — not on object identity.  Every
+    streamer of the same rule (shard workers, delta fragments, merges)
+    shares the plan, its validation and its memoised transition tables.
+    The tables only cache pure functions of (state, tag), so streamers on
+    concurrent threads share them without a lock: a race at worst computes
+    one entry twice.
+    """
+    return _compile(
+        (rule.relation, rule.root_variable, tuple(rule.mappings), tuple(rule.fields))
+    )
+
+
+# ----------------------------------------------------------------------
+# The streamer
+# ----------------------------------------------------------------------
 class _Frame:
     """Bookkeeping for one open element."""
 
-    __slots__ = ("states", "node", "matched", "pending_attrs", "attrs_done")
+    __slots__ = ("vector", "binds", "parts", "sinks", "anchors", "attrs")
 
-    def __init__(
-        self,
-        states: Tuple[frozenset, ...],
-        node: Optional[ElementNode],
-        matched: Optional[List[_Anchor]],
-    ) -> None:
-        self.states = states
-        self.node = node
-        self.matched = matched
-        #: Attribute name → value, collected until the attribute section is
-        #: complete.  XML allows one attribute per name; later occurrences
-        #: replace earlier ones (as in the DOM parser), so attribute-anchored
-        #: variables must bind the *final* value, not one per attr event.
-        self.pending_attrs: Optional[Dict[str, str]] = None
-        self.attrs_done = False
+    def __init__(self, vector: _Vector, binds, parts, sinks) -> None:
+        self.vector = vector
+        #: (binding state, parent bindings of its pairs), one per open
+        #: anchor match whose paths reach this element; ``None`` when none.
+        self.binds: Optional[List[tuple]] = binds
+        #: The value() parts of this element, when its value is needed.
+        self.parts: Optional[List[str]] = parts
+        #: Binding lists awaiting this element's value().
+        self.sinks: Optional[List[list]] = sinks
+        #: (anchor index, binding) for the anchor matches at this element.
+        self.anchors: Optional[List[tuple]] = None
+        #: Attribute name → value; XML allows one attribute per name, later
+        #: occurrences replace earlier ones in place (as in the DOM).
+        self.attrs: Optional[Dict[str, str]] = None
 
 
 class RuleStreamer:
     """Evaluate one table rule over an event stream, emitting rows.
 
     Feed events with :meth:`feed` (completed rows accumulate in
-    :attr:`ready`), then call :meth:`finish` once the stream is exhausted to
-    flush the remaining rows (the NULL row of an unmatched rule, or the
-    multi-anchor product).
+    :attr:`ready`, or go to ``sink(row)`` when one is given), then call
+    :meth:`finish` once the stream is exhausted to flush the remaining rows
+    (the NULL row of an unmatched rule, or the multi-anchor product).
     """
 
     def __init__(
-        self, rule: TableRule, deduplicate: bool = False, shard_mode: bool = False
+        self,
+        rule: TableRule,
+        deduplicate: bool = False,
+        shard_mode: bool = False,
+        sink: Optional[Callable[[Dict[str, Value]], object]] = None,
     ) -> None:
         self.rule = rule
-        self.table_tree = TableTree(rule)
-        root = rule.root_variable
-        self.anchors: List[_Anchor] = [
-            _Anchor(self.table_tree, variable) for variable in self.table_tree.children(root)
-        ]
-        self.root_fields = rule.fields_of_variable(root)
-        self.single_anchor = len(self.anchors) == 1 and not self.root_fields
+        self._plan = plan = compile_rule(rule)
+        self.root_fields = plan.root_fields
+        self.single_anchor = plan.single_anchor
         self._frames: List[_Frame] = []
         #: Shard mode: accumulate per-anchor row blocks for a later global
         #: merge instead of emitting — deduplication and the NULL / product
         #: semantics then happen exactly once, in :func:`merge_rule_shards`.
         self._shard_mode = shard_mode
-        self._deduplicate = deduplicate
         self._seen: Optional[set] = set() if deduplicate and not shard_mode else None
         self._finished = False
+        #: Completed row blocks per anchor (unless emitted as they close).
+        self._rows: List[List[Dict[str, Value]]] = [[] for _ in plan.anchors]
+        #: Anchor nodes matched so far (the shard-result binding counter).
+        self._matches: List[int] = [0] * len(plan.anchors)
         #: Rows completed so far and not yet drained by the caller.
         self.ready: List[Dict[str, Value]] = []
+        self._sink = sink if sink is not None else self.ready.append
         #: Depth inside a *dead region*: a subtree whose root advanced every
-        #: anchor NFA to the empty state without matching, under a parent
-        #: that captures nothing.  No anchor (element or attribute) can fire
+        #: anchor NFA to the empty state without matching, and into which no
+        #: open match's bindings and no value reach.  Nothing can bind
         #: anywhere below such an element — an exact automaton fact, true on
         #: any document — so events inside it only bump this counter.
         self._dead_depth = 0
-        #: (parent state vector, tag) → (child vector, matching anchors,
-        #: vector is dead: no match and no live state)
-        self._vector_cache: Dict[
-            Tuple[Tuple[frozenset, ...], str],
-            Tuple[Tuple[frozenset, ...], Optional[List[_Anchor]], bool],
-        ] = {}
-        self._initial_vector = tuple(anchor.nfa.initial for anchor in self.anchors)
-        self._initial_matched = [
-            anchor
-            for i, anchor in enumerate(self.anchors)
-            if anchor.nfa.matches(self._initial_vector[i])
-        ] or None
-        #: Anchors whose path can end in an attribute node.
-        self._attr_anchors = [
-            (i, anchor) for i, anchor in enumerate(self.anchors)
-            if anchor.nfa.has_attribute_steps
-        ]
+        #: The open element whose attribute section has not been resolved
+        #: yet (attributes directly follow their start tag, so there is at
+        #: most one); set by its first attribute.
+        self._pending: Optional[_Frame] = None
 
     # ------------------------------------------------------------------
     def _emit(self, row: Dict[str, Value]) -> None:
         if self._seen is not None:
-            key = Row(row)
+            key = _row_key(row)
             if key in self._seen:
                 return
             self._seen.add(key)
-        self.ready.append(row)
+        self._sink(row)
 
     def feed(self, event: Event) -> None:
-        kind = event.kind
+        kind, name, value = event
         frames = self._frames
         if kind == START:
             if self._dead_depth:
                 self._dead_depth += 1
                 return
-            tag = event.name
-            if frames:
+            if self._pending is not None:
+                self._resolve_attrs()
+            plan = self._plan
+            if not frames:
+                frame = _Frame(plan.initial, None, [] if plan.root_fields else None, None)
+            else:
                 parent = frames[-1]
-                if not parent.attrs_done:
-                    self._resolve_attr_anchors(parent)
-                cache_key = (parent.states, tag)
-                cached = self._vector_cache.get(cache_key)
-                if cached is None:
-                    states = tuple(
-                        anchor.nfa.advance(parent.states[i], tag)
-                        for i, anchor in enumerate(self.anchors)
-                    )
-                    matched = [
-                        anchor
-                        for i, anchor in enumerate(self.anchors)
-                        if anchor.nfa.matches(states[i])
-                    ] or None
-                    cached = (states, matched, not matched and not any(states))
-                    self._vector_cache[cache_key] = cached
-                states, matched, vector_dead = cached
-                capturing = parent.node is not None
-                if vector_dead and not capturing:
+                vector = parent.vector.moves.get(name)
+                if vector is None:
+                    vector = plan.move(parent.vector, name)
+                binds = sinks = None
+                parts = None if parent.parts is None else []
+                if parent.binds is not None:
+                    for state, recs in parent.binds:
+                        move = state.moves.get(name)
+                        if move is None:
+                            move = state.advance(name)
+                        following, carry, completions = move
+                        grown = None
+                        for src, pos, width, captures in completions:
+                            record = recs[src]
+                            reached = record[pos]
+                            if reached is None:
+                                reached = record[pos] = []
+                            if width:
+                                child = [None] * width
+                                reached.append(child)
+                                if grown is None:
+                                    grown = [child] * width
+                                else:
+                                    grown.extend([child] * width)
+                            elif captures:
+                                if sinks is None:
+                                    sinks = [reached]
+                                else:
+                                    sinks.append(reached)
+                            else:
+                                reached.append(NULL)
+                        if following is not None:
+                            below = [recs[i] for i in carry]
+                            if grown is not None:
+                                below.extend(grown)
+                            if binds is None:
+                                binds = [(following, below)]
+                            else:
+                                binds.append((following, below))
+                    if sinks is not None and parts is None:
+                        parts = []
+                if vector.dead and binds is None and parts is None:
                     self._dead_depth = 1
                     return
-            else:
-                states = self._initial_vector
-                matched = self._initial_matched
-                capturing = bool(self.root_fields)
-            node: Optional[ElementNode] = None
-            if capturing or matched:
-                node = ElementNode(tag)
-                if frames and frames[-1].node is not None:
-                    frames[-1].node.append_child(node)
-            frames.append(_Frame(states, node, matched))
+                frame = _Frame(vector, binds, parts, sinks)
+            if frame.vector.matched:
+                for index in frame.vector.matched:
+                    self._open_match(frame, index)
+            frames.append(frame)
         elif kind == ATTR:
             if self._dead_depth:
                 return
             frame = frames[-1]
-            if frame.node is not None:
-                frame.node.set_attribute(event.name, event.value or "")
-            if self._attr_anchors:
-                if frame.pending_attrs is None:
-                    frame.pending_attrs = {}
-                frame.pending_attrs[event.name] = event.value or ""
+            if frame.attrs is None:
+                frame.attrs = {name: value or ""}
+                self._pending = frame
+            else:
+                frame.attrs[name] = value or ""
         elif kind == TEXT:
             if self._dead_depth:
                 return
+            if self._pending is not None:
+                self._resolve_attrs()
             frame = frames[-1]
-            if not frame.attrs_done:
-                self._resolve_attr_anchors(frame)
-            if frame.node is not None:
-                frame.node.append_child(TextNode(event.value or ""))
+            if frame.parts is not None and value:
+                text = value.strip()
+                if text:
+                    frame.parts.append("S:" + text)
         elif kind == END:
             if self._dead_depth:
                 self._dead_depth -= 1
                 return
+            if self._pending is not None:
+                self._resolve_attrs()
             frame = frames.pop()
-            if not frame.attrs_done:
-                self._resolve_attr_anchors(frame)
-            if frame.matched:
-                for anchor in frame.matched:
-                    self._anchor_matched(anchor, frame.node)  # type: ignore[arg-type]
-            if not frames and self.root_fields and frame.node is not None:
-                row = {field: XMLTree.value(frame.node) for field in self.root_fields}
-                self._emit(row)
+            parts = frame.parts
+            if parts is not None:
+                element_value = compose_value(parts)
+                if frame.sinks is not None:
+                    for reached in frame.sinks:
+                        reached.append(element_value)
+                if frames:
+                    above = frames[-1].parts
+                    if above is not None:
+                        above.append(f"{name}: {element_value}")
+                elif self.root_fields:
+                    self._emit({f: element_value for f in self.root_fields})
+            if frame.anchors is not None:
+                for index, binding in frame.anchors:
+                    if binding is None:  # a leaf anchor binds its value
+                        binding = element_value if parts is not None else NULL
+                    self._anchor_matched(index, binding)
         elif kind == SKIP:
             # A skipped subtree.  The skip plane only fast-forwards labels
             # whose entire subtree is invisible to every interesting path —
             # and rules that capture element values disable skipping outright
             # — so there is nothing to bind here.  The parent's attribute
             # section is complete (a child element appeared).
-            if self._dead_depth or not frames:
-                return
-            frame = frames[-1]
-            if not frame.attrs_done:
-                self._resolve_attr_anchors(frame)
+            if self._pending is not None:
+                self._resolve_attrs()
 
-    def _resolve_attr_anchors(self, frame: _Frame) -> None:
-        """Match attribute-anchored variables once the attr section closed.
+    def _open_match(self, frame: _Frame, index: int) -> None:
+        """An anchor matched this element: open its bindings."""
+        anchor = self._plan.anchors[index]
+        var = anchor.anchor
+        binding = None
+        if var.leaf:
+            if var.captures and frame.parts is None:
+                frame.parts = []
+        else:
+            binding = [None] * len(var.children)
+            if anchor.initial is not None:
+                pair = (anchor.initial, [binding] * len(anchor.initial.items))
+                if frame.binds is None:
+                    frame.binds = [pair]
+                else:
+                    frame.binds.append(pair)
+        if frame.anchors is None:
+            frame.anchors = [(index, binding)]
+        else:
+            frame.anchors.append((index, binding))
+
+    def _resolve_attrs(self) -> None:
+        """Bind everything that waited for the attribute section to close.
 
         Deferred so that a duplicated attribute name binds one node with its
         final value — exactly what the DOM holds after parsing.
         """
-        frame.attrs_done = True
-        if frame.pending_attrs is None:
-            return
-        for name, value in frame.pending_attrs.items():
-            for i, anchor in self._attr_anchors:
-                if anchor.nfa.matches_attribute(frame.states[i], name):
-                    if frame.node is not None:
-                        attr_node: Node = frame.node.attribute(name)  # type: ignore[assignment]
-                    else:
-                        attr_node = AttributeNode(name, value)
-                    self._anchor_matched(anchor, attr_node)
+        frame = self._pending
+        self._pending = None
+        attrs = frame.attrs
+        if frame.parts is not None:
+            frame.parts.extend([f"@{name}:{value}" for name, value in attrs.items()])
+        if frame.binds is not None:
+            for state, recs in frame.binds:
+                hits = state.attr_hits
+                if hits is None:
+                    continue
+                for name, value in attrs.items():
+                    found = hits.get(name)
+                    if found is None:
+                        continue
+                    for src, pos, empty in found:
+                        record = recs[src]
+                        binding = value if empty is None else empty
+                        if record[pos] is None:
+                            record[pos] = [binding]
+                        else:
+                            record[pos].append(binding)
+        attr_anchors = self._plan.attr_anchors
+        if attr_anchors:
+            for name, value in attrs.items():
+                for index, anchor in attr_anchors:
+                    if anchor.nfa.matches_attribute(frame.vector.states[index], name):
+                        var = anchor.anchor
+                        self._anchor_matched(index, value if var.leaf else var.null)
 
-    def _anchor_matched(self, anchor: _Anchor, node: Node) -> None:
-        rows = anchor.rows_for_node(self.table_tree, node)
-        anchor.matches += 1
-        if self._shard_mode:
-            anchor.rows.extend(rows)
-        elif self.single_anchor:
+    def _anchor_matched(self, index: int, binding) -> None:
+        rows = self._plan.anchors[index].rows(binding)
+        self._matches[index] += 1
+        if self.single_anchor and not self._shard_mode:
             for row in rows:
                 self._emit(row)
-            # remember that the anchor matched so finish() skips the NULL row
-            if not anchor.rows:
-                anchor.rows = [{}]
         else:
-            anchor.rows.extend(rows)
+            self._rows[index].extend(rows)
 
     def finish(self) -> None:
         if self._finished:
@@ -352,24 +642,17 @@ class RuleStreamer:
         self._finished = True
         if self.root_fields:
             return  # the row was emitted when the root element closed
+        anchors = self._plan.anchors
         if self.single_anchor:
-            anchor = self.anchors[0]
-            if not anchor.rows:
-                self._emit(anchor.null_row())
+            if not self._matches[0]:
+                self._emit(anchors[0].null_row())
             return
-        # Multi-anchor: the bindings of distinct anchors are independent, so
-        # the full binding set is the product of the per-anchor row blocks.
-        blocks: List[List[Dict[str, Value]]] = []
-        for anchor in self.anchors:
-            blocks.append(anchor.rows if anchor.rows else [anchor.null_row()])
-        partial: List[Dict[str, Value]] = [{}]
-        for block in blocks:
-            partial = [dict(done, **part) for done in partial for part in block]
-        for row in partial:
+        for row in self._plan.product(self._rows):
             self._emit(row)
 
     def drain(self) -> List[Dict[str, Value]]:
-        rows, self.ready = self.ready, []
+        rows = self.ready[:]
+        self.ready.clear()
         return rows
 
     # ------------------------------------------------------------------
@@ -383,7 +666,7 @@ class RuleStreamer:
         document as one subtree and cannot be sharded; the parallel
         executor falls back to the serial plane when it sees one.
         """
-        return self._initial_matched is not None
+        return bool(self._plan.initial.matched)
 
     def shard_result(self) -> "RuleShardResult":
         """Extract this shard's mergeable state (shard mode only).
@@ -398,16 +681,21 @@ class RuleStreamer:
         if self._frames:
             if len(self._frames) != 1:
                 raise ValueError("shard slice left a non-root element open")
+            if self._pending is not None:
+                self._resolve_attrs()
             frame = self._frames[0]
-            if not frame.attrs_done:
-                self._resolve_attr_anchors(frame)
-            if self.root_fields and frame.node is not None:
-                root_parts = _child_value_parts(frame.node)
+            if self.root_fields and frame.parts is not None:
+                # Root attributes are deliberately excluded: they are
+                # prologue state, shared by every shard, and contributed
+                # exactly once by the merger.
+                root_parts = frame.parts[len(frame.attrs or ()):]
         return RuleShardResult(
-            anchor_rows=[list(anchor.rows) for anchor in self.anchors],
-            anchor_matches=[anchor.matches for anchor in self.anchors],
+            anchor_rows=[list(rows) for rows in self._rows],
+            anchor_matches=list(self._matches),
             root_parts=root_parts,
         )
+
+
 
 
 @dataclass
@@ -494,25 +782,6 @@ class RuleShardResult:
         return self
 
 
-def _child_value_parts(element: ElementNode) -> List[str]:
-    """The per-child pieces of ``XMLTree._element_value`` for one element.
-
-    Root attributes are deliberately excluded: they are prologue state,
-    shared by every shard, and contributed exactly once by the merger.
-    """
-    parts: List[str] = []
-    for child in element.children:
-        if child.is_text():
-            stripped = child.text.strip()  # type: ignore[attr-defined]
-            if stripped:
-                parts.append(f"S:{stripped}")
-        else:
-            parts.append(
-                f"{child.label}: {XMLTree._element_value(child)}"  # type: ignore[arg-type]
-            )
-    return parts
-
-
 def merge_rule_shards(
     rule: TableRule,
     shard_results: Sequence[RuleShardResult],
@@ -530,39 +799,26 @@ def merge_rule_shards(
     ``root_attr_parts`` are the ``@name:value`` pieces of the root's own
     attributes for rules with root fields.
     """
-    template = RuleStreamer(rule, shard_mode=True)
+    plan = compile_rule(rule)
     rows: List[Dict[str, Value]]
-    if template.root_fields:
+    if plan.root_fields:
         parts = list(root_attr_parts)
         for result in shard_results:
             parts.extend(result.root_parts)
-        if len(parts) == 1 and parts[0].startswith("S:"):
-            value = parts[0][2:]
-        else:
-            value = "(" + ", ".join(parts) + ")"
-        rows = [{field_name: value for field_name in template.root_fields}]
+        value = compose_value(parts)
+        rows = [{field_name: value for field_name in plan.root_fields}]
     else:
-        blocks: List[List[Dict[str, Value]]] = []
-        for index, anchor in enumerate(template.anchors):
-            block = [
-                row for result in shard_results for row in result.anchor_rows[index]
+        rows = plan.product(
+            [
+                [row for result in shard_results for row in result.anchor_rows[index]]
+                for index in range(len(plan.anchors))
             ]
-            blocks.append(block if block else [anchor.null_row()])
-        rows = [{}]
-        for block in blocks:
-            rows = [dict(done, **part) for done in rows for part in block]
+        )
     if deduplicate:
-        # Every row of one rule carries the same fields in the same
-        # insertion order (anchor field order, then product order), so the
-        # value tuple is a faithful — and much cheaper — stand-in for the
-        # sorted freeze of :class:`Row` that serial deduplication hashes.
-        # The NULL sentinel matches ``Row._freeze`` exactly.
         seen: set = set()
         unique: List[Dict[str, Value]] = []
         for row in rows:
-            key = tuple(
-                "\0NULL\0" if value is NULL else value for value in row.values()
-            )
+            key = _row_key(row)
             if key not in seen:
                 seen.add(key)
                 unique.append(row)
@@ -573,6 +829,18 @@ def merge_rule_shards(
 # ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------
+def record_shred_rows(instances: Dict[str, RelationInstance]) -> None:
+    """Count each relation's shredded rows as ``shred.rows`` (telemetry).
+
+    Every shredding plane — DOM, streaming, sharded — reports its final
+    instances through here, so their metrics agree name for name.
+    """
+    if obs.enabled():
+        registry = obs.metrics()
+        for relation, instance in instances.items():
+            registry.inc("shred.rows", len(instance.rows), relation=relation)
+
+
 def iter_rule_rows(
     rule: TableRule,
     source: EventSource,
@@ -645,7 +913,7 @@ class StreamShredder:
         self._schema = schema
         self._deduplicate = deduplicate
         self._instances: Dict[str, RelationInstance] = {}
-        self._streamers: List[Tuple[RuleStreamer, RelationInstance]] = []
+        self._streamers: List[RuleStreamer] = []
         for rule in transformation:
             relation_schema = None
             if schema is not None and rule.relation in schema:
@@ -654,26 +922,22 @@ class StreamShredder:
                 relation_schema if relation_schema is not None else rule.schema()
             )
             self._instances[rule.relation] = instance
-            self._streamers.append((RuleStreamer(rule, deduplicate=deduplicate), instance))
+            self._streamers.append(
+                RuleStreamer(rule, deduplicate=deduplicate, sink=instance.add_row)
+            )
+        if len(self._streamers) == 1:
+            # The common one-rule import: events go straight to the rule's
+            # streamer, without a per-event dispatch loop.
+            self.feed = self._streamers[0].feed  # type: ignore[method-assign]
 
     def feed(self, event: Event) -> None:
-        for streamer, instance in self._streamers:
+        for streamer in self._streamers:
             streamer.feed(event)
-            if streamer.ready:
-                for row in streamer.drain():
-                    instance.add_row(row)
 
     def finish(self) -> Dict[str, RelationInstance]:
-        for streamer, instance in self._streamers:
+        for streamer in self._streamers:
             streamer.finish()
-            for row in streamer.drain():
-                instance.add_row(row)
-        if obs.enabled():
-            registry = obs.metrics()
-            for relation, instance in self._instances.items():
-                registry.inc(
-                    "shred.rows", len(instance.rows), relation=relation
-                )
+        record_shred_rows(self._instances)
         return dict(self._instances)
 
     def run(

@@ -25,6 +25,11 @@ from repro.xmlmodel.paths import PathExpression, StepKind
 
 State = FrozenSet[int]
 
+#: Bound on the entries of one memo table.  Plans outlive a document (the
+#: shredder caches them per rule), so a stream of ever-new tag names must
+#: not grow them without limit; past the bound transitions are recomputed.
+MEMO_LIMIT = 1 << 12
+
 
 class PathNFA:
     """Incremental matcher for one path expression, anchored at a node.
@@ -86,7 +91,8 @@ class PathNFA:
             elif step.kind is StepKind.LABEL and step.name == tag:
                 positions.add(i + 1)
         result = self._close(positions)
-        self._transitions[key] = result
+        if len(self._transitions) < MEMO_LIMIT:
+            self._transitions[key] = result
         return result
 
     def matches(self, state: State) -> bool:
@@ -118,7 +124,8 @@ class PathNFA:
                 if j == self.length:
                     result = True
                     break
-        self._attr_matches[key] = result
+        if len(self._attr_matches) < MEMO_LIMIT:
+            self._attr_matches[key] = result
         return result
 
     def live(self, state: State) -> bool:

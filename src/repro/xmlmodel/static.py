@@ -40,10 +40,11 @@ obey the DTD.  Two different strengths of fact are therefore kept apart:
   tokenized normally.  Pruning therefore only engages on facts the
   document actually obeys.
 
-Rules whose anchors can bind *element* nodes materialize whole subtrees
-(the capture in :mod:`repro.transform.stream`), and on a DTD-violating
-document a captured subtree may contain safe-labelled elements; no
-tag-level verification can see the capture state from inside the
+Rules that can bind *element* nodes need every event of a bound
+element's subtree: its ``value()`` string is built from them (by the
+binder in :mod:`repro.transform.stream`), and on a DTD-violating
+document such a subtree may contain safe-labelled elements; no
+tag-level verification can see the binding state from inside the
 tokenizer.  Compiling a plan over such rules therefore disables subtree
 skipping altogether (the :class:`SkipSet` is empty) — validation,
 specialization and liveness analysis still apply.  Key-only passes

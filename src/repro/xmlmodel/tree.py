@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
-from repro.xmlmodel.nodes import AttributeNode, ElementNode, Node, TextNode
+from repro.xmlmodel.nodes import ElementNode, Node, NodeKind, TextNode
 
 
 class XMLTree:
@@ -82,24 +82,39 @@ class XMLTree:
 
     @staticmethod
     def _element_value(element: ElementNode) -> str:
-        parts: List[str] = []
-        for attr_node in element.attributes.values():
-            parts.append(f"@{attr_node.name}:{attr_node.value}")
+        # Leaf elements — most field values — take one pass over their text.
+        parts = _attribute_parts(element)
         for child in element.children:
-            if child.is_text():
-                text = child.text.strip()  # type: ignore[attr-defined]
-                if text:
-                    parts.append(f"S:{text}")
+            if child.kind is not _TEXT:
+                break
+            text = child.text.strip()  # type: ignore[attr-defined]
+            if text:
+                parts.append("S:" + text)
+        else:
+            return compose_value(parts)
+        # Otherwise an explicit stack of (element, its parts, remaining
+        # children), so nesting depth is bounded by memory, not by the
+        # interpreter's recursion limit.
+        stack = [(element, _attribute_parts(element), iter(element.children))]
+        while True:
+            node, parts, children = stack[-1]
+            for child in children:
+                if child.kind is _TEXT:
+                    text = child.text.strip()  # type: ignore[attr-defined]
+                    if text:
+                        parts.append("S:" + text)
+                else:
+                    element = child  # type: ignore[assignment]
+                    stack.append(
+                        (element, _attribute_parts(element), iter(element.children))
+                    )
+                    break
             else:
-                parts.append(
-                    f"{child.label}: {XMLTree._element_value(child)}"  # type: ignore[arg-type]
-                )
-        # A leaf element holding a single piece of text collapses to that
-        # text, which matches how the paper populates relational fields such
-        # as ``title`` and ``name``.
-        if len(parts) == 1 and parts[0].startswith("S:"):
-            return parts[0][2:]
-        return "(" + ", ".join(parts) + ")"
+                stack.pop()
+                value = compose_value(parts)
+                if not stack:
+                    return value
+                stack[-1][1].append(f"{node.tag}: {value}")
 
     # ------------------------------------------------------------------
     # Convenience queries
@@ -119,6 +134,30 @@ class XMLTree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<XMLTree root={self._root.label!r} nodes={len(self)}>"
+
+
+_TEXT = NodeKind.TEXT
+
+
+def _attribute_parts(element: ElementNode) -> List[str]:
+    attributes = element.attributes
+    if not attributes:
+        return []
+    return [f"@{attr.name}:{attr.value}" for attr in attributes.values()]
+
+
+def compose_value(parts: List[str]) -> str:
+    """``value()`` of an element from its parts, in document order.
+
+    The parts are ``@name:value`` per attribute, ``S:text`` per non-blank
+    text child (stripped) and ``label: value`` per child element.  A leaf
+    element holding a single piece of text collapses to that text, which
+    matches how the paper populates relational fields such as ``title`` and
+    ``name``.
+    """
+    if len(parts) == 1 and parts[0].startswith("S:"):
+        return parts[0][2:]
+    return "(" + ", ".join(parts) + ")"
 
 
 def _copy_element(element: ElementNode) -> ElementNode:

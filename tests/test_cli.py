@@ -295,6 +295,61 @@ class TestParallelPlane:
         assert env_out == serial_out
 
 
+class TestShredPlanesAgree:
+    """The streaming shredder prints the DOM shredder's rows in the same
+    order: ``--sql --copy`` stdout is compared byte for byte, which a bag
+    comparison of the rows would not catch."""
+
+    @staticmethod
+    def _stdout(argv, capsys):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out
+
+    def _assert_planes_agree(self, transform, xml, capsys, planes=(["--stream"],)):
+        base = ["shred", "--transform", transform, "--xml", xml, "--sql", "--copy"]
+        dom = self._stdout(base, capsys)
+        assert "COPY" in dom
+        for plane in planes:
+            assert self._stdout(base + plane, capsys) == dom
+
+    def test_figure1_with_the_paper_rules(self, workspace, tmp_path, capsys):
+        from repro.transform.dsl import render_transformation
+
+        rules = tmp_path / "paper.dsl"
+        rules.write_text(render_transformation(pe.paper_transformation()))
+        self._assert_planes_agree(str(rules), workspace["xml"], capsys)
+
+    def test_gate_shaped_document(self, tmp_path, capsys):
+        from repro.experiments.generators import generate_workload
+        from repro.experiments.scenarios import synthesize_document_chunks
+        from repro.transform import Transformation
+        from repro.transform.dsl import render_transformation
+
+        workload = generate_workload(20, depth=4, num_keys=24, seed=2)
+        rules = tmp_path / "gate.dsl"
+        rules.write_text(render_transformation(Transformation([workload.rule])))
+        xml = tmp_path / "gate.xml"
+        xml.write_text(
+            "".join(synthesize_document_chunks(workload, fanout=4, top_level_repeat=1))
+        )
+        self._assert_planes_agree(str(rules), str(xml), capsys)
+
+    def test_deep_nesting_has_no_recursion_limit(self, tmp_path, capsys):
+        # value() of a 1500-deep element: every plane builds it without
+        # recursing once per level.
+        from repro.experiments.scenarios import deep_nesting_chunks
+
+        rules = tmp_path / "deep.dsl"
+        rules.write_text("table deep\n  var x <- xr : link\n  field v = value(x)\n")
+        xml = tmp_path / "deep.xml"
+        xml.write_text("".join(deep_nesting_chunks(depth=1500, repeat=2)))
+        self._assert_planes_agree(
+            str(rules), str(xml), capsys, planes=(["--stream"], ["--jobs", "2"])
+        )
+
+
 class TestParser:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
@@ -759,6 +814,77 @@ class TestStatsFlags:
         assert counters["pipeline.events"]["value"] > 0
         rows = [c for c in doc["counters"] if c["name"] == "shred.rows"]
         assert {r["labels"]["relation"] for r in rows} == {"book", "chapter"}
+
+    @staticmethod
+    def _counters(argv, capsys):
+        """Run ``argv`` with ``--stats-json``; name → summed counter value,
+        plus the per-relation ``shred.rows``."""
+        import json
+
+        assert main(argv + ["--stats-json"]) in (0, 1)
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        totals, rows = {}, {}
+        for counter in doc["counters"]:
+            totals[counter["name"]] = totals.get(counter["name"], 0) + counter["value"]
+            if counter["name"] == "shred.rows":
+                rows[counter["labels"]["relation"]] = counter["value"]
+        return totals, rows
+
+    def test_dom_shred_counts_rows_like_the_streaming_shred(self, workspace, capsys):
+        ws = workspace
+        argv = ["shred", "--transform", ws["transform"], "--xml", ws["xml"]]
+        _, dom_rows = self._counters(argv, capsys)
+        _, stream_rows = self._counters(argv + ["--stream"], capsys)
+        assert dom_rows == stream_rows
+        assert set(dom_rows) == {"book", "chapter"} and all(dom_rows.values())
+
+    def test_load_counts_pipeline_events(self, violating_workspace, capsys):
+        from pathlib import Path
+
+        from repro.xmlmodel import iter_events
+
+        ws = violating_workspace
+        totals, _ = self._counters(
+            ["load", "--transform", ws["transform"], "--xml", ws["xml"],
+             "--db", ws["db"], "--keys", ws["keys"]],
+            capsys,
+        )
+        assert totals["pipeline.events"] == sum(1 for _ in iter_events(Path(ws["xml"])))
+
+    def test_pruned_check_doc_counts_skips(self, tmp_path, capsys):
+        from repro.keys import parse_keys
+        from repro.xmlmodel import iter_events
+        from repro.xmlmodel.dtd import parse_dtd
+        from repro.xmlmodel.events import SKIP
+        from repro.xmlmodel.static import compile_plan
+
+        dtd_text = (
+            "<!ELEMENT r (book*)>\n<!ELEMENT book (title, chapter*)>\n"
+            "<!ELEMENT title (#PCDATA)>\n<!ELEMENT chapter (title, section*)>\n"
+            "<!ELEMENT section (title)>\n<!ATTLIST book isbn ID #REQUIRED>\n"
+            "<!ATTLIST chapter number CDATA #REQUIRED>\n"
+        )
+        keys_text = "K = (., (//chapter, {@number}))\n"
+        doc = (
+            '<r><book isbn="b1"><title>T</title><chapter number="1"><title>C</title>'
+            "<section><title>S</title></section></chapter></book></r>"
+        )
+        files = {"book.dtd": dtd_text, "keys.txt": keys_text, "doc.xml": doc}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        # An explicit engine: file sources skip on the accelerated path only.
+        plan = compile_plan(parse_dtd(dtd_text), keys=parse_keys(keys_text))
+        events = iter_events(tmp_path / "doc.xml", engine="auto", skip=plan.skipset)
+        skips = [e for e in events if e.kind == SKIP]
+        assert skips
+        totals, _ = self._counters(
+            ["check-doc", "--keys", str(tmp_path / "keys.txt"), "--xml",
+             str(tmp_path / "doc.xml"), "--dtd", str(tmp_path / "book.dtd"), "--prune",
+             "--tokenizer", "auto"],
+            capsys,
+        )
+        assert totals["pipeline.skips"] == len(skips)
+        assert totals["pipeline.elided_ids"] == sum(e.value for e in skips)
 
     def test_stats_flags_are_mutually_exclusive(self, workspace, capsys):
         ws = workspace

@@ -111,6 +111,66 @@ class TestStreamEvaluateRule:
         assert [dict(row) for row in stream.rows] == [{"n": "2"}]
 
 
+class TestSharedPlan:
+    """Streamers of one rule share its compiled plan and memo tables."""
+
+    def test_plan_is_cached_by_rule_content(self):
+        from repro.transform.stream import compile_rule
+
+        def build():
+            rule = TableRule("t")
+            rule.add_mapping("a", "xr", "//a")
+            rule.add_mapping("av", "a", "@v")
+            rule.add_field("v", "av")
+            return rule
+
+        first, second = build(), build()
+        assert compile_rule(first) is compile_rule(second)
+        second.add_mapping("aw", "a", "@w")  # a mutated rule is a different rule
+        second.add_field("w", "aw")
+        assert compile_rule(first) is not compile_rule(second)
+
+    def test_threads_filling_one_plan_agree_with_serial(self):
+        import sys
+        import threading
+
+        from repro.transform.stream import _compile
+
+        # Many distinct tags, so the threads race on memo misses.
+        doc = "<r>" + "".join(
+            f'<a v="{i}"><t{i % 40}><b x="{i % 7}">v{i}</b></t{i % 40}><b x="y"/></a>'
+            for i in range(400)
+        ) + "</r>"
+        rule = TableRule("race")
+        rule.add_mapping("a", "xr", "//a")
+        rule.add_mapping("av", "a", "@v")
+        rule.add_mapping("ab", "a", "t3/b")
+        rule.add_mapping("abx", "ab", "@x")
+        rule.add_mapping("ac", "a", "b")
+        rule.add_field("v", "av")
+        rule.add_field("x", "abx")
+        rule.add_field("c", "ac")
+        expected = list(iter_rule_rows(rule, doc))
+        _compile.cache_clear()
+        results = [None] * 8
+
+        def work(slot):
+            results[slot] = list(iter_rule_rows(rule, doc))
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(rows == expected for rows in results)
+
+
 class TestIterRuleRows:
     def test_rows_stream_incrementally_per_anchor(self, figure1, sigma):
         rule = sigma.rule("chapter")

@@ -40,6 +40,7 @@ _BENCH_PLANES = {
     "bench_service": ("service", 8),
     "bench_static": ("static", 9),
     "bench_obs": ("observability", 10),
+    "bench_design": ("core", 14),
 }
 
 

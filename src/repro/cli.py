@@ -864,6 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="only keep FDs that also satisfy the null/existence condition",
     )
+    _add_stats_flags(cover)
     cover.set_defaults(handler=cmd_cover)
 
     design = subparsers.add_parser("design", help="derive a normalised relational design")
@@ -872,6 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--relation", required=True, help="the universal relation's rule")
     design.add_argument("--normal-form", default="BCNF", choices=["BCNF", "3NF", "bcnf", "3nf"])
     design.add_argument("--sql", action="store_true", help="also print CREATE TABLE statements")
+    _add_stats_flags(design)
     design.set_defaults(handler=cmd_design)
 
     shred = subparsers.add_parser("shred", help="shred an XML document into relations")

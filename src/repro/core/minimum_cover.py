@@ -41,6 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro import obs
 from repro.keys.implication import ImplicationEngine
 from repro.keys.key import XMLKey
 from repro.relational.bitset import BitFDSet
@@ -48,7 +49,7 @@ from repro.relational.fd import FDLike, FunctionalDependency, _resolve_engine, c
 from repro.transform.rule import TableRule
 from repro.transform.table_tree import TableTree
 from repro.transform.universal import UniversalRelation
-from repro.core.propagation import attribute_field_pairs, attribute_fields_of
+from repro.core.propagation import attribute_field_pairs
 
 
 @dataclass
@@ -152,6 +153,7 @@ def minimum_cover_from_keys(
             "universal relation's; paths and ancestor chains would disagree"
         )
     root = table_tree.root
+    queries_before = engine.query_count
 
     # ------------------------------------------------------------------
     # Phase 1: candidate transitive keys, top-down.
@@ -164,9 +166,14 @@ def minimum_cover_from_keys(
     for variable in order:
         if variable == root:
             continue
+        available = table_tree.attribute_fields(variable)
+        if not available:
+            # Only keys with attributes are tried below, and none can apply
+            # to a variable without attribute fields (every leaf variable).
+            continue
+        available_attributes = frozenset(available)
         found: List[CandidateKey] = []
         seen_field_sets: Set[FrozenSet[str]] = set()
-        available = attribute_fields_of(table_tree, variable, rule.field_names)
         for ancestor in table_tree.ancestors(variable):
             if ancestor not in representative:
                 continue
@@ -175,7 +182,7 @@ def minimum_cover_from_keys(
             for key in key_list:
                 if not key.attributes:
                     continue
-                if not key.attributes <= set(available):
+                if not key.attributes <= available_attributes:
                     continue
                 if not engine.implies_parts(ancestor_path, relative_path, key.attributes):
                     continue
@@ -261,6 +268,10 @@ def minimum_cover_from_keys(
     # Phase 3: relational minimisation.
     # ------------------------------------------------------------------
     cover = minimize(generated, engine=fd_engine)
+    registry = obs.metrics()
+    registry.inc("cover.implication_queries", engine.query_count - queries_before)
+    registry.inc("cover.generated_fds", len(generated))
+    registry.inc("cover.fds", len(cover))
     return MinimumCoverResult(
         cover=cover,
         generated=generated,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
+from repro import obs
 from repro.core.checking import ConsistencyReport, check_schema_consistency
 from repro.core.minimum_cover import MinimumCoverResult, minimum_cover_from_keys
 from repro.keys.key import XMLKey
@@ -81,6 +82,7 @@ def design_from_scratch(
         transformation.add_rule(restrict_rule(rule, renamed.attributes, name))
         fd_by_relation[name] = project_fds(renamed.attributes, cover.cover)
 
+    obs.metrics().inc("design.fragments", len(fragments))
     return DesignResult(
         universal=rule,
         cover=cover,

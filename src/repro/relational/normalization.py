@@ -9,8 +9,9 @@ computed from the XML keys.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro import obs
 from repro.relational.bitset import BitFDSet
 from repro.relational.fd import (
     FDLike,
@@ -121,37 +122,75 @@ def project_fds(
     """Project a set of FDs onto a subset of attributes.
 
     This is the inherently exponential operation of [Gottlob, PODS'87] that
-    the paper contrasts its polynomial ``minimumCover`` against: for every
-    subset ``X`` of the projected attributes, emit ``X → (X+ ∩ attributes)``.
-    Intended for the small schemas produced by decomposition, not for
-    universal relations with hundreds of fields.
+    the paper contrasts its polynomial ``minimumCover`` against: every
+    subset ``X`` of the projected attributes ``A`` — the empty one included,
+    so ``∅ → a`` survives projection — is enumerated and closed under
+    ``fds``.  With ``minimize_result=False`` the result is the raw pool
+    ``X → (X+ ∩ A) − X`` in enumeration order (size, then lexicographic).
+
+    With ``minimize_result`` (the default) that pool is never built.  For
+    every subset ``X`` and every ``a ∈ (X+ ∩ A) − X`` in sorted order, ``X``
+    is trimmed greedily in sorted-name order: ``b`` is dropped when ``a`` is
+    still in the closure of the trimmed set.  Only the last occurrence of
+    each trimmed ``Y → a`` is kept, and that short list goes to
+    :func:`minimum_cover`.  The result is the minimum cover of the raw pool,
+    FD for FD and in the same order:
+
+    * every step of ``minimize`` keeps its pool equivalent to the projection
+      of ``fds`` onto ``A``, whose closure of ``Y ⊆ A`` is ``Y+ ∩ A``; so the
+      extraneous-attribute pass over the raw pool trims ``X → a`` exactly as
+      the greedy loop here does, and the trimmed ``Y`` is already minimal;
+    * redundancy removal meets duplicates in pool order and deactivates
+      every copy but the last, which leaves every later verdict unchanged.
+
+    The enumeration stays exponential in ``|A|``; what goes away is the
+    minimisation of a ``2^|A|``-FD pool.  Closures are taken under the
+    source ``fds`` and memoised per attribute set, so there are at most
+    ``2^|A|`` of them.  Intended for the small schemas produced by
+    decomposition, not for universal relations with hundreds of fields.
     """
     attrs = sorted(attr_set(attributes))
-    pool = [coerce_fd(fd) for fd in fds]
+    attr_pool = frozenset(attrs)
+    source_closure = _closure_fn([coerce_fd(fd) for fd in fds], engine)
+    closures: Dict[FrozenSet[str], FrozenSet[str]] = {}
+
+    def closure(subset: FrozenSet[str]) -> FrozenSet[str]:
+        found = closures.get(subset)
+        if found is None:
+            found = closures[subset] = source_closure(subset) & attr_pool
+        return found
+
     projected: List[FunctionalDependency] = []
-    if _resolve_engine(engine) == "bitset":
-        bits = BitFDSet.from_fds(pool)
-        universe = bits.universe
-        attrs_mask = universe.mask(attrs)
-        for size in range(1, len(attrs) + 1):
-            for subset in combinations(attrs, size):
-                subset_mask = universe.mask(subset)
-                closure_mask = bits.closure_mask(subset_mask)
-                rhs_mask = closure_mask & attrs_mask & ~subset_mask
-                if rhs_mask:
-                    projected.append(
-                        FunctionalDependency(subset, universe.names(rhs_mask))
-                    )
-    else:
-        for size in range(1, len(attrs) + 1):
-            for subset in combinations(attrs, size):
-                closure = attribute_closure(subset, pool, engine="frozenset")
-                rhs = (closure & set(attrs)) - set(subset)
-                if rhs:
-                    projected.append(FunctionalDependency(subset, rhs))
-    if minimize_result:
-        return minimum_cover(projected, merge_lhs=True, engine=engine)
-    return projected
+    # (trimmed LHS, RHS attribute) → None; re-inserted on every repeat so the
+    # dict's order is the order of last occurrences.
+    trimmed: Dict[Tuple[FrozenSet[str], str], None] = {}
+    for size in range(len(attrs) + 1):
+        for combination in combinations(attrs, size):
+            subset = frozenset(combination)
+            rhs = closure(subset) - subset
+            if not rhs:
+                continue
+            if not minimize_result:
+                projected.append(FunctionalDependency(subset, rhs))
+                continue
+            for attribute in sorted(rhs):
+                lhs = subset
+                for candidate in combination:
+                    smaller = lhs - {candidate}
+                    if attribute in closure(smaller):
+                        lhs = smaller
+                trimmed.pop((lhs, attribute), None)
+                trimmed[lhs, attribute] = None
+    registry = obs.metrics()
+    registry.inc("design.projections")
+    registry.inc("design.closures", len(closures))
+    if not minimize_result:
+        return projected
+    return minimum_cover(
+        [FunctionalDependency(lhs, (attribute,)) for lhs, attribute in trimmed],
+        merge_lhs=True,
+        engine=engine,
+    )
 
 
 def is_bcnf(

@@ -66,6 +66,8 @@ class TableRule:
         self.relation = relation
         self.root_variable = root_variable
         self._fields: Dict[str, FieldRule] = {}
+        # variable → its fields in declaration order, kept by add_field.
+        self._fields_by_variable: Dict[str, List[str]] = {}
         self._mappings: Dict[str, VariableMapping] = {}
         for variable, source, path in mappings or ():
             self.add_mapping(variable, source, path)
@@ -91,6 +93,7 @@ class TableRule:
             raise ValueError(f"field {field!r} already defined in Rule({self.relation})")
         rule = FieldRule(field, variable)
         self._fields[field] = rule
+        self._fields_by_variable.setdefault(variable, []).append(field)
         return rule
 
     # ------------------------------------------------------------------
@@ -138,8 +141,8 @@ class TableRule:
         return self.mapping(variable).source
 
     def fields_of_variable(self, variable: str) -> List[str]:
-        """The fields populated by ``value(variable)``."""
-        return [rule.field for rule in self._fields.values() if rule.variable == variable]
+        """The fields populated by ``value(variable)``, in declaration order."""
+        return list(self._fields_by_variable.get(variable, ()))
 
     def schema(self, keys: Iterable = ()) -> RelationSchema:
         """The relation schema induced by the field rules."""

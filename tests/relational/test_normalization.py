@@ -1,5 +1,7 @@
 """Unit tests for candidate keys, FD projection, BCNF and 3NF."""
 
+from itertools import combinations
+
 import pytest
 
 from repro.relational.fd import FunctionalDependency, attribute_closure, equivalent, implies_fd
@@ -63,6 +65,32 @@ class TestProjectFDs:
         raw = project_fds({"a", "b", "c"}, ["a -> b", "b -> c"], minimize_result=False)
         minimised = project_fds({"a", "b", "c"}, ["a -> b", "b -> c"])
         assert len(raw) >= len(minimised)
+
+    @pytest.mark.parametrize("engine", ["bitset", "frozenset"])
+    def test_empty_lhs_survives_projection(self, engine):
+        projected = project_fds({"a", "b", "c"}, ["∅ -> a", "b -> c"], engine=engine)
+        assert {fd.text for fd in projected} == {"∅ -> a", "b -> c"}
+        raw = project_fds(
+            {"a", "b", "c"}, ["∅ -> a", "b -> c"], minimize_result=False, engine=engine
+        )
+        assert raw[0].text == "∅ -> a"
+
+    @pytest.mark.parametrize("engine", ["bitset", "frozenset"])
+    @pytest.mark.parametrize(
+        "fds",
+        [
+            ["∅ -> a", "b -> c"],
+            ["∅ -> a", "a -> b", "b, c -> d"],
+            ["a -> b", "b -> c", "c, d -> e", "e -> a"],
+            ["∅ -> a, b", "a, c -> d", "d -> c"],
+        ],
+    )
+    def test_projection_onto_all_attributes_is_equivalent(self, fds, engine):
+        attributes = set()
+        for fd in fds:
+            attributes |= FunctionalDependency.parse(fd).attributes
+        projected = project_fds(attributes, fds, engine=engine)
+        assert equivalent(projected, fds)
 
 
 class TestNormalFormPredicates:
@@ -144,6 +172,51 @@ class TestBCNFDecomposition:
         for fragment in fragments:
             local = project_fds(fragment.attributes, cover)
             assert is_bcnf(fragment.attributes, local)
+
+
+def _bcnf_under_exact_projection(fragment, fds):
+    """BCNF by definition: every ``X ⊆ fragment`` either determines no other
+    attribute of the fragment or determines all of it."""
+    attrs = sorted(fragment)
+    for size in range(len(attrs) + 1):
+        for subset in combinations(attrs, size):
+            determined = attribute_closure(subset, fds) & set(attrs)
+            if determined != set(subset) and determined != set(attrs):
+                return False
+    return True
+
+
+class TestEmptyLhsDesign:
+    """A key ``(., (//lvl0, {}))`` makes the root's fields constants
+    (``∅ → a0_0``); the decomposition must honour those FDs."""
+
+    @pytest.fixture()
+    def cover(self):
+        from repro.core import minimum_cover_from_keys
+        from repro.experiments.generators import generate_workload
+        from repro.keys import parse_key
+
+        workload = generate_workload(11, depth=5, num_keys=8, seed=2)
+        keys = list(workload.keys) + [parse_key("root_one = (., (//lvl0, {}))")]
+        return workload.rule, minimum_cover_from_keys(keys, workload.rule).cover
+
+    def test_cover_has_empty_lhs_fds(self, cover):
+        _, fds = cover
+        assert any(not fd.lhs for fd in fds)
+
+    @pytest.mark.parametrize("engine", ["bitset", "frozenset"])
+    def test_every_fragment_is_bcnf_under_the_exact_projection(self, cover, engine):
+        rule, fds = cover
+        fragments = bcnf_decompose(rule.relation, rule.field_names, fds, engine=engine)
+        for fragment in fragments:
+            assert _bcnf_under_exact_projection(fragment.attributes, fds), fragment
+        assert {frozenset(f.attributes) for f in fragments} == {
+            frozenset({"a0_0", "e0_0", "k0"}),
+            frozenset({"e1_0", "k1"}),
+            frozenset({"a2_0", "k1", "k2"}),
+            frozenset({"e3_0", "k1", "k2", "k3"}),
+            frozenset({"a4_0", "k1", "k2", "k3", "k4"}),
+        }
 
 
 class TestThirdNormalForm:

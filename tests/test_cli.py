@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.keys import parse_keys
+from repro.transform import parse_transformation
 from repro.experiments import paper_example as pe
 from repro.xmlmodel import accel
 from repro.xmlmodel.serializer import serialize
@@ -179,6 +181,52 @@ class TestDesignCommand:
             ]
         )
         assert code == 0
+
+
+def _write_workload(tmp_path, num_fields, num_keys):
+    """A generated universal relation as CLI arguments (keys and DSL files)."""
+    from repro.experiments.generators import generate_workload
+    from repro.transform.dsl import render_transformation
+    from repro.transform.rule import Transformation
+
+    workload = generate_workload(num_fields, depth=5, num_keys=num_keys, seed=2)
+    keys_file = tmp_path / f"w{num_fields}.keys"
+    keys_file.write_text("".join(f"{key.text}\n" for key in workload.keys))
+    transform_file = tmp_path / f"w{num_fields}.dsl"
+    transform_file.write_text(render_transformation(Transformation([workload.rule])))
+    return ["--keys", str(keys_file), "--transform", str(transform_file), "--relation", "U"]
+
+
+class TestSchemaDesignPins:
+    """``cover`` and ``design`` print exactly what the straightforward
+    algorithms print: the exhaustive FD projection, and the linear scan
+    behind ``TableRule.fields_of_variable``."""
+
+    def test_design_matches_the_exhaustive_projection(self, tmp_path, capsys):
+        from tests.relational.projection_reference import reference_projection
+
+        argv = ["design", *_write_workload(tmp_path, 11, 8), "--sql"]
+        assert main(argv) == 0
+        fast = capsys.readouterr().out
+        with reference_projection():
+            assert main(argv) == 0
+        assert capsys.readouterr().out == fast
+        assert fast.count("CREATE TABLE") == 5
+
+    def test_cover_matches_the_linear_field_scan(self, tmp_path, capsys, monkeypatch):
+        from repro.transform.rule import TableRule
+
+        argv = ["cover", *_write_workload(tmp_path, 300, 40)]
+        assert main(argv) == 0
+        fast = capsys.readouterr().out
+        monkeypatch.setattr(
+            TableRule,
+            "fields_of_variable",
+            lambda rule, variable: [f.field for f in rule.fields if f.variable == variable],
+        )
+        assert main(argv) == 0
+        assert capsys.readouterr().out == fast
+        assert len(fast.splitlines()) > 100
 
 
 class TestShredCommand:
@@ -914,6 +962,71 @@ class TestStatsFlags:
         captured = capsys.readouterr()
         assert "key violated" in captured.out
         assert "check.violations" in captured.err
+
+
+class TestSchemaCommandStats:
+    """``--stats`` on ``cover`` and ``design``: counters on stderr, stdout
+    and exit code unchanged."""
+
+    @pytest.mark.parametrize(
+        "command, counters",
+        [
+            ("cover", ["cover.implication_queries", "cover.generated_fds", "cover.fds"]),
+            ("design", ["design.projections", "design.closures", "design.fragments"]),
+        ],
+    )
+    def test_stats_leave_stdout_alone(self, workspace, capsys, command, counters):
+        import json
+
+        ws = workspace
+        argv = [command, "--keys", ws["keys"], "--transform", ws["transform"],
+                "--relation", "chapter"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert main(argv + ["--stats"]) == 0
+        table = capsys.readouterr()
+        assert table.out == plain.out
+        assert all(name in table.err for name in counters)
+        assert main(argv + ["--stats-json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain.out
+        values = {c["name"]: c["value"] for c in json.loads(captured.err)["counters"]}
+        assert all(values[name] > 0 for name in counters)
+
+    def test_cover_counts_match_the_result(self, workspace, capsys):
+        import json
+
+        from repro.core import minimum_cover_from_keys
+
+        ws = workspace
+        assert main(["cover", "--keys", ws["keys"], "--transform", ws["transform"],
+                     "--relation", "chapter", "--stats-json"]) == 0
+        captured = capsys.readouterr()
+        values = {c["name"]: c["value"] for c in json.loads(captured.err)["counters"]}
+        rule = parse_transformation(TRANSFORM_TEXT).rule("chapter")
+        result = minimum_cover_from_keys(parse_keys(KEYS_TEXT), rule)
+        assert values["cover.fds"] == len(result.cover) == len(captured.out.splitlines())
+        assert values["cover.generated_fds"] == len(result.generated)
+        assert values["cover.implication_queries"] == result.implication_queries
+
+    def test_design_counts_fragments(self, workspace, capsys):
+        import json
+
+        ws = workspace
+        assert main(["design", "--keys", ws["keys"], "--transform", ws["transform"],
+                     "--relation", "chapter", "--sql", "--stats-json"]) == 0
+        captured = capsys.readouterr()
+        values = {c["name"]: c["value"] for c in json.loads(captured.err)["counters"]}
+        assert values["design.fragments"] == captured.out.count("CREATE TABLE")
+
+    @pytest.mark.parametrize("command", ["cover", "design"])
+    def test_stats_keep_usage_exit_code(self, workspace, command):
+        ws = workspace
+        assert main([command, "--keys", "/absent.keys", "--transform", ws["transform"],
+                     "--relation", "chapter", "--stats"]) == 2
+        assert main([command, "--keys", ws["keys"], "--transform", ws["transform"],
+                     "--relation", "nope", "--stats"]) == 2
 
 
 class TestVerbosityFlags:

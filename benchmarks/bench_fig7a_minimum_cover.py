@@ -6,12 +6,12 @@ number of fields of the universal relation (≤ 35 s at 200 fields, ≈ 2 min at
 beyond a handful of fields.  These benchmarks sweep the same parameter;
 ``naive`` is only run on small field counts (the blow-up is the point).
 
-The ``fig7a-fd-engine`` group compares the two relational FD engines on the
-Phase 3 minimisation of this exact workload: the interned-attribute bitset
-engine (``engine="bitset"``, the default) against the frozenset oracle it
-replaced (``engine="frozenset"``).  ``test_engine_speedup_report`` turns the
-comparison into a pass/fail gate: the bitset engine must be at least 3×
-faster at the largest seed size.
+The ``fig7a-fd-engine`` group compares two relational FD engines on the
+Phase 3 minimisation of this exact workload: the library's interned-attribute
+bitset engine (:func:`repro.relational.fd.minimize`) against the frozenset
+oracle it replaced (``tests/relational/fd_reference.py``).
+``test_engine_speedup_report`` turns the comparison into a pass/fail gate:
+the bitset engine must be at least 3× faster at the largest seed size.
 """
 
 import time
@@ -22,10 +22,13 @@ from repro.core.minimum_cover import minimum_cover_from_keys
 from repro.core.naive import naive_minimum_cover
 from repro.relational.fd import minimize
 
+from tests.relational import fd_reference
+
 
 FIELD_GRID = [10, 25, 50, 100, 200]
 NAIVE_FIELD_GRID = [5, 8, 10, 12]
-ENGINE_GRID = ["bitset", "frozenset"]
+#: ``minimize`` per FD engine: the library's and the test-side reference.
+ENGINES = {"bitset": minimize, "frozenset": fd_reference.minimize}
 ENGINE_FIELD_GRID = [100, 200, 500]
 DEPTH = 5
 KEYS = 10
@@ -87,13 +90,13 @@ def generated_fds_cache(workload_cache):
 
 @pytest.mark.benchmark(group="fig7a-fd-engine")
 @pytest.mark.parametrize("num_fields", ENGINE_FIELD_GRID)
-@pytest.mark.parametrize("engine", ENGINE_GRID)
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_cover_minimisation_engine_comparison(
     benchmark, generated_fds_cache, engine, num_fields
 ):
     generated = generated_fds_cache(num_fields)
-    result = benchmark(minimize, generated, engine=engine)
-    assert result == minimize(generated, engine="frozenset")
+    result = benchmark(ENGINES[engine], generated)
+    assert result == fd_reference.minimize(generated)
 
 
 def test_engine_speedup_report(generated_fds_cache):
@@ -114,8 +117,8 @@ def test_engine_speedup_report(generated_fds_cache):
     rows = []
     for num_fields in ENGINE_FIELD_GRID:
         generated = generated_fds_cache(num_fields)
-        fast = best_of(lambda: minimize(generated, engine="bitset"))
-        slow = best_of(lambda: minimize(generated, engine="frozenset"))
+        fast = best_of(lambda: minimize(generated))
+        slow = best_of(lambda: fd_reference.minimize(generated))
         rows.append((num_fields, len(generated), fast, slow, slow / fast))
     print("\nfields  FDs   bitset      frozenset   speedup")
     for num_fields, size, fast, slow, speedup in rows:

@@ -1,25 +1,27 @@
-"""PR-2 oracle benchmarks: the fast key-implication path vs. the pre-PR path.
+"""Oracle benchmarks: the fast key-implication path vs. the reference path.
 
 Every Fig. 7 workload bottoms out in the implication oracle: ``contains``
 probes (path-language containment), variant scans in ``_derive`` and
-table-tree traversals.  PR 2 interned the paths, made containment an
-iterative DP with a persistent cross-call memo, indexed the engine's
-target-to-context variants, and shared one engine + table tree across batch
+table-tree traversals.  The library interns the paths, decides containment
+by an iterative DP with a persistent cross-call memo, indexes the engine's
+target-to-context variants, and shares one engine + table tree across batch
 workloads.  These benchmarks compare the two configurations end-to-end on
 the Fig. 7(c) spot-check shape (200 fields / depth 10 / 100 keys):
 
 * **new** — ``propagated_fds`` batch + ``minimum_cover_from_keys`` with the
   default indexed engine and memoised containment;
 * **old** — per-FD ``check_propagation`` with a shared engine but per-call
-  table-tree rebuilds, linear variant scans (``indexed=False``) and the
-  per-call recursive containment (``naive_containment``).  This reproduces
-  the pre-PR *algorithms* (the reference oracle kept in-tree); it still
-  rides on PR-2 substrate the switches cannot turn off (interned paths,
+  table-tree rebuilds, the linear-scan engine of
+  ``tests/keys/implication_reference.py`` and, for every ``contains``
+  call, the per-call recursive containment of
+  ``tests/xmlmodel/containment_reference.py`` (``reference_containment``).
+  This reproduces the pre-optimisation *algorithms*; it still rides on
+  substrate the reference modules do not replace (interned paths,
   precomputed key hashes/scopes, tree-traversal memos), so it is a
-  conservative baseline — the true pre-PR commit is slower still.
+  conservative baseline — the original code was slower still.
 
 ``test_oracle_speedup_report`` turns the comparison into a pass/fail gate
-(new ≥ 5× old), in the style of PR 1's ``test_engine_speedup_report``; it
+(new ≥ 5× old), in the style of ``bench_fig7a``'s ``test_engine_speedup_report``; it
 uses plain ``perf_counter`` timing so it also runs under
 ``--benchmark-disable`` in CI.
 """
@@ -30,8 +32,10 @@ import pytest
 
 from repro.core.minimum_cover import minimum_cover_from_keys
 from repro.core.propagation import check_propagation, propagated_fds
-from repro.keys.implication import ImplicationEngine
-from repro.xmlmodel.paths import clear_containment_cache, naive_containment
+from repro.xmlmodel.paths import clear_containment_cache
+
+from tests.keys.implication_reference import LinearScanImplicationEngine
+from tests.xmlmodel.containment_reference import reference_containment
 
 
 FIELDS = 200
@@ -50,8 +54,8 @@ def _run_new(workload, fds):
 
 
 def _run_old(workload, fds):
-    with naive_containment():
-        engine = ImplicationEngine(workload.keys, indexed=False)
+    with reference_containment():
+        engine = LinearScanImplicationEngine(workload.keys)
         results = [
             check_propagation(workload.keys, workload.rule, fd, engine=engine)
             for fd in fds
@@ -59,7 +63,7 @@ def _run_old(workload, fds):
         cover = minimum_cover_from_keys(
             workload.keys,
             workload.rule,
-            engine=ImplicationEngine(workload.keys, indexed=False),
+            engine=LinearScanImplicationEngine(workload.keys),
         )
     return results, cover
 
@@ -83,7 +87,7 @@ def test_oracle_batch_old_reference(benchmark, workload_cache):
 
 
 def test_oracle_speedup_report(workload_cache):
-    """The fast oracle must beat the pre-PR path ≥ 5× on the Fig. 7c shape.
+    """The fast oracle must beat the reference path ≥ 5× on the Fig. 7c shape.
 
     Reports cold (containment memo cleared) and warm timings for the new
     path; the gate compares the old path against the *cold* new run, so the
@@ -114,7 +118,7 @@ def test_oracle_speedup_report(workload_cache):
         f"{warm * 1000:8.1f}ms  {speedup_cold:5.1f}x / {speedup_warm:5.1f}x"
     )
     assert speedup_cold >= 5.0, (
-        f"fast oracle only {speedup_cold:.1f}x faster than the pre-PR path at "
+        f"fast oracle only {speedup_cold:.1f}x faster than the reference path at "
         f"{FIELDS} fields / {KEYS} keys (expected >= 5x)"
     )
 

@@ -36,7 +36,6 @@ def gminimum_cover_check(
     engine: Optional[ImplicationEngine] = None,
     cover: Optional[MinimumCoverResult] = None,
     check_existence: bool = True,
-    fd_engine: Optional[str] = None,
     table_tree: Optional[TableTree] = None,
 ) -> PropagationResult:
     """Check propagation of ``fd`` by way of the minimum cover.
@@ -75,11 +74,11 @@ def gminimum_cover_check(
         )
     if cover is None:
         cover = minimum_cover_from_keys(
-            key_list, rule, engine=engine, fd_engine=fd_engine, table_tree=table_tree
+            key_list, rule, engine=engine, table_tree=table_tree
         )
 
     trace: List[str] = [f"minimum cover has {len(cover.cover)} FDs"]
-    identified = fd.is_trivial or cover.implies(fd, engine=fd_engine)
+    identified = fd.is_trivial or cover.implies(fd)
     trace.append(
         f"relational implication of {fd} from the cover: {'yes' if identified else 'no'}"
     )

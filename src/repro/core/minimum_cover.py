@@ -45,7 +45,7 @@ from repro import obs
 from repro.keys.implication import ImplicationEngine
 from repro.keys.key import XMLKey
 from repro.relational.bitset import BitFDSet
-from repro.relational.fd import FDLike, FunctionalDependency, _resolve_engine, coerce_fd, implies_fd, minimize
+from repro.relational.fd import FDLike, FunctionalDependency, coerce_fd, minimize
 from repro.transform.rule import TableRule
 from repro.transform.table_tree import TableTree
 from repro.transform.universal import UniversalRelation
@@ -87,22 +87,19 @@ class MinimumCoverResult:
     def __len__(self) -> int:
         return len(self.cover)
 
-    def implies(self, fd: FDLike, engine: Optional[str] = None) -> bool:
+    def implies(self, fd: FDLike) -> bool:
         """Does the cover imply ``fd``?  Amortised across repeated checks.
 
-        ``GminimumCover`` tests many FDs against one cover; the bitset
-        engine interns the cover once and answers each test with a single
-        counter closure instead of rebuilding the pool per query.  The
-        interned pool is rebuilt if ``cover`` has been mutated since, so
-        both engines always answer from the current list.
+        ``GminimumCover`` tests many FDs against one cover; the cover is
+        interned once and each test is a single counter closure instead of
+        a pool rebuild per query.  The interned pool is rebuilt if
+        ``cover`` has been mutated since, so answers always come from the
+        current list.
         """
-        candidate = coerce_fd(fd)
-        if _resolve_engine(engine) == "bitset":
-            if self._fast_pool is None or self._fast_pool_cover != self.cover:
-                self._fast_pool = BitFDSet.from_fds(self.cover)
-                self._fast_pool_cover = list(self.cover)
-            return self._fast_pool.implies(candidate)
-        return implies_fd(self.cover, candidate, engine=engine)
+        if self._fast_pool is None or self._fast_pool_cover != self.cover:
+            self._fast_pool = BitFDSet.from_fds(self.cover)
+            self._fast_pool_cover = list(self.cover)
+        return self._fast_pool.implies(coerce_fd(fd))
 
     def describe(self) -> str:
         return "\n".join(str(fd) for fd in self.cover)
@@ -113,7 +110,6 @@ def minimum_cover_from_keys(
     universal: "TableRule | UniversalRelation",
     engine: Optional[ImplicationEngine] = None,
     require_existence: bool = False,
-    fd_engine: Optional[str] = None,
     table_tree: Optional[TableTree] = None,
 ) -> MinimumCoverResult:
     """Compute a minimum cover for the FDs on ``U`` propagated from ``keys``.
@@ -124,10 +120,6 @@ def minimum_cover_from_keys(
     single ``table_tree``, which may likewise be passed in prebuilt), so
     every oracle verdict of Phase 1 is a warm memo hit when Phase 2
     re-probes it.
-
-    ``fd_engine`` selects the relational FD engine used for the Phase 3
-    minimisation (``"bitset"`` / ``"frozenset"``; defaults to the global
-    ``REPRO_FD_ENGINE`` setting).
     """
     if isinstance(universal, UniversalRelation):
         rule = universal.rule
@@ -267,7 +259,7 @@ def minimum_cover_from_keys(
     # ------------------------------------------------------------------
     # Phase 3: relational minimisation.
     # ------------------------------------------------------------------
-    cover = minimize(generated, engine=fd_engine)
+    cover = minimize(generated)
     registry = obs.metrics()
     registry.inc("cover.implication_queries", engine.query_count - queries_before)
     registry.inc("cover.generated_fds", len(generated))

@@ -90,21 +90,20 @@ class ImplicationEngine:
     :meth:`implies` with memoisation — the same queries recur many times in
     Algorithm ``minimumCover``.
 
-    Variant probing is indexed (PR 2): a variant can only cover a query
+    Variant probing is indexed: a variant can only cover a query
     target whose first/last concrete steps match the variant target's (a
     covering path that starts or ends with a concrete label forces every
     covered word to do the same), and ``contains(variant_context, context)``
     only depends on the query *context*, so its verdicts are hoisted into a
     per-context candidate list.  Together the two prune most variants
-    without a single containment call.  ``indexed=False`` restores the
-    pre-PR linear scan — the reference arm of the differential tests and
-    oracle benchmarks.
+    without a single containment call.  The linear scan this replaced is
+    the reference engine of the differential tests and oracle benchmarks,
+    ``tests/keys/implication_reference.py``.
     """
 
-    def __init__(self, keys: Iterable[XMLKey], indexed: bool = True) -> None:
+    def __init__(self, keys: Iterable[XMLKey]) -> None:
         self.keys: Tuple[XMLKey, ...] = tuple(keys)
         self._key_set: FrozenSet[XMLKey] = frozenset(self.keys)
-        self._indexed = bool(indexed)
         # Attribute-name sets recur constantly in `_derive` (one subset test
         # per variant per query); interning them to bit masks via a shared
         # universe turns those tests into single integer operations.
@@ -221,46 +220,27 @@ class ImplicationEngine:
         # fly and can never occur in a variant mask.
         attributes_mask = self._universe.mask(attributes)
         scope = concat(context, target)
-        if self._indexed:
-            steps = target.steps
-            # A covering path starting (ending) with a concrete step forces
-            # every covered word — hence the covered expression's first
-            # (last) step — to be that exact step; '//' covered steps can
-            # only be covered by '//' steps.  Steps are interned, so the
-            # comparisons are identity tests.
-            target_first = steps[0] if steps[0].kind is not StepKind.DESCENDANT else None
-            target_last = steps[-1] if steps[-1].kind is not StepKind.DESCENDANT else None
-            for _, variant_target, variant_attrs, first, last in self._candidates(context):
-                if variant_attrs & ~attributes_mask:
-                    continue
-                if first is not None and first is not target_first:
-                    continue
-                if last is not None and last is not target_last:
-                    continue
-                if not contains(variant_target, target):
-                    continue
-                extra = attributes_mask & ~variant_attrs
-                if extra and not self.attributes_exist(
-                    scope, self._universe.names(extra)
-                ):
-                    continue
-                return True
-        else:
-            # Pre-PR reference path: linear scan with per-variant context
-            # containment (kept for the differential suite and benchmarks).
-            for variant_context, variant_target, variant_attrs, _, _ in self._variants:
-                if variant_attrs & ~attributes_mask:
-                    continue
-                if not contains(variant_context, context):
-                    continue
-                if not contains(variant_target, target):
-                    continue
-                extra = attributes_mask & ~variant_attrs
-                if extra and not self.attributes_exist(
-                    scope, self._universe.names(extra)
-                ):
-                    continue
-                return True
+        steps = target.steps
+        # A covering path starting (ending) with a concrete step forces
+        # every covered word — hence the covered expression's first (last)
+        # step — to be that exact step; '//' covered steps can only be
+        # covered by '//' steps.  Steps are interned, so the comparisons
+        # are identity tests.
+        target_first = steps[0] if steps[0].kind is not StepKind.DESCENDANT else None
+        target_last = steps[-1] if steps[-1].kind is not StepKind.DESCENDANT else None
+        for _, variant_target, variant_attrs, first, last in self._candidates(context):
+            if variant_attrs & ~attributes_mask:
+                continue
+            if first is not None and first is not target_first:
+                continue
+            if last is not None and last is not target_last:
+                continue
+            if not contains(variant_target, target):
+                continue
+            extra = attributes_mask & ~variant_attrs
+            if extra and not self.attributes_exist(scope, self._universe.names(extra)):
+                continue
+            return True
         # Rule "prefix uniqueness": split the target at every step boundary.
         for prefix, suffix in target.prefixes():
             if prefix.is_epsilon or suffix.is_epsilon:

@@ -28,8 +28,8 @@ count per event branch once, before the loop, on :func:`enabled`.
 
 Switch it on three ways:
 
-* ``REPRO_METRICS=1`` in the environment (read at import, like
-  ``REPRO_JOBS`` / ``REPRO_FD_ENGINE``) — the CI matrix leg;
+* ``REPRO_METRICS=1`` in the environment (read once, at import) — the
+  CI matrix leg;
 * :func:`enable` / :func:`disable` — imperative, process-wide;
 * ``with collect() as registry: ...`` — scoped: installs a fresh (or
   given) registry as the active one, restores the previous state on

@@ -26,11 +26,9 @@ from repro.relational.instance import (
 )
 from repro.relational.bitset import AttributeUniverse, BitFDSet
 from repro.relational.fd import (
-    ENGINE_ENV_VAR,
     FDSet,
     FunctionalDependency,
     attribute_closure,
-    default_engine,
     equivalent,
     implies_fd,
     minimize,
@@ -49,10 +47,8 @@ from repro.relational import algebra
 __all__ = [
     "AttributeUniverse",
     "BitFDSet",
-    "ENGINE_ENV_VAR",
     "DatabaseSchema",
     "RelationSchema",
-    "default_engine",
     "NULL",
     "NullType",
     "FDViolation",

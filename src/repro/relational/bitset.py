@@ -1,14 +1,14 @@
 """Interned-attribute bitset engine for FD closures, covers and ``minimize``.
 
-The reference implementation in :mod:`repro.relational.fd` computes attribute
-closures by a quadratic fixpoint over frozensets: every round rescans the full
-FD pool, so ``minimize`` (which performs one closure per LHS attribute per FD)
-is cubic-ish in the size of the input.  Every algorithm of the paper —
-key-to-FD propagation, the Section 5 ``minimize`` routine and the
-``minimumCover`` computation of Figs. 7(a)–(c) — bottoms out in repeated
-closure calls, which makes that fixpoint the global bottleneck.
+The reference FD implementation (``tests/relational/fd_reference.py``)
+computes attribute closures by a quadratic fixpoint over frozensets: every
+round rescans the full FD pool, so ``minimize`` (which performs one closure
+per LHS attribute per FD) is cubic-ish in the size of the input.  Every
+algorithm of the paper — key-to-FD propagation, the Section 5 ``minimize``
+routine and the ``minimumCover`` computation of Figs. 7(a)–(c) — bottoms out
+in repeated closure calls, which makes that fixpoint the global bottleneck.
 
-This module is the fast path.  Attribute names are interned to bit positions
+This module is the FD engine.  Attribute names are interned to bit positions
 by an :class:`AttributeUniverse`, attribute sets become plain Python ints
 (arbitrary-precision bit masks), and a :class:`BitFDSet` stores FDs as
 ``(lhs_mask, rhs_mask)`` pairs together with an attribute→FD inverted index.
@@ -21,14 +21,12 @@ most once, so a closure costs ``O(total size of the FDs)`` instead of
 
 The mask-level ``minimize``/``minimum_cover`` reproduce the reference
 implementation's iteration order *exactly* (FDs in input order, LHS attributes
-in sorted name order), so both engines return identical results — not merely
+in sorted name order), so both return identical results — not merely
 equivalent covers — which the differential test suite in
 ``tests/property/test_bitset_equivalence.py`` pins down.
 
-Engine selection lives in :mod:`repro.relational.fd` (the public surface):
-the ``REPRO_FD_ENGINE`` environment variable or the ``engine=`` keyword of
-the public functions picks between ``"bitset"`` (this module, the default)
-and ``"frozenset"`` (the reference oracle).
+:mod:`repro.relational.fd` (the public surface) calls the functional
+wrappers at the bottom of this module directly; there is no engine switch.
 """
 
 from __future__ import annotations
@@ -344,8 +342,8 @@ class BitFDSet:
         return self.implies_mask(lhs_mask, rhs_mask)
 
     # ------------------------------------------------------------------
-    # Mask-level minimize (Section 5) — mirrors fd.remove_extraneous_attributes
-    # and fd.remove_redundant_fds step for step.
+    # Mask-level minimize (Section 5) — mirrors the reference
+    # remove_extraneous_attributes / remove_redundant_fds step for step.
     # ------------------------------------------------------------------
     def remove_extraneous_attributes(self) -> None:
         """Drop extraneous LHS attributes from every active FD, in place."""
@@ -411,7 +409,7 @@ class BitFDSet:
 
 # ----------------------------------------------------------------------
 # Functional wrappers over already-coerced FunctionalDependency pools.
-# These are the entry points the engine dispatch in fd.py calls; they
+# These are the entry points the public functions of fd.py call; they
 # intern, run on masks, and convert back to the frozenset-based objects
 # so the public API surface is unchanged.
 # ----------------------------------------------------------------------

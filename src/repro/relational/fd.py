@@ -13,58 +13,21 @@ This module provides the relational FD machinery the paper relies on:
 * :func:`minimum_cover` — canonical/minimum cover (singleton RHS, merged
   back per LHS on request).
 
-Two interchangeable engines back these functions:
-
-``"bitset"`` (the default)
-    The interned-attribute engine of :mod:`repro.relational.bitset` —
-    attribute sets are machine integers and closures run in linear time via
-    the Beeri–Bernstein counter algorithm.
-``"frozenset"`` (alias ``"oracle"``)
-    The original quadratic frozenset fixpoint, kept verbatim below as the
-    reference implementation that the differential test suite checks the
-    fast path against.
-
-Selection: the ``engine=`` keyword on each public function wins; otherwise
-the ``REPRO_FD_ENGINE`` environment variable; otherwise ``"bitset"``.  Both
-engines produce *identical* results (same FDs, same order), not merely
-equivalent ones.
+All of them run on the interned-attribute engine of
+:mod:`repro.relational.bitset`: attribute sets are machine integers and
+closures run in linear time via the Beeri–Bernstein counter algorithm.  The
+original quadratic frozenset fixpoint is the reference oracle of the
+differential suites and lives test-side, in
+``tests/relational/fd_reference.py``; both return *identical* results (same
+FDs, same order), not merely equivalent ones.
 """
 
 from __future__ import annotations
 
-import os
-
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, List, Set, Tuple, Union
 
 from repro.relational import bitset as _bitset
 from repro.relational.schema import AttrSetLike, attr_set
-
-
-#: Environment variable selecting the default FD engine.
-ENGINE_ENV_VAR = "REPRO_FD_ENGINE"
-
-_ENGINE_ALIASES = {
-    "bitset": "bitset",
-    "frozenset": "frozenset",
-    "oracle": "frozenset",
-}
-
-
-def default_engine() -> str:
-    """The engine used when no ``engine=`` keyword is given."""
-    return _resolve_engine(None)
-
-
-def _resolve_engine(engine: Optional[str]) -> str:
-    # An empty string — keyword or env var (`REPRO_FD_ENGINE= cmd` is a
-    # common "unset" idiom) — means "no preference", not an engine name.
-    value = engine or os.environ.get(ENGINE_ENV_VAR) or "bitset"
-    try:
-        return _ENGINE_ALIASES[value.strip().lower()]
-    except (KeyError, AttributeError):
-        raise ValueError(
-            f"unknown FD engine {value!r}: expected one of {sorted(_ENGINE_ALIASES)}"
-        ) from None
 
 
 class FunctionalDependency:
@@ -197,14 +160,14 @@ class FDSet:
             result |= fd.attributes
         return frozenset(result)
 
-    def implies(self, fd: FDLike, engine: Optional[str] = None) -> bool:
-        return implies_fd(self._fds, fd, engine=engine)
+    def implies(self, fd: FDLike) -> bool:
+        return implies_fd(self._fds, fd)
 
-    def closure(self, attributes: AttrSetLike, engine: Optional[str] = None) -> FrozenSet[str]:
-        return attribute_closure(attributes, self._fds, engine=engine)
+    def closure(self, attributes: AttrSetLike) -> FrozenSet[str]:
+        return attribute_closure(attributes, self._fds)
 
-    def minimize(self, engine: Optional[str] = None) -> "FDSet":
-        return FDSet(minimize(self._fds, engine=engine))
+    def minimize(self) -> "FDSet":
+        return FDSet(minimize(self._fds))
 
     def __repr__(self) -> str:
         return "FDSet([" + ", ".join(str(fd) for fd in self._fds) + "])"
@@ -216,134 +179,43 @@ class FDSet:
 # ----------------------------------------------------------------------
 # Closure / implication
 # ----------------------------------------------------------------------
-def attribute_closure(
-    attributes: AttrSetLike, fds: Iterable[FDLike], engine: Optional[str] = None
-) -> FrozenSet[str]:
+def attribute_closure(attributes: AttrSetLike, fds: Iterable[FDLike]) -> FrozenSet[str]:
     """Compute ``X+`` with respect to a set of FDs."""
-    pool = [coerce_fd(fd) for fd in fds]
-    if _resolve_engine(engine) == "bitset":
-        return _bitset.closure_fds(attributes, pool)
-    return _reference_closure(attributes, pool)
+    return _bitset.closure_fds(attributes, [coerce_fd(fd) for fd in fds])
 
 
-def _reference_closure(
-    attributes: AttrSetLike, pool: Sequence[FunctionalDependency]
-) -> FrozenSet[str]:
-    """The frozenset oracle: a quadratic fixpoint rescanning the pool."""
-    closure: Set[str] = set(attr_set(attributes))
-    changed = True
-    while changed:
-        changed = False
-        for fd in pool:
-            if fd.lhs <= closure and not fd.rhs <= closure:
-                closure |= fd.rhs
-                changed = True
-    return frozenset(closure)
-
-
-def implies_fd(
-    fds: Iterable[FDLike], candidate: FDLike, engine: Optional[str] = None
-) -> bool:
+def implies_fd(fds: Iterable[FDLike], candidate: FDLike) -> bool:
     """Does the FD set imply ``candidate`` (by Armstrong's axioms)?"""
-    fd = coerce_fd(candidate)
-    pool = [coerce_fd(item) for item in fds]
-    if _resolve_engine(engine) == "bitset":
-        return _bitset.implies_fds(pool, fd)
-    return fd.rhs <= _reference_closure(fd.lhs, pool)
+    return _bitset.implies_fds([coerce_fd(item) for item in fds], coerce_fd(candidate))
 
 
-def equivalent(
-    first: Iterable[FDLike], second: Iterable[FDLike], engine: Optional[str] = None
-) -> bool:
+def equivalent(first: Iterable[FDLike], second: Iterable[FDLike]) -> bool:
     """Are two FD sets equivalent (each implies every FD of the other)?"""
     first_pool = [coerce_fd(fd) for fd in first]
     second_pool = [coerce_fd(fd) for fd in second]
-    if _resolve_engine(engine) == "bitset":
-        first_set = _bitset.BitFDSet.from_fds(first_pool)
-        second_set = _bitset.BitFDSet.from_fds(second_pool)
-        return all(second_set.implies(fd) for fd in first_pool) and all(
-            first_set.implies(fd) for fd in second_pool
-        )
-    return all(
-        implies_fd(second_pool, fd, engine="frozenset") for fd in first_pool
-    ) and all(implies_fd(first_pool, fd, engine="frozenset") for fd in second_pool)
+    first_set = _bitset.BitFDSet.from_fds(first_pool)
+    second_set = _bitset.BitFDSet.from_fds(second_pool)
+    return all(second_set.implies(fd) for fd in first_pool) and all(
+        first_set.implies(fd) for fd in second_pool
+    )
 
 
 # ----------------------------------------------------------------------
 # minimize — Section 5 of the paper (after Beeri & Bernstein)
 # ----------------------------------------------------------------------
-def remove_extraneous_attributes(fds: Iterable[FDLike]) -> List[FunctionalDependency]:
-    """Drop extraneous attributes from every LHS (lines 1–4 of ``minimize``).
-
-    This is the frozenset oracle path; the bitset engine replicates its
-    iteration order in :meth:`repro.relational.bitset.BitFDSet.minimize`.
-    """
-    pool = [coerce_fd(fd) for fd in fds]
-    result: List[FunctionalDependency] = []
-    for index, fd in enumerate(pool):
-        lhs = set(fd.lhs)
-        for attribute in sorted(fd.lhs):
-            if attribute not in lhs:
-                continue
-            trimmed = lhs - {attribute}
-            # The attribute is extraneous when the trimmed LHS still
-            # determines the RHS under the *whole* set of FDs.
-            if fd.rhs <= _reference_closure(trimmed, pool):
-                lhs = trimmed
-        reduced = FunctionalDependency(lhs, fd.rhs)
-        pool[index] = reduced
-        result.append(reduced)
-    return result
-
-
-def remove_redundant_fds(fds: Iterable[FDLike]) -> List[FunctionalDependency]:
-    """Drop FDs implied by the remaining ones (lines 5–8 of ``minimize``)."""
-    pool = [coerce_fd(fd) for fd in fds]
-    result = list(pool)
-    for fd in list(pool):
-        others = [other for other in result if other is not fd]
-        if fd.rhs <= _reference_closure(fd.lhs, others):
-            result = others
-    return result
-
-
-def minimize(
-    fds: Iterable[FDLike], engine: Optional[str] = None
-) -> List[FunctionalDependency]:
+def minimize(fds: Iterable[FDLike]) -> List[FunctionalDependency]:
     """The ``minimize`` function of Section 5: a non-redundant cover.
 
     Trivial FDs are dropped first (they are implied by reflexivity), then
     extraneous LHS attributes, then redundant FDs.
     """
     pool = [coerce_fd(fd) for fd in fds if not coerce_fd(fd).is_trivial]
-    if _resolve_engine(engine) == "bitset":
-        return _bitset.minimize_fds(pool)
-    pool = remove_extraneous_attributes(pool)
-    pool = remove_redundant_fds(pool)
-    return pool
+    return _bitset.minimize_fds(pool)
 
 
-def minimum_cover(
-    fds: Iterable[FDLike], merge_lhs: bool = False, engine: Optional[str] = None
-) -> List[FunctionalDependency]:
+def minimum_cover(fds: Iterable[FDLike], merge_lhs: bool = False) -> List[FunctionalDependency]:
     """A minimum (canonical) cover: singleton RHS, no extraneous attributes,
     no redundant FDs.  With ``merge_lhs`` the FDs sharing a LHS are merged
     back into a single FD (the classical "minimal cover" presentation).
     """
-    pool = [coerce_fd(fd) for fd in fds]
-    if _resolve_engine(engine) == "bitset":
-        return _bitset.minimum_cover_fds(pool, merge_lhs=merge_lhs)
-    singleton: List[FunctionalDependency] = []
-    for fd in pool:
-        singleton.extend(fd.decompose())
-    reduced = minimize(singleton, engine="frozenset")
-    if not merge_lhs:
-        return reduced
-    merged: Dict[FrozenSet[str], Set[str]] = {}
-    order: List[FrozenSet[str]] = []
-    for fd in reduced:
-        if fd.lhs not in merged:
-            merged[fd.lhs] = set()
-            order.append(fd.lhs)
-        merged[fd.lhs] |= fd.rhs
-    return [FunctionalDependency(lhs, merged[lhs]) for lhs in order]
+    return _bitset.minimum_cover_fds([coerce_fd(fd) for fd in fds], merge_lhs=merge_lhs)

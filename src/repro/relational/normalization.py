@@ -16,7 +16,6 @@ from repro.relational.bitset import BitFDSet
 from repro.relational.fd import (
     FDLike,
     FunctionalDependency,
-    _resolve_engine,
     attribute_closure,
     coerce_fd,
     minimum_cover,
@@ -25,33 +24,21 @@ from repro.relational.schema import AttrSetLike, RelationSchema, attr_set
 
 
 def _superkey_test(
-    target: FrozenSet[str],
-    pool: Sequence[FunctionalDependency],
-    engine: Optional[str],
+    target: FrozenSet[str], pool: Sequence[FunctionalDependency]
 ) -> Callable[[Iterable[str]], bool]:
     """A reusable ``is this a superkey of target?`` predicate.
 
-    The bitset engine builds one :class:`BitFDSet` and answers every probe
-    with a counter closure (early-exiting once the target is covered) — the
-    candidate-key search below calls this up to ``2^|attrs|`` times, so
-    amortising the pool construction matters.
+    One :class:`BitFDSet` answers every probe with a counter closure
+    (early-exiting once the target is covered) — the candidate-key search
+    below calls this up to ``2^|attrs|`` times, so amortising the pool
+    construction matters.
     """
-    if _resolve_engine(engine) == "bitset":
-        bits = BitFDSet.from_fds(pool)
-        target_mask = bits.universe.mask(target)
-
-        def probe(candidate: Iterable[str]) -> bool:
-            mask = bits.universe.mask(candidate)
-            return (
-                target_mask
-                & ~bits.closure_mask(mask, until=target_mask)
-                == 0
-            )
-
-        return probe
+    bits = BitFDSet.from_fds(pool)
+    target_mask = bits.universe.mask(target)
 
     def probe(candidate: Iterable[str]) -> bool:
-        return target <= attribute_closure(candidate, pool, engine="frozenset")
+        mask = bits.universe.mask(candidate)
+        return target_mask & ~bits.closure_mask(mask, until=target_mask) == 0
 
     return probe
 
@@ -60,7 +47,6 @@ def candidate_keys(
     attributes: AttrSetLike,
     fds: Iterable[FDLike],
     limit: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> List[FrozenSet[str]]:
     """All candidate keys of a relation (minimal determining sets).
 
@@ -70,7 +56,7 @@ def candidate_keys(
     """
     attrs = attr_set(attributes)
     pool = [coerce_fd(fd) for fd in fds]
-    is_key = _superkey_test(attrs, pool, engine)
+    is_key = _superkey_test(attrs, pool)
     return _candidate_keys_with_probe(attrs, pool, is_key, limit)
 
 
@@ -106,35 +92,25 @@ def is_superkey(
     attributes: AttrSetLike,
     schema_attributes: AttrSetLike,
     fds: Iterable[FDLike],
-    engine: Optional[str] = None,
 ) -> bool:
-    return attr_set(schema_attributes) <= attribute_closure(
-        attributes, list(fds), engine=engine
-    )
+    return attr_set(schema_attributes) <= attribute_closure(attributes, fds)
 
 
-def project_fds(
-    attributes: AttrSetLike,
-    fds: Iterable[FDLike],
-    minimize_result: bool = True,
-    engine: Optional[str] = None,
-) -> List[FunctionalDependency]:
+def project_fds(attributes: AttrSetLike, fds: Iterable[FDLike]) -> List[FunctionalDependency]:
     """Project a set of FDs onto a subset of attributes.
 
     This is the inherently exponential operation of [Gottlob, PODS'87] that
     the paper contrasts its polynomial ``minimumCover`` against: every
     subset ``X`` of the projected attributes ``A`` — the empty one included,
     so ``∅ → a`` survives projection — is enumerated and closed under
-    ``fds``.  With ``minimize_result=False`` the result is the raw pool
-    ``X → (X+ ∩ A) − X`` in enumeration order (size, then lexicographic).
-
-    With ``minimize_result`` (the default) that pool is never built.  For
-    every subset ``X`` and every ``a ∈ (X+ ∩ A) − X`` in sorted order, ``X``
-    is trimmed greedily in sorted-name order: ``b`` is dropped when ``a`` is
-    still in the closure of the trimmed set.  Only the last occurrence of
-    each trimmed ``Y → a`` is kept, and that short list goes to
-    :func:`minimum_cover`.  The result is the minimum cover of the raw pool,
-    FD for FD and in the same order:
+    ``fds``.  The raw projection is the pool ``X → (X+ ∩ A) − X`` in
+    enumeration order (size, then lexicographic); that pool is never built.
+    For every subset ``X`` and every ``a ∈ (X+ ∩ A) − X`` in sorted order,
+    ``X`` is trimmed greedily in sorted-name order: ``b`` is dropped when
+    ``a`` is still in the closure of the trimmed set.  Only the last
+    occurrence of each trimmed ``Y → a`` is kept, and that short list goes
+    to :func:`minimum_cover`.  The result is the minimum cover of the raw
+    pool, FD for FD and in the same order:
 
     * every step of ``minimize`` keeps its pool equivalent to the projection
       of ``fds`` onto ``A``, whose closure of ``Y ⊆ A`` is ``Y+ ∩ A``; so the
@@ -151,7 +127,7 @@ def project_fds(
     """
     attrs = sorted(attr_set(attributes))
     attr_pool = frozenset(attrs)
-    source_closure = _closure_fn([coerce_fd(fd) for fd in fds], engine)
+    source_closure = BitFDSet.from_fds([coerce_fd(fd) for fd in fds]).closure
     closures: Dict[FrozenSet[str], FrozenSet[str]] = {}
 
     def closure(subset: FrozenSet[str]) -> FrozenSet[str]:
@@ -160,7 +136,6 @@ def project_fds(
             found = closures[subset] = source_closure(subset) & attr_pool
         return found
 
-    projected: List[FunctionalDependency] = []
     # (trimmed LHS, RHS attribute) → None; re-inserted on every repeat so the
     # dict's order is the order of last occurrences.
     trimmed: Dict[Tuple[FrozenSet[str], str], None] = {}
@@ -169,9 +144,6 @@ def project_fds(
             subset = frozenset(combination)
             rhs = closure(subset) - subset
             if not rhs:
-                continue
-            if not minimize_result:
-                projected.append(FunctionalDependency(subset, rhs))
                 continue
             for attribute in sorted(rhs):
                 lhs = subset
@@ -184,22 +156,17 @@ def project_fds(
     registry = obs.metrics()
     registry.inc("design.projections")
     registry.inc("design.closures", len(closures))
-    if not minimize_result:
-        return projected
     return minimum_cover(
         [FunctionalDependency(lhs, (attribute,)) for lhs, attribute in trimmed],
         merge_lhs=True,
-        engine=engine,
     )
 
 
-def is_bcnf(
-    attributes: AttrSetLike, fds: Iterable[FDLike], engine: Optional[str] = None
-) -> bool:
+def is_bcnf(attributes: AttrSetLike, fds: Iterable[FDLike]) -> bool:
     """Is the relation (with these FDs, already projected) in BCNF?"""
     attrs = attr_set(attributes)
     pool = [coerce_fd(fd) for fd in fds]
-    is_key = _superkey_test(attrs, pool, engine)
+    is_key = _superkey_test(attrs, pool)
     for fd in pool:
         if fd.is_trivial:
             continue
@@ -208,15 +175,13 @@ def is_bcnf(
     return True
 
 
-def is_3nf(
-    attributes: AttrSetLike, fds: Iterable[FDLike], engine: Optional[str] = None
-) -> bool:
+def is_3nf(attributes: AttrSetLike, fds: Iterable[FDLike]) -> bool:
     """Is the relation in 3NF (every RHS attribute prime or LHS a superkey)?"""
     attrs = attr_set(attributes)
     pool = [coerce_fd(fd) for fd in fds]
     # One probe (and one interned pool) shared by the key search and the
     # per-FD superkey tests below.
-    is_key = _superkey_test(attrs, pool, engine)
+    is_key = _superkey_test(attrs, pool)
     keys = _candidate_keys_with_probe(attrs, pool, is_key)
     prime = set().union(*keys) if keys else set()
     for fd in pool:
@@ -230,10 +195,7 @@ def is_3nf(
 
 
 def bcnf_decompose(
-    name: str,
-    attributes: Sequence[str],
-    fds: Iterable[FDLike],
-    engine: Optional[str] = None,
+    name: str, attributes: Sequence[str], fds: Iterable[FDLike]
 ) -> List[RelationSchema]:
     """Lossless-join BCNF decomposition of ``name(attributes)`` under ``fds``.
 
@@ -244,34 +206,22 @@ def bcnf_decompose(
     readability; every produced schema carries its candidate keys.
     """
     pool = [coerce_fd(fd) for fd in fds]
-    fragments = _bcnf_recurse(tuple(attributes), pool, engine)
+    fragments = _bcnf_recurse(tuple(attributes), pool)
     schemas: List[RelationSchema] = []
     for index, fragment in enumerate(fragments):
-        fragment_fds = project_fds(fragment, pool, engine=engine)
-        keys = candidate_keys(fragment, fragment_fds, engine=engine)
+        fragment_fds = project_fds(fragment, pool)
+        keys = candidate_keys(fragment, fragment_fds)
         schema_name = f"{name}_{index + 1}" if len(fragments) > 1 else name
         schemas.append(RelationSchema(schema_name, sorted(fragment), keys=keys or [fragment]))
     return schemas
 
 
-def _closure_fn(
-    pool: Sequence[FunctionalDependency], engine: Optional[str]
-) -> Callable[[Iterable[str]], FrozenSet[str]]:
-    """A reusable closure function over one pool (interned once on bitset)."""
-    if _resolve_engine(engine) == "bitset":
-        bits = BitFDSet.from_fds(pool)
-        return bits.closure
-    return lambda attrs: attribute_closure(attrs, pool, engine="frozenset")
-
-
 def _bcnf_recurse(
-    attributes: Tuple[str, ...],
-    fds: List[FunctionalDependency],
-    engine: Optional[str] = None,
+    attributes: Tuple[str, ...], fds: List[FunctionalDependency]
 ) -> List[FrozenSet[str]]:
     attrs = frozenset(attributes)
-    local_fds = project_fds(attrs, fds, engine=engine)
-    local_closure = _closure_fn(local_fds, engine)
+    local_fds = project_fds(attrs, fds)
+    local_closure = BitFDSet.from_fds(local_fds).closure
     for fd in local_fds:
         if fd.is_trivial:
             continue
@@ -281,18 +231,15 @@ def _bcnf_recurse(
         # Violation: split around fd.lhs.
         first = frozenset(fd.lhs | (closure & attrs))
         second = frozenset((attrs - (closure & attrs)) | fd.lhs)
-        left = _bcnf_recurse(tuple(sorted(first)), fds, engine)
-        right = _bcnf_recurse(tuple(sorted(second)), fds, engine)
+        left = _bcnf_recurse(tuple(sorted(first)), fds)
+        right = _bcnf_recurse(tuple(sorted(second)), fds)
         merged = left + [fragment for fragment in right if fragment not in left]
         return merged
     return [attrs]
 
 
 def synthesize_3nf(
-    name: str,
-    attributes: Sequence[str],
-    fds: Iterable[FDLike],
-    engine: Optional[str] = None,
+    name: str, attributes: Sequence[str], fds: Iterable[FDLike]
 ) -> List[RelationSchema]:
     """Bernstein-style 3NF synthesis from a minimum cover.
 
@@ -300,7 +247,7 @@ def synthesize_3nf(
     group, and adds a relation holding a candidate key of the whole schema if
     none of the groups contains one (guaranteeing a lossless join).
     """
-    pool = minimum_cover(fds, merge_lhs=True, engine=engine)
+    pool = minimum_cover(fds, merge_lhs=True)
     attrs = attr_set(attributes)
     schemas: List[RelationSchema] = []
     covered: Set[FrozenSet[str]] = set()
@@ -312,7 +259,7 @@ def synthesize_3nf(
         schemas.append(
             RelationSchema(f"{name}_{index + 1}", sorted(fragment), keys=[fd.lhs if fd.lhs else fragment])
         )
-    global_keys = candidate_keys(attrs, pool, limit=1, engine=engine)
+    global_keys = candidate_keys(attrs, pool, limit=1)
     global_key = global_keys[0] if global_keys else attrs
     if not any(global_key <= frozenset(schema.attributes) for schema in schemas):
         schemas.append(RelationSchema(f"{name}_key", sorted(global_key), keys=[global_key]))

@@ -28,8 +28,10 @@ request object per line, one response object per line, over TCP::
     {"op": "stats"}
 
 Responses always carry ``"ok"``; failures carry ``"error"`` (and
-``"rejected"`` row payloads for strict-mode violations).  The codecs for
-rules and schemas live in :mod:`repro.service.registry`.
+``"rejected"`` row payloads for strict-mode violations).  A request line
+longer than :data:`MAX_FRAME_BYTES` is discarded and answered with an
+error; the connection keeps serving.  The codecs for rules and schemas live
+in :mod:`repro.service.registry`.
 """
 
 from __future__ import annotations
@@ -63,6 +65,11 @@ from repro.storage import (
 
 
 log = obs.get_logger("service")
+
+#: Longest NDJSON request line the server reads, in bytes; passed as the
+#: stream ``limit`` of every connection.  Uploads carry whole documents
+#: inline, so this is far above asyncio's 64 KiB default.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 
 def _plain_rows(rows: List) -> List[Dict]:
@@ -380,9 +387,22 @@ class IngestionService:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as error:
+                    # End of stream; an unterminated last line still counts.
+                    line = error.partial
+                    if not line:
+                        break
+                except asyncio.LimitOverrunError as error:
+                    await _discard_frame(reader, error.consumed)
+                    response = {
+                        "ok": False,
+                        "error": f"frame too large: a request line may hold "
+                        f"at most {MAX_FRAME_BYTES} bytes",
+                    }
+                    await _send(writer, response)
+                    continue
                 line = line.strip()
                 if not line:
                     continue
@@ -394,8 +414,7 @@ class IngestionService:
                     response = {"ok": False, "error": f"bad request: {error}"}
                 else:
                     response = await self.dispatch(request)
-                writer.write(json.dumps(response).encode("utf-8") + b"\n")
-                await writer.drain()
+                await _send(writer, response)
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
@@ -405,6 +424,15 @@ class IngestionService:
             pass
         finally:
             writer.close()
+
+    async def serve_ndjson(
+        self, host: str = "127.0.0.1", port: int = 8743
+    ) -> asyncio.AbstractServer:
+        """Start accepting NDJSON connections; returns the server (whose
+        first socket carries the bound port — tests pass 0)."""
+        return await asyncio.start_server(
+            self.handle_connection, host, port, limit=MAX_FRAME_BYTES
+        )
 
     # ------------------------------------------------------------------
     # Prometheus text endpoint
@@ -458,7 +486,7 @@ class IngestionService:
     ) -> None:
         """Start workers and accept NDJSON connections until cancelled."""
         await self.start()
-        server = await asyncio.start_server(self.handle_connection, host, port)
+        server = await self.serve_ndjson(host, port)
         metrics_server = None
         if metrics_port is not None:
             metrics_server = await self.serve_metrics(host, metrics_port)
@@ -471,6 +499,30 @@ class IngestionService:
                 await metrics_server.wait_closed()
             await self.stop()
             self.close()
+
+
+async def _send(writer: asyncio.StreamWriter, response: Dict) -> None:
+    writer.write(json.dumps(response).encode("utf-8") + b"\n")
+    await writer.drain()
+
+
+async def _discard_frame(reader: asyncio.StreamReader, consumed: int) -> None:
+    """Drop the rest of an over-long line, through its newline.
+
+    ``consumed`` is what the :exc:`asyncio.LimitOverrunError` reported:
+    the bytes already buffered before the newline (or all of them, when
+    the newline has not arrived yet).  The loop drops those and reads on,
+    one buffer limit at a time, until the newline or the end of stream.
+    """
+    while True:
+        try:
+            await reader.readexactly(consumed)
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as error:
+            consumed = error.consumed
+        except asyncio.IncompleteReadError:
+            return
 
 
 def serve(

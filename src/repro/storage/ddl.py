@@ -105,17 +105,14 @@ def _is_key_fd(
     fd: FunctionalDependency,
     attributes: FrozenSet[str],
     local_fds: List[FunctionalDependency],
-    fd_engine: Optional[str],
 ) -> bool:
     """Does ``fd.lhs`` determine every attribute of the relation?"""
-    closure = attribute_closure(fd.lhs, local_fds, engine=fd_engine)
-    return attributes <= closure
+    return attributes <= attribute_closure(fd.lhs, local_fds)
 
 
 def _canonical_minimal_key(
     attributes: FrozenSet[str],
     local_fds: List[FunctionalDependency],
-    fd_engine: Optional[str],
 ) -> Optional[FrozenSet[str]]:
     """One deterministic minimal candidate key under the local FDs.
 
@@ -134,7 +131,7 @@ def _canonical_minimal_key(
     key = set(attributes)
     for attribute in sorted(attributes):
         candidate = key - {attribute}
-        if attributes <= attribute_closure(candidate, local_fds, engine=fd_engine):
+        if attributes <= attribute_closure(candidate, local_fds):
             key = candidate
     if not key or key == set(attributes):
         # Empty: every attribute is constant (∅ → X covers the relation) —
@@ -151,7 +148,6 @@ def compile_table_ddl(
     column_type: str = "TEXT",
     provenance_column: Optional[str] = None,
     if_not_exists: bool = False,
-    fd_engine: Optional[str] = None,
     ordinal_column: Optional[str] = None,
 ) -> TableDDL:
     """Compile one relation schema plus the FDs that apply to it.
@@ -190,7 +186,7 @@ def compile_table_ddl(
     for declared in schema.keys:
         if declared and declared not in key_sets:
             key_sets.append(declared)
-    canonical = _canonical_minimal_key(attributes, local_fds, fd_engine)
+    canonical = _canonical_minimal_key(attributes, local_fds)
     if canonical is not None and canonical not in key_sets:
         key_sets.append(canonical)
     index_fds: List[FunctionalDependency] = []
@@ -200,7 +196,7 @@ def compile_table_ddl(
             continue
         if not fd.lhs:
             unenforced.append(fd)
-        elif _is_key_fd(fd, attributes, local_fds, fd_engine):
+        elif _is_key_fd(fd, attributes, local_fds):
             if fd.lhs not in key_sets:
                 key_sets.append(fd.lhs)
         else:
@@ -276,7 +272,6 @@ def compile_ddl(
     column_type: str = "TEXT",
     provenance_column: Optional[str] = None,
     if_not_exists: bool = False,
-    fd_engine: Optional[str] = None,
     ordinal_column: Optional[str] = None,
 ) -> StorageDDL:
     """Compile a database schema plus a propagated-FD cover into a DDL plan.
@@ -296,7 +291,6 @@ def compile_ddl(
             column_type=column_type,
             provenance_column=provenance_column,
             if_not_exists=if_not_exists,
-            fd_engine=fd_engine,
             ordinal_column=ordinal_column,
         )
         for relation in schema

@@ -39,19 +39,15 @@ Containment is decided by an *iterative* dynamic program over the interned
 step tuples (:func:`_containment`) whose verdicts live in a bounded
 cross-call memo table: the implication engine probes the same
 ``(covering, covered)`` pairs thousands of times per cover computation, and
-every repeat is a single dict hit.  The pre-existing per-call recursive
-procedure is kept verbatim as :func:`_containment_recursive` — the
-reference oracle of the differential test suite — and the
-:func:`naive_containment` context manager routes :func:`contains` through
-it (bypassing the memo) so benchmarks can measure the pre-optimisation
-path end-to-end.
+every repeat is a single dict hit.  The per-call recursive procedure it
+replaced is the reference oracle of the differential suites and oracle
+benchmarks, ``tests/xmlmodel/containment_reference.py``.
 """
 
 from __future__ import annotations
 
 import enum
 import weakref
-from contextlib import contextmanager
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, MutableMapping, Optional, Sequence, Tuple, Union
 
@@ -441,12 +437,6 @@ CONTAINMENT_CACHE_LIMIT = 1 << 16
 
 _containment_cache: Dict[Tuple[PathExpression, PathExpression], bool] = {}
 
-#: When ``True``, ``contains`` routes through the pre-optimisation per-call
-#: recursive procedure and bypasses the memo table entirely.  Toggled by
-#: :func:`naive_containment`; used by the differential tests and the oracle
-#: benchmarks to measure the old path.
-_use_naive_containment = False
-
 
 def contains(covering: PathLike, covered: PathLike) -> bool:
     """Decide ``L(covered) ⊆ L(covering)``.
@@ -464,8 +454,6 @@ def contains(covering: PathLike, covered: PathLike) -> bool:
     """
     covering_expr = PathExpression.of(covering)
     covered_expr = PathExpression.of(covered)
-    if _use_naive_containment:
-        return _containment_recursive(covered_expr.steps, covering_expr.steps)
     key = (covered_expr, covering_expr)
     cached = _containment_cache.get(key)
     if cached is None:
@@ -510,67 +498,6 @@ def _containment(covered: Tuple[PathStep, ...], covering: Tuple[PathStep, ...]) 
             else:
                 row[j] = covered_step is covering_step and prev[j + 1]
     return row[0]
-
-
-def _containment_recursive(
-    covered: Tuple[PathStep, ...], covering: Tuple[PathStep, ...]
-) -> bool:
-    """The pre-optimisation decision procedure, kept as a reference oracle.
-
-    Builds (and discards) a fresh ``lru_cache`` closure per call — exactly
-    the behaviour the iterative/memoised path replaced.  The differential
-    suite in ``tests/property/test_oracle_differential.py`` pins the two
-    procedures answer-for-answer; the oracle benchmarks time it via
-    :func:`naive_containment`.
-    """
-
-    @lru_cache(maxsize=None)
-    def recurse(i: int, j: int) -> bool:
-        exhausted_covered = i == len(covered)
-        exhausted_covering = j == len(covering)
-        if exhausted_covered and exhausted_covering:
-            return True
-        if exhausted_covered:
-            # epsilon must belong to the remaining covering language.
-            return all(step.kind is StepKind.DESCENDANT for step in covering[j:])
-        if exhausted_covering:
-            return False
-        covered_step = covered[i]
-        covering_step = covering[j]
-        if covered_step.kind is StepKind.DESCENDANT:
-            if covering_step.kind is StepKind.DESCENDANT:
-                #  L(// P') ⊆ L(// Q')  iff  L(P') ⊆ L(// Q')
-                return recurse(i + 1, j)
-            # A concrete label cannot cover the arbitrary paths of '//'.
-            return False
-        if covering_step.kind is StepKind.DESCENDANT:
-            # '//' absorbs element labels (not attribute steps), or matches
-            # the empty path and moves on.
-            absorb = (
-                covered_step.kind is StepKind.LABEL and recurse(i + 1, j)
-            )
-            return absorb or recurse(i, j + 1)
-        return covered_step == covering_step and recurse(i + 1, j + 1)
-
-    return recurse(0, 0)
-
-
-@contextmanager
-def naive_containment() -> Iterator[None]:
-    """Route :func:`contains` through the pre-optimisation recursive oracle.
-
-    Inside the ``with`` block every containment decision re-runs the
-    original per-call recursion and never touches the cross-call memo —
-    the measurement baseline for the PR-2 oracle benchmarks and the
-    reference arm of the differential tests.
-    """
-    global _use_naive_containment
-    previous = _use_naive_containment
-    _use_naive_containment = True
-    try:
-        yield
-    finally:
-        _use_naive_containment = previous
 
 
 def clear_containment_cache() -> None:

@@ -1,11 +1,12 @@
 """Differential tests: the bitset engine must agree with the frozenset oracle.
 
-The bitset engine of :mod:`repro.relational.bitset` is a from-scratch
-reimplementation of every closure-based routine in
-:mod:`repro.relational.fd`; these Hypothesis properties assert that on random
-FD sets the two engines return *identical* results — same attribute sets,
-same FDs, same list order — so the engine switch can never silently change
-the output of any algorithm built on top.
+The public FD routines of :mod:`repro.relational.fd` run on the bitset
+engine of :mod:`repro.relational.bitset`, a from-scratch reimplementation of
+the frozenset fixpoint kept in ``tests/relational/fd_reference.py``.  These
+Hypothesis properties assert that on random FD sets the two return
+*identical* results — same attribute sets, same FDs, same list order — so
+the fast engine can never silently change the output of any algorithm
+built on top.
 """
 
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from repro.relational.fd import (
 )
 
 from tests.property.strategies import attribute_sets, fd_sets
+from tests.relational import fd_reference as reference
 import pytest
 
 # Hypothesis suites run in their own CI job (see .github/workflows/ci.yml).
@@ -33,16 +35,16 @@ class TestClosureAgrees:
     @differential_settings
     @given(fds=fd_sets(), start=attribute_sets(0, 3))
     def test_attribute_closure_identical(self, fds, start):
-        fast = attribute_closure(start, fds, engine="bitset")
-        slow = attribute_closure(start, fds, engine="frozenset")
+        fast = attribute_closure(start, fds)
+        slow = reference.attribute_closure(start, fds)
         assert fast == slow
 
     @differential_settings
     @given(fds=fd_sets(), start=attribute_sets(0, 3))
     def test_closure_contains_start_and_is_monotone(self, fds, start):
-        closure = attribute_closure(start, fds, engine="bitset")
+        closure = attribute_closure(start, fds)
         assert frozenset(start) <= closure
-        assert attribute_closure(closure, fds, engine="bitset") == closure
+        assert attribute_closure(closure, fds) == closure
 
 
 class TestImplicationAgrees:
@@ -54,15 +56,15 @@ class TestImplicationAgrees:
     )
     def test_implies_fd_identical(self, fds, lhs, rhs):
         candidate = FunctionalDependency(lhs, rhs)
-        fast = implies_fd(fds, candidate, engine="bitset")
-        slow = implies_fd(fds, candidate, engine="frozenset")
+        fast = implies_fd(fds, candidate)
+        slow = reference.implies_fd(fds, candidate)
         assert fast == slow
 
     @differential_settings
     @given(first=fd_sets(max_fds=4), second=fd_sets(max_fds=4))
     def test_equivalent_identical(self, first, second):
-        fast = equivalent(first, second, engine="bitset")
-        slow = equivalent(first, second, engine="frozenset")
+        fast = equivalent(first, second)
+        slow = reference.equivalent(first, second)
         assert fast == slow
 
 
@@ -70,29 +72,29 @@ class TestMinimizeAgrees:
     @differential_settings
     @given(fds=fd_sets())
     def test_minimize_identical_including_order(self, fds):
-        fast = minimize(fds, engine="bitset")
-        slow = minimize(fds, engine="frozenset")
+        fast = minimize(fds)
+        slow = reference.minimize(fds)
         assert fast == slow
 
     @differential_settings
     @given(fds=fd_sets())
     def test_minimize_preserves_equivalence(self, fds):
-        reduced = minimize(fds, engine="bitset")
-        assert equivalent(fds, reduced, engine="bitset")
-        assert equivalent(fds, reduced, engine="frozenset")
+        reduced = minimize(fds)
+        assert equivalent(fds, reduced)
+        assert reference.equivalent(fds, reduced)
 
 
 class TestMinimumCoverAgrees:
     @differential_settings
     @given(fds=fd_sets(), merge=st.booleans())
     def test_minimum_cover_identical_including_order(self, fds, merge):
-        fast = minimum_cover(fds, merge_lhs=merge, engine="bitset")
-        slow = minimum_cover(fds, merge_lhs=merge, engine="frozenset")
+        fast = minimum_cover(fds, merge_lhs=merge)
+        slow = reference.minimum_cover(fds, merge_lhs=merge)
         assert fast == slow
 
     @differential_settings
     @given(fds=fd_sets())
     def test_cover_is_singleton_rhs_and_equivalent(self, fds):
-        cover = minimum_cover(fds, engine="bitset")
+        cover = minimum_cover(fds)
         assert all(len(fd.rhs) == 1 for fd in cover)
-        assert equivalent(fds, cover, engine="frozenset")
+        assert reference.equivalent(fds, cover)

@@ -1,10 +1,10 @@
-"""Differential properties for the PR-2 fast key-implication oracle.
+"""Differential properties for the fast key-implication oracle.
 
 Three layers of agreement, each checked on ≥ 200 random examples:
 
 1. **Containment vs. the recursive reference** — the iterative, cross-call
    memoised ``contains`` must answer exactly like the pre-optimisation
-   per-call recursion (kept verbatim as ``_containment_recursive``).
+   per-call recursion of ``tests/xmlmodel/containment_reference.py``.
 
 2. **Containment vs. a brute-force word oracle** — an independent decision
    procedure that *enumerates* the covered expression's language (every
@@ -16,9 +16,10 @@ Three layers of agreement, each checked on ≥ 200 random examples:
 
 3. **Engine vs. engine** — a warm (cached, indexed, containment-memoised)
    :class:`ImplicationEngine` must give the same ``implies`` and
-   ``attributes_exist`` answers as a fresh engine and as the pre-PR
-   reference configuration (linear variant scan + per-call recursive
-   containment via ``naive_containment``) over random query streams.
+   ``attributes_exist`` answers as a fresh engine and as the linear-scan
+   reference engine of ``tests/keys/implication_reference.py`` (per-variant
+   recursive containment, no indexes, no memoised ``contains``) over random
+   query streams.
 """
 
 import itertools
@@ -29,15 +30,14 @@ from hypothesis import strategies as st
 from repro.experiments.paper_example import paper_keys
 from repro.keys.implication import ImplicationEngine
 from repro.keys.key import XMLKey
-from repro.xmlmodel.paths import (
-    PathExpression,
-    StepKind,
-    _containment_recursive,
-    contains,
-    naive_containment,
-)
+from repro.xmlmodel.paths import StepKind, contains
 
+from tests.keys.implication_reference import LinearScanImplicationEngine
 from tests.property.strategies import path_expressions
+from tests.xmlmodel.containment_reference import (
+    containment_recursive,
+    reference_containment,
+)
 import pytest
 
 # Hypothesis suites run in their own CI job (see .github/workflows/ci.yml).
@@ -55,17 +55,20 @@ class TestContainmentMatchesRecursiveReference:
     @differential_settings
     @given(path_expressions(), path_expressions())
     def test_same_verdicts(self, covering, covered):
-        expected = _containment_recursive(covered.steps, covering.steps)
+        expected = containment_recursive(covered.steps, covering.steps)
         assert contains(covering, covered) == expected
         # A second probe answers from the memo table; it must not drift.
         assert contains(covering, covered) == expected
 
     @differential_settings
     @given(path_expressions(), path_expressions())
-    def test_naive_mode_agrees_and_restores(self, covering, covered):
+    def test_reference_mode_agrees_and_restores(self, covering, covered):
+        from repro.xmlmodel import paths
+
         fast = contains(covering, covered)
-        with naive_containment():
-            assert contains(covering, covered) == fast
+        with reference_containment():
+            assert paths.contains(covering, covered) == fast
+        assert paths.contains is contains
         assert contains(covering, covered) == fast
 
 
@@ -184,9 +187,8 @@ class TestWarmEngineMatchesFreshAndReference:
     @given(_queries(_PAPER_CONTEXTS, _PAPER_TARGETS))
     def test_implies_stream_agreement(self, queries):
         fresh = ImplicationEngine(PAPER_KEYS)
-        with naive_containment():
-            reference = ImplicationEngine(PAPER_KEYS, indexed=False)
-            reference_answers = [reference.implies(query) for query in queries]
+        reference = LinearScanImplicationEngine(PAPER_KEYS)
+        reference_answers = [reference.implies(query) for query in queries]
         warm_answers = [WARM_ENGINE.implies(query) for query in queries]
         fresh_answers = [fresh.implies(query) for query in queries]
         assert warm_answers == fresh_answers == reference_answers
@@ -207,11 +209,10 @@ class TestWarmEngineMatchesFreshAndReference:
     )
     def test_attributes_exist_stream_agreement(self, probes):
         fresh = ImplicationEngine(PAPER_KEYS)
-        with naive_containment():
-            reference = ImplicationEngine(PAPER_KEYS, indexed=False)
-            reference_answers = [
-                reference.attributes_exist(path, attrs) for path, attrs in probes
-            ]
+        reference = LinearScanImplicationEngine(PAPER_KEYS)
+        reference_answers = [
+            reference.attributes_exist(path, attrs) for path, attrs in probes
+        ]
         warm_answers = [WARM_ENGINE.attributes_exist(path, attrs) for path, attrs in probes]
         fresh_answers = [fresh.attributes_exist(path, attrs) for path, attrs in probes]
         assert warm_answers == fresh_answers == reference_answers
@@ -241,7 +242,6 @@ class TestWarmEngineMatchesFreshAndReference:
     )
     def test_random_key_sets_agree_with_reference(self, keys, queries):
         indexed = ImplicationEngine(keys)
-        with naive_containment():
-            reference = ImplicationEngine(keys, indexed=False)
-            reference_answers = [reference.implies(query) for query in queries]
+        reference = LinearScanImplicationEngine(keys)
+        reference_answers = [reference.implies(query) for query in queries]
         assert [indexed.implies(query) for query in queries] == reference_answers

@@ -1,7 +1,5 @@
 """Unit tests for the interned-attribute bitset FD engine."""
 
-import pytest
-
 from repro.relational.bitset import (
     AttributeUniverse,
     BitFDSet,
@@ -10,7 +8,7 @@ from repro.relational.bitset import (
     iter_bits,
     minimize_fds,
 )
-from repro.relational.fd import FunctionalDependency, _resolve_engine, default_engine
+from repro.relational.fd import FunctionalDependency
 
 
 def FD(text_or_lhs, rhs=None):
@@ -203,23 +201,3 @@ class TestFunctionalWrappers:
 
     def test_minimize_fds_empty(self):
         assert minimize_fds([]) == []
-
-
-class TestEngineSelection:
-    def test_default_is_bitset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FD_ENGINE", raising=False)
-        assert default_engine() == "bitset"
-
-    def test_env_var_selects_oracle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FD_ENGINE", "frozenset")
-        assert default_engine() == "frozenset"
-        monkeypatch.setenv("REPRO_FD_ENGINE", "oracle")
-        assert default_engine() == "frozenset"
-
-    def test_keyword_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FD_ENGINE", "frozenset")
-        assert _resolve_engine("bitset") == "bitset"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            _resolve_engine("quantum")

@@ -271,6 +271,57 @@ class TestWireProtocol:
         assert not garbage["ok"] and "bad request" in garbage["error"]
 
 
+class TestFrameLimit:
+    """Request lines longer than ``MAX_FRAME_BYTES`` are answered, not fatal."""
+
+    @staticmethod
+    async def _exchange(service, chunks, replies):
+        server = await service.serve_ndjson("127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", port, limit=1 << 20
+        )
+        for chunk in chunks:
+            writer.write(chunk)
+            await writer.drain()
+            await asyncio.sleep(0.05)
+        out = [
+            json.loads(await asyncio.wait_for(reader.readline(), timeout=10))
+            for _ in range(replies)
+        ]
+        writer.close()
+        server.close()
+        await server.wait_closed()
+        return out
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_oversized_frame_is_answered_and_the_connection_survives(
+        self, monkeypatch, split
+    ):
+        import repro.service.server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_FRAME_BYTES", 1024)
+        oversized = json.dumps({"op": "ping", "pad": "x" * 5000}).encode() + b"\n"
+        stats = json.dumps({"op": "stats"}).encode() + b"\n"
+        # Split: the first chunk overruns the limit before its newline has
+        # arrived, so the rest of the frame must be discarded as it comes.
+        chunks = [oversized[:3000], oversized[3000:] + stats] if split else [oversized + stats]
+
+        too_large, answer = run(
+            _with_service(lambda service: self._exchange(service, chunks, 2))
+        )
+        assert not too_large["ok"]
+        assert too_large["error"].startswith("frame too large")
+        assert answer == {"ok": True, "tenants": {}}
+
+    def test_frames_above_the_asyncio_default_limit_are_served(self):
+        frame = json.dumps({"op": "ping", "pad": "x" * 70_000}).encode() + b"\n"
+        (reply,) = run(
+            _with_service(lambda service: self._exchange(service, [frame], 1))
+        )
+        assert reply == {"ok": True, "op": "ping"}
+
+
 class TestObservability:
     """The live-introspection surface: stats verb + Prometheus endpoint."""
 

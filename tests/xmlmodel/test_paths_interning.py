@@ -1,4 +1,4 @@
-"""Unit tests for the PR-2 path-interning layer.
+"""Unit tests for the path-interning layer.
 
 The implication oracle relies on paths being interned (equal values are the
 same object, hashes precomputed) and on containment verdicts persisting
@@ -12,8 +12,12 @@ from repro.xmlmodel.paths import (
     clear_containment_cache,
     concat,
     contains,
-    naive_containment,
     parse_path,
+)
+
+from tests.xmlmodel.containment_reference import (
+    containment_recursive,
+    reference_containment,
 )
 
 
@@ -113,20 +117,32 @@ class TestContainmentMemo:
         clear_containment_cache()
         assert contains(covering, covered)
 
-    def test_naive_mode_is_scoped(self):
+    def test_memoised_verdict_matches_the_recursive_reference(self):
+        covering = parse_path("//a")
+        covered = parse_path("a/b/a")
+        assert contains(covering, covered) == containment_recursive(
+            covered.steps, covering.steps
+        )
+
+    def test_reference_mode_is_scoped_and_bypasses_the_memo(self):
+        import repro.xmlmodel.paths as paths
+
         covering = parse_path("//a")
         covered = parse_path("a/b/a")
         fast = contains(covering, covered)
-        with naive_containment():
-            assert contains(covering, covered) == fast
+        clear_containment_cache()
+        with reference_containment():
+            assert paths.contains(covering, covered) == fast
+            assert not paths._containment_cache
+        assert paths.contains is contains
         assert contains(covering, covered) == fast
 
-    def test_naive_mode_restored_on_error(self):
+    def test_reference_mode_restored_on_error(self):
         import repro.xmlmodel.paths as paths
 
         try:
-            with naive_containment():
+            with reference_containment():
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
-        assert paths._use_naive_containment is False
+        assert paths.contains is contains

@@ -1,5 +1,8 @@
 """Unit tests for the XML serializer."""
 
+import pytest
+
+from repro.experiments.scenarios import deep_nesting_chunks
 from repro.xmlmodel.builder import document, element, text
 from repro.xmlmodel.parser import parse_document
 from repro.xmlmodel.serializer import serialize
@@ -50,3 +53,29 @@ class TestSerialize:
         book = reparsed.root.child_elements("book")[0]
         assert book.attribute_value("isbn") == "1&2"
         assert book.child_elements("title")[0].text_content() == "A<B"
+
+
+def _signature(tree):
+    """The tree as a pre-order list of node facts (recursion-free)."""
+    facts = []
+    for node in tree.root.iter_preorder(include_attributes=True):
+        if node.is_element():
+            facts.append(("element", node.tag, len(node.children)))
+        elif node.is_attribute():
+            facts.append(("attribute", node.name, node.value))
+        else:
+            facts.append(("text", node.text))
+    return facts
+
+
+class TestDeepNesting:
+    """Nesting depth is bounded by memory, not the recursion limit."""
+
+    @pytest.mark.parametrize("indent", [0, 2])
+    def test_1500_deep_chain_round_trips(self, indent):
+        source = "".join(deep_nesting_chunks(depth=1500, repeat=1))
+        tree = parse_document(source)
+        reparsed = parse_document(serialize(tree, indent=indent))
+        assert _signature(reparsed) == _signature(tree)
+        assert len(_signature(tree)) > 3000
+

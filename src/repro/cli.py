@@ -25,36 +25,32 @@ consumer can run the analysis on files without writing Python::
                               [--repl] [--write-back]
     python -m repro bench     [--paper]
 
-``shred --stream`` and ``check-doc`` run on the streaming data plane: the
-document is tokenized into events and shredded / checked in a single pass
-without ever building a DOM.  ``check-doc`` keeps only the open-context
-hash indexes, so its memory does not grow with the document; ``shred``
-still materializes the shredded relation instances before printing them,
-so its memory is proportional to the *output* (use the library's
-``iter_rule_rows`` → ``iter_insert_statements`` pipeline for fully
-constant-memory document-to-SQL loading).
+``shred --stream``, ``check-doc`` and ``load`` are calls to the pipeline
+driver :func:`repro.parallel.run_pipeline`: the document is tokenized once
+and shredded / checked / validated in a single pass, without a DOM.
+``check-doc`` keeps only the open-context hash indexes, so its memory does
+not grow with the document; ``shred`` materializes the relation instances
+before printing them, so its memory is proportional to the *output* (the
+library's ``iter_rule_rows`` → ``iter_insert_statements`` pipeline loads
+documents into SQL in constant memory).
 
-``--dtd schema.dtd`` brings the static optimization plane in.  On its own
-it *validates while shredding/checking*: the document's event stream feeds
-a streaming DTD validator alongside the other consumers — one pass, no
-DOM, same violations as the DOM validator (``check-doc --dom --dtd`` runs
-that reference validator instead).  ``check-doc --dtd --prune`` uses the
-DTD the other way: no validation, but the compiled
-:class:`~repro.xmlmodel.static.StaticPlan`'s skip set lets the tokenizer
-fast-forward subtrees no key path can reach — identical violations, also
-on documents that do not actually conform to the DTD (every skipped tag
-is verified; unverifiable subtrees are tokenized normally).  Streaming
-validation is inherently single-pass, so ``--dtd`` without ``--prune``
-rejects ``--jobs`` > 1; pruning shards fine.  ``load --dtd`` validates
-every document up front (streaming) and aborts before anything is loaded
-when one violates the schema.
+``--dtd schema.dtd`` on its own *validates while shredding/checking*: the
+streaming DTD validator is one more consumer of the same pass, with the
+DOM validator's violations (``check-doc --dom --dtd`` runs that reference
+validator instead).  ``check-doc --dtd --prune`` compiles the DTD into a
+:class:`~repro.xmlmodel.static.StaticPlan` instead, whose skip set lets
+the tokenizer fast-forward subtrees no key path can reach — identical
+violations, also on documents that do not conform to the DTD (every
+skipped tag is verified).  ``load --dtd`` validates every document up
+front and loads nothing when one violates the schema.
 
-``--jobs N`` (or the ``REPRO_JOBS`` environment variable, consulted when
-``--stream`` is given without ``--jobs``) runs the same pipeline on the
-parallel execution plane: the document is cut at top-level anchor
-boundaries and the shards are shredded/checked on ``N`` worker processes,
-with byte-identical output (``--jobs 0`` uses one worker per CPU; the
-serial plane is used automatically when the document cannot be sharded).
+``--jobs N`` (else the ``REPRO_JOBS`` environment variable, for
+``check-doc``, ``load`` and ``shred --stream``) runs the driver's sharded
+arm: the document is cut at top-level anchor boundaries and the shards
+run on ``N`` worker processes, with byte-identical output (``--jobs 0``
+uses one worker per CPU; the serial arm runs when the document cannot be
+sharded).  Validation is single-pass, so ``--dtd`` without ``--prune``
+rejects ``--jobs`` > 1.
 
 ``apply-delta`` runs the incremental constraint plane: the document is
 indexed once at top-level subtree granularity, then each ``--op`` (or each
@@ -106,12 +102,12 @@ from repro.core import (
     minimum_cover_from_keys,
 )
 from repro.design import design_from_scratch
-from repro.keys import KeyStreamChecker, parse_keys, stream_violations, violations
+from repro.keys import parse_keys, violations
 from repro.relational import sql as sql_module
 from repro.relational.schema import DatabaseSchema
-from repro.transform import StreamShredder, evaluate_transformation, parse_transformation
+from repro.transform import evaluate_transformation, parse_transformation
 from repro.transform.stream import record_shred_rows
-from repro.xmlmodel import iter_events, parse_document
+from repro.xmlmodel import parse_document
 
 
 log = obs.get_logger("cli")
@@ -213,13 +209,6 @@ def _load_dtd(args: argparse.Namespace):
     return parse_dtd(_read(args.dtd))
 
 
-def _resolved_jobs(args: argparse.Namespace) -> int:
-    """Worker count for a streaming command (``--jobs`` else ``REPRO_JOBS``)."""
-    from repro.parallel import resolve_jobs
-
-    return resolve_jobs(args.jobs)
-
-
 def _tokenizer_engine(args: argparse.Namespace) -> Optional[str]:
     """Validate ``--tokenizer`` up front; unavailable backends exit 2.
 
@@ -241,61 +230,26 @@ def cmd_shred(args: argparse.Namespace) -> int:
     engine = _tokenizer_engine(args)
     dtd = _load_dtd(args)
     exit_code = 0
-    use_stream = args.stream or args.jobs is not None
-    jobs = _resolved_jobs(args) if use_stream else 1
-    if dtd is not None and jobs > 1:
-        log.error(
-            "error: streaming DTD validation is a single-pass check and "
-            "cannot be sharded; drop --jobs or --dtd"
-        )
-        return 2
-    if jobs > 1:
-        # The parallel plane: shard at top-level anchor boundaries, map the
-        # shards onto worker processes (shredding and key checking share
-        # one pass per shard), merge — byte-identical to the serial plane.
-        # Passing the *path* lets the coordinator ship byte ranges and the
-        # workers mmap the file (zero-copy) when the document allows it.
-        from repro.parallel import run_sharded
+    if args.stream or args.jobs is not None:
+        # One pass over the event stream feeds the shredder, the key checker
+        # and the streaming DTD validator together; no DOM is ever built.
+        # The path source lets an accelerated tokenizer mmap the file (and
+        # sharded workers map their byte ranges of it).
+        from repro.parallel import run_pipeline
 
-        run = run_sharded(
+        run = run_pipeline(
             Path(args.xml),
-            transformation=transformation,
+            rules=transformation,
             keys=keys or None,
-            jobs=jobs,
+            dtd=dtd,
+            jobs=args.jobs,
             engine=engine,
         )
         instances = run.instances or {}
         if run.violations is not None:
             exit_code = _print_violation_report(keys, run.violations)
-    elif use_stream:
-        # One pass over the event stream feeds the shredder and the key
-        # checker together; no DOM is ever built.  The path source lets an
-        # accelerated tokenizer mmap the file; the pure tokenizer reads it
-        # in bounded chunks.
-        shredder = StreamShredder(transformation)
-        checker = KeyStreamChecker(keys) if keys else None
-        validator = None
-        if dtd is not None:
-            # Validate while shredding: the same event pass feeds the
-            # streaming DTD validator — no extra read, no DOM.
-            from repro.xmlmodel.dtd import DTDStreamValidator
-
-            validator = DTDStreamValidator(dtd)
-        events = 0
-        for event in iter_events(Path(args.xml), engine=engine):
-            events += 1
-            shredder.feed(event)
-            if checker is not None:
-                checker.feed(event)
-            if validator is not None:
-                validator.feed(event)
-        if obs.enabled():
-            obs.metrics().inc("pipeline.events", events)
-        instances = shredder.finish()
-        if checker is not None:
-            exit_code = _print_violation_report(keys, checker.finish())
-        if validator is not None:
-            exit_code = max(exit_code, _print_dtd_report(validator.finish()))
+        if run.dtd_violations is not None:
+            exit_code = max(exit_code, _print_dtd_report(run.dtd_violations))
     else:
         tree = parse_document(_read(args.xml))
         if keys:
@@ -348,59 +302,29 @@ def cmd_check_doc(args: argparse.Namespace) -> int:
         if dtd is not None:
             dtd_exit = _print_dtd_report(dtd.validate(tree))
         found = [violation for key in keys for violation in violations(tree, key)]
-    elif _resolved_jobs(args) > 1:
-        if dtd is not None and not args.prune:
-            log.error(
-                "error: streaming DTD validation is a single-pass check and "
-                "cannot be sharded; drop --jobs, or add --prune to use the "
-                "DTD for subtree skipping only"
-            )
-            return 2
+    else:
+        # One pass feeds the key checker and the streaming DTD validator.
+        # With --prune the DTD is not validated but compiled into a skip
+        # set instead: a skipped subtree elides exactly the events a
+        # validator would need, so the two are exclusive by construction.
+        from repro.parallel import run_pipeline
+
         plan = None
         if args.prune:
             from repro.xmlmodel.static import compile_plan
 
             plan = compile_plan(dtd, keys=keys)
-        from repro.parallel import run_sharded
-
-        found = (
-            run_sharded(
-                Path(args.xml),
-                keys=keys,
-                jobs=_resolved_jobs(args),
-                engine=engine,
-                plan=plan,
-            ).violations
-            or []
+        run = run_pipeline(
+            Path(args.xml),
+            keys=keys,
+            dtd=None if args.prune else dtd,
+            jobs=args.jobs,
+            engine=engine,
+            plan=plan,
         )
-    elif args.prune:
-        # Pruning and validation are mutually exclusive by construction: a
-        # skipped subtree elides exactly the events the validator would
-        # need to see.  The serial checking pass counts the skips it saw.
-        from repro.xmlmodel.static import compile_plan
-
-        found = stream_violations(
-            Path(args.xml), keys, jobs=1, engine=engine, plan=compile_plan(dtd, keys=keys)
-        )
-    else:
-        # One pass feeds the key checker and the streaming DTD validator.
-        validator = None
-        if dtd is not None:
-            from repro.xmlmodel.dtd import DTDStreamValidator
-
-            validator = DTDStreamValidator(dtd)
-        checker = KeyStreamChecker(keys)
-        events = 0
-        for event in iter_events(Path(args.xml), engine=engine):
-            events += 1
-            checker.feed(event)
-            if validator is not None:
-                validator.feed(event)
-        if obs.enabled():
-            obs.metrics().inc("pipeline.events", events)
-        found = checker.finish()
-        if validator is not None:
-            dtd_exit = _print_dtd_report(validator.finish())
+        found = run.violations
+        if run.dtd_violations is not None:
+            dtd_exit = _print_dtd_report(run.dtd_violations)
     log.info(
         "checked %s against %d key(s): %d violation(s)",
         args.xml,

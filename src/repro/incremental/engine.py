@@ -51,13 +51,20 @@ from collections import Counter
 from repro import obs
 from repro.keys.key import XMLKey
 from repro.keys.satisfaction import KeyViolation
-from repro.keys.stream import CheckerShardResult, KeyStreamChecker, merge_shard_results
-from repro.relational.instance import NULL, RelationInstance
-from repro.relational.schema import DatabaseSchema, RelationSchema
+from repro.keys.stream import CheckerShardResult, merge_shard_results
+from repro.parallel import feed_shard
+from repro.relational.instance import RelationInstance
+from repro.relational.schema import DatabaseSchema
 from repro.relational.sql import encode_row
 from repro.transform.rule import TableRule, Transformation
-from repro.transform.stream import RuleShardResult, RuleStreamer, merge_rule_shards
-from repro.xmlmodel.events import ATTR, Event
+from repro.transform.stream import (
+    RuleShardResult,
+    RuleStreamer,
+    merge_rule_shards,
+    relation_schema,
+    root_attr_parts,
+)
+from repro.xmlmodel.events import Event
 from repro.xmlmodel.shards import _scan_structure, fragment_events, split_subtrees
 
 from repro.incremental.storage import Change, DeltaStore, Params
@@ -254,14 +261,13 @@ class IncrementalEngine:
         self._root_tag = shards.root_tag
         self._prologue_events = shards.prologue_events
         self._prologue_ids = shards.prologue_ids
-        # One part per distinct attribute name, last value winning (the DOM
-        # state after parsing), exactly as the parallel merger computes it.
-        root_attrs: Dict[str, Optional[str]] = {}
-        for event in self._prologue_events:
-            if event.kind == ATTR:
-                root_attrs[event.name] = event.value
-        self._root_attr_parts = [f"@{name}:{value}" for name, value in root_attrs.items()]
-        self._root_rules, self._root_checker = self._process_prologue()
+        self._root_attr_parts = root_attr_parts(self._prologue_events)
+        # The root's own state is shard 0 of the parallel worker protocol
+        # with an empty slice: the rule streamers see the root ``attr``
+        # events, the checker keeps its prologue effects, and its id
+        # consumption equals the prologue — the fold's left identity.
+        root = feed_shard(self._prologue_events, (), self.rules, self.keys, first=True)
+        self._root_rules, self._root_checker = root.rules, root.checker
         self._states = [
             self._process_fragment(shards.slice_text(index))
             for index in range(len(shards))
@@ -270,70 +276,29 @@ class IncrementalEngine:
         self._invalidate()
         return len(self._states)
 
-    def _process_prologue(
-        self,
-    ) -> Tuple[List[RuleShardResult], Optional[CheckerShardResult]]:
-        """The root's own state: prologue side effects, contributed once.
-
-        This is shard 0 of the parallel worker protocol with an *empty*
-        slice — the rule streamers see the root ``attr`` events
-        (attribute-anchored rows), the checker keeps its prologue effects
-        (the root as its own target).  Its id consumption equals the
-        prologue, so it is the fold's left identity for rebasing.
-        """
-        streamers = [RuleStreamer(rule, shard_mode=True) for rule in self.rules]
-        checker = KeyStreamChecker(self.keys) if self.keys else None
-        for event in self._prologue_events:
-            if checker is not None:
-                checker.feed(event)
-            for streamer in streamers:
-                streamer.feed(event)
-        if checker is not None:
-            checker.begin_shard(first=True)
-        return (
-            [streamer.shard_result() for streamer in streamers],
-            checker.shard_result() if checker is not None else None,
-        )
-
     def _process_fragment(self, fragment: str) -> _SubtreeState:
         """Build one piece's state by replaying prologue + fragment events.
 
-        Fresh consumers each time: a tokenizer error raises here, before
-        any engine state is spliced.  Non-first shard semantics — rule
-        streamers skip the prologue ``attr`` events and the checker
-        discards prologue side effects — so the root's contributions stay
-        with :meth:`_process_prologue` exactly once.
+        A non-first shard of the parallel worker protocol
+        (:func:`repro.parallel.feed_shard`), so the root's contributions
+        stay with the root state exactly once.  Fresh consumers each time:
+        a tokenizer error raises here, before any engine state is spliced.
         """
-        streamers = [RuleStreamer(rule, shard_mode=True) for rule in self.rules]
-        checker = KeyStreamChecker(self.keys) if self.keys else None
-        for event in self._prologue_events:
-            if checker is not None:
-                checker.feed(event)
-            if event.kind != ATTR:
-                for streamer in streamers:
-                    streamer.feed(event)
-        if checker is not None:
-            checker.begin_shard(first=False)
-        events = 0
-        for event in fragment_events(
-            self._root_tag,
-            fragment,
-            strip_whitespace=self.strip_whitespace,
-            engine=self.engine,
-            skip=self._skip,
-        ):
-            events += 1
-            for streamer in streamers:
-                streamer.feed(event)
-            if checker is not None:
-                checker.feed(event)
-        if obs.enabled():
-            obs.metrics().inc("pipeline.events", events)
-        return _SubtreeState(
-            fragment,
-            [streamer.shard_result() for streamer in streamers],
-            checker.shard_result() if checker is not None else None,
+        output = feed_shard(
+            self._prologue_events,
+            fragment_events(
+                self._root_tag,
+                fragment,
+                strip_whitespace=self.strip_whitespace,
+                engine=self.engine,
+                skip=self._skip,
+            ),
+            self.rules,
+            self.keys,
+            first=False,
+            skipping=self._skip is not None,
         )
+        return _SubtreeState(fragment, output.rules, output.checker)
 
     def _validate_fragment(self, fragment: str) -> None:
         """Reject a delta fragment that is not one clean subtree.
@@ -408,18 +373,13 @@ class IncrementalEngine:
             root_attr_parts=self._root_attr_parts,
         )
 
-    def _relation_schema(self, rule: TableRule) -> RelationSchema:
-        if self._schema is not None and rule.relation in self._schema:
-            return self._schema.relation(rule.relation)
-        return rule.schema()
-
     def instances(self) -> Dict[str, RelationInstance]:
         """The shredded relation instances of the current document."""
         self._require_loaded()
         if self._instances_cache is None:
             instances: Dict[str, RelationInstance] = {}
             for index, rule in enumerate(self.rules):
-                instance = RelationInstance(self._relation_schema(rule))
+                instance = RelationInstance(relation_schema(rule, self._schema))
                 for row in self._merge_rule(index, self._states):
                     instance.add_row(row)
                 instances[rule.relation] = instance
@@ -449,7 +409,7 @@ class IncrementalEngine:
         bags: Dict[str, List[Params]] = {}
         finals: Dict[str, CounterType[Params]] = {}
         for index, rule in enumerate(self.rules):
-            schema = self._relation_schema(rule)
+            schema = relation_schema(rule, self._schema)
             if self._templates[index].single_anchor:
                 rows: List[Params] = []
                 for result in [self._root_rules[index]] + [
@@ -476,7 +436,7 @@ class IncrementalEngine:
     ) -> Dict[str, Change]:
         changes: Dict[str, Change] = {}
         for index, rule in enumerate(self.rules):
-            schema = self._relation_schema(rule)
+            schema = relation_schema(rule, self._schema)
             if self._templates[index].single_anchor:
                 removed = (
                     [encode_row(schema, row) for row in old_state.rules[index].anchor_rows[0]]

@@ -60,7 +60,6 @@ from repro.xmlmodel.events import (
     TEXT,
     Event,
     EventSource,
-    as_events,
 )
 from repro.xmlmodel.matching import PathNFA
 from repro.xmlmodel.paths import PathExpression, StepKind
@@ -520,18 +519,21 @@ class KeyStreamChecker:
         """All violations, ordered by key and context document order."""
         found = self._materialize_all(self._flushed)
         if obs.enabled():
-            registry = obs.metrics()
-            registry.inc("check.violations", len(found))
-            # Index sizes are additive levels (gauges summed across
-            # shards/serial passes): flushed context records plus the
-            # memoised NFA transition tables.
-            registry.gauge_add("check.flushed_contexts", len(self._flushed))
-            registry.gauge_add(
-                "check.nfa_memo_entries",
-                sum(len(bucket._transitions) for bucket in self.buckets)
-                + len(self._vector_cache),
-            )
+            obs.metrics().inc("check.violations", len(found))
+            self._record_index_sizes()
         return found
+
+    def _record_index_sizes(self) -> None:
+        """Index sizes are additive levels (gauges summed across shards and
+        serial passes): flushed context records plus the memoised NFA
+        transition tables."""
+        registry = obs.metrics()
+        registry.gauge_add("check.flushed_contexts", len(self._flushed))
+        registry.gauge_add(
+            "check.nfa_memo_entries",
+            sum(len(bucket._transitions) for bucket in self.buckets)
+            + len(self._vector_cache),
+        )
 
     # ------------------------------------------------------------------
     # Sharded execution
@@ -576,6 +578,8 @@ class KeyStreamChecker:
             bucket_index = self._bucket_index[id(record.bucket)]
             open_groups[bucket_index] = {k: list(v) for k, v in record.groups.items()}
             open_missing[bucket_index] = list(record.missing)
+        if obs.enabled():
+            self._record_index_sizes()
         return CheckerShardResult(
             flushed=list(self._flushed),
             open_groups=open_groups,
@@ -771,9 +775,10 @@ def stream_violations(
     ``keys`` may be a single key or any iterable of keys; the stream is
     consumed exactly once regardless of how many keys are checked.
     ``jobs`` (default: the ``REPRO_JOBS`` environment variable, else 1)
-    selects the executor: values above 1 shard string sources onto a
-    process pool (:mod:`repro.parallel`) with identical output, falling
-    back to the serial pass whenever the document cannot be sharded.
+    selects the executor of :func:`repro.parallel.run_pipeline`: values
+    above 1 shard text and path sources onto a process pool with identical
+    output, falling back to the serial pass whenever the document cannot
+    be sharded.
     ``plan`` is an optional :class:`~repro.xmlmodel.static.StaticPlan`
     compiled over (at least) these keys: its skip set lets the tokenizer
     fast-forward subtrees no key path can reach, with identical output —
@@ -782,54 +787,16 @@ def stream_violations(
     """
     if isinstance(keys, XMLKey):
         keys = [keys]
-    keys = list(keys)
-    from repro.parallel import resolve_jobs, run_sharded
+    from repro.parallel import run_pipeline
 
-    skip = plan.skipset if plan is not None and plan.skipset else None
-    if resolve_jobs(jobs) > 1 and (
-        isinstance(source, str) or hasattr(source, "__fspath__")
-    ):
-        run = run_sharded(
-            source,
-            keys=keys,
-            strip_whitespace=strip_whitespace,
-            jobs=jobs,
-            engine=engine,
-            plan=plan,
-        )
-        return run.violations or []
-    checker = KeyStreamChecker(keys)
-    feed = checker.feed
-    stream = as_events(
-        source, strip_whitespace=strip_whitespace, engine=engine, skip=skip
-    )
-    if not obs.enabled():
-        # The disabled-mode hot loop carries zero instrumentation: the
-        # branch is taken once, outside the loop (bench_obs gates this).
-        for event in stream:
-            feed(event)
-        return checker.finish()
-    events = skips = elided = 0
-    if skip is None:
-        # Without a skip set the stream cannot carry SKIP events, so the
-        # enabled-mode loop pays one integer increment per event and
-        # nothing else (the <= 15% bench_obs gate covers this path).
-        for event in stream:
-            events += 1
-            feed(event)
-    else:
-        for event in stream:
-            events += 1
-            if event.kind == SKIP:
-                skips += 1
-                elided += event.value
-            feed(event)
-    registry = obs.metrics()
-    registry.inc("pipeline.events", events)
-    if skips:
-        registry.inc("pipeline.skips", skips)
-        registry.inc("pipeline.elided_ids", elided)
-    return checker.finish()
+    return run_pipeline(
+        source,
+        keys=keys,
+        jobs=jobs,
+        engine=engine,
+        plan=plan,
+        strip_whitespace=strip_whitespace,
+    ).violations
 
 
 def stream_satisfies(

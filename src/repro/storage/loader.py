@@ -2,11 +2,11 @@
 
 :class:`BulkLoader` closes the loop from shredded rows to queryable
 tables.  It consumes rows from *any* iterable — a
-:class:`~repro.relational.instance.RelationInstance`, the lazy
-:func:`~repro.transform.stream.iter_rule_rows` generator, or the merged
-instances of :func:`repro.parallel.run_sharded` — and pushes them through
-the backend in parameterized ``executemany`` batches (values never touch
-the SQL text; batch size mirrors
+:class:`~repro.relational.instance.RelationInstance` or the lazy
+:func:`~repro.transform.stream.iter_rule_rows` generator — or, for whole
+documents, as the row sinks of :func:`repro.parallel.run_pipeline`, and
+pushes them through the backend in parameterized ``executemany`` batches
+(values never touch the SQL text; batch size mirrors
 :func:`~repro.relational.sql.iter_insert_statements`).
 
 Transactional structure:
@@ -46,8 +46,7 @@ from repro.relational.sql import insert_template
 from repro.storage.backend import Backend, IntegrityViolation, StorageError
 from repro.storage.ddl import StorageDDL, TableDDL
 from repro.transform.rule import TableRule, Transformation
-from repro.transform.stream import RuleStreamer
-from repro.xmlmodel.events import EventSource, as_events
+from repro.xmlmodel.events import EventSource
 
 log = obs.get_logger("storage.loader")
 
@@ -299,6 +298,12 @@ class BulkLoader:
             if not batch:
                 break
             sink.flush_batch(batch)
+        return self._settle(table, sink, document)
+
+    @staticmethod
+    def _settle(table: str, sink: _TableSink, document: Optional[str]) -> int:
+        """Flush ``sink``; raise :exc:`LoadError` if it rejected any row."""
+        sink.flush()
         if sink.rejected:
             obs.metrics().inc(
                 "load.rejected_rows", len(sink.rejected), table=table
@@ -328,31 +333,35 @@ class BulkLoader:
         The whole document runs inside one savepoint: on a strict-mode
         violation the savepoint unwinds (no partial document remains) and
         :exc:`LoadError` reports the violating rows of the first violating
-        table.  With ``jobs`` > 1 the document is shredded on the parallel
-        plane (:func:`repro.parallel.run_sharded`; string sources only) and
-        the merged instances are loaded; otherwise a single event pass
-        feeds one streaming :class:`~repro.transform.stream.RuleStreamer`
-        per rule straight into the insert batches — no materialized
-        instance, memory bounded by the batch size.
+        table.  The document goes through :func:`repro.parallel.run_pipeline`
+        with one insert funnel per rule as its row sink: on the serial arm
+        (``jobs`` 1) every row streams into the insert batches as it
+        completes — no materialized instance, memory bounded by the batch
+        size; with ``jobs`` > 1 the document is shredded on the parallel
+        plane and the merged rows go through the same funnels.
         """
+        from repro.parallel import run_pipeline
+
         rules = list(transformation)
         if document is None and self.ddl.provenance_column is not None:
             document = f"doc{self._documents_loaded}"
         name = f"repro_doc_{self._documents_loaded}"
         self._documents_loaded += 1
         with self.backend.savepoint(name):
-            from repro.parallel import resolve_jobs
-
-            if resolve_jobs(jobs) > 1 and (
-                isinstance(source, str) or hasattr(source, "__fspath__")
-            ):
-                counts = self._load_document_sharded(
-                    source, rules, document, jobs, strip_whitespace, engine
-                )
-            else:
-                counts = self._load_document_streaming(
-                    source, rules, document, strip_whitespace, engine
-                )
+            sinks = {rule.relation: self._sink(rule.relation, document) for rule in rules}
+            run_pipeline(
+                source,
+                rules=rules,
+                sinks={table: sink.push for table, sink in sinks.items()},
+                deduplicate=self.deduplicate,
+                jobs=jobs,
+                engine=engine,
+                strip_whitespace=strip_whitespace,
+            )
+            counts = {
+                rule.relation: self._settle(rule.relation, sinks[rule.relation], document)
+                for rule in rules
+            }
         if obs.enabled():
             registry = obs.metrics()
             registry.inc("load.documents")
@@ -362,71 +371,6 @@ class BulkLoader:
             "loaded document %s: %d row(s) across %d table(s)",
             document, sum(counts.values()), len(counts),
         )
-        return counts
-
-    def _load_document_sharded(
-        self,
-        source,
-        rules: List[TableRule],
-        document: Optional[str],
-        jobs: Optional[int],
-        strip_whitespace: bool,
-        engine: Optional[str] = None,
-    ) -> Dict[str, int]:
-        from repro.parallel import run_sharded
-
-        run = run_sharded(
-            source,
-            transformation=rules,
-            deduplicate=self.deduplicate,
-            strip_whitespace=strip_whitespace,
-            jobs=jobs,
-            engine=engine,
-        )
-        counts: Dict[str, int] = {}
-        for table, instance in (run.instances or {}).items():
-            counts[table] = self.load_rows(table, instance.rows, document=document)
-        return counts
-
-    def _load_document_streaming(
-        self,
-        source: EventSource,
-        rules: List[TableRule],
-        document: Optional[str],
-        strip_whitespace: bool,
-        engine: Optional[str] = None,
-    ) -> Dict[str, int]:
-        sinks = {rule.relation: self._sink(rule.relation, document) for rule in rules}
-        streamers = [
-            RuleStreamer(
-                rule, deduplicate=self.deduplicate, sink=sinks[rule.relation].push
-            )
-            for rule in rules
-        ]
-        feeds = [streamer.feed for streamer in streamers]
-        events = 0
-        for event in as_events(
-            source, strip_whitespace=strip_whitespace, engine=engine
-        ):
-            events += 1
-            for feed in feeds:
-                feed(event)
-        if obs.enabled():
-            obs.metrics().inc("pipeline.events", events)
-        for streamer in streamers:
-            streamer.finish()
-        counts: Dict[str, int] = {}
-        for rule in rules:
-            sink = sinks[rule.relation]
-            sink.flush()
-            if sink.rejected:
-                obs.metrics().inc(
-                    "load.rejected_rows",
-                    len(sink.rejected),
-                    table=rule.relation,
-                )
-                raise LoadError(rule.relation, sink.rejected, document=document)
-            counts[rule.relation] = sink.loaded
         return counts
 
     # ------------------------------------------------------------------

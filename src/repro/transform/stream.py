@@ -829,6 +829,30 @@ def merge_rule_shards(
 # ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------
+def root_attr_parts(prologue_events: Sequence[Event]) -> List[str]:
+    """The ``@name:value`` pieces of the root's own attributes.
+
+    One part per distinct attribute name, last value winning — the state
+    the DOM holds after parsing a duplicated attribute.  Every merge of
+    shard states (:func:`merge_rule_shards`) takes these from the shared
+    prologue.
+    """
+    values: Dict[str, Optional[str]] = {}
+    for event in prologue_events:
+        if event.kind == ATTR:
+            values[event.name] = event.value
+    return [f"@{name}:{value}" for name, value in values.items()]
+
+
+def relation_schema(
+    rule: TableRule, schema: Optional[DatabaseSchema] = None
+) -> RelationSchema:
+    """The schema a rule's rows land in: ``schema``'s relation, else the rule's."""
+    if schema is not None and rule.relation in schema:
+        return schema.relation(rule.relation)
+    return rule.schema()
+
+
 def record_shred_rows(instances: Dict[str, RelationInstance]) -> None:
     """Count each relation's shredded rows as ``shred.rows`` (telemetry).
 
@@ -915,12 +939,7 @@ class StreamShredder:
         self._instances: Dict[str, RelationInstance] = {}
         self._streamers: List[RuleStreamer] = []
         for rule in transformation:
-            relation_schema = None
-            if schema is not None and rule.relation in schema:
-                relation_schema = schema.relation(rule.relation)
-            instance = RelationInstance(
-                relation_schema if relation_schema is not None else rule.schema()
-            )
+            instance = RelationInstance(relation_schema(rule, schema))
             self._instances[rule.relation] = instance
             self._streamers.append(
                 RuleStreamer(rule, deduplicate=deduplicate, sink=instance.add_row)
@@ -950,39 +969,26 @@ class StreamShredder:
     ) -> Dict[str, RelationInstance]:
         """Shred ``source`` completely and return the relation instances.
 
-        ``jobs`` (default: the ``REPRO_JOBS`` environment variable, else 1)
-        selects the executor: 1 runs the serial single-pass plane
-        unchanged; higher values shard string sources at top-level anchor
-        boundaries and map them onto a process pool, with a byte-identical
-        merged result (and an automatic serial fallback whenever the
-        document or a rule cannot be sharded).  ``plan`` is an optional
-        compiled :class:`~repro.xmlmodel.static.StaticPlan` whose skip set
-        (empty whenever any rule captures element values) fast-forwards
-        schema-invisible subtrees at the tokenizer, rows unchanged.
+        One :func:`repro.parallel.run_pipeline` pass with this shredder's
+        rules, schema and row semantics: ``jobs`` (default: ``REPRO_JOBS``,
+        else 1) picks the serial or the sharded arm, byte-identical either
+        way; a ``plan``'s skip set fast-forwards schema-invisible subtrees,
+        rows unchanged.
         """
-        from repro.parallel import resolve_jobs, run_sharded
+        from repro.parallel import run_pipeline
 
-        if resolve_jobs(jobs) > 1 and (
-            isinstance(source, str) or hasattr(source, "__fspath__")
-        ):
-            run = run_sharded(
-                source,
-                transformation=self.transformation,
-                schema=self._schema,
-                deduplicate=self._deduplicate,
-                strip_whitespace=strip_whitespace,
-                jobs=jobs,
-                engine=engine,
-                plan=plan,
-            )
-            self._instances = dict(run.instances or {})
-            return dict(self._instances)
-        skip = plan.skipset if plan is not None and plan.skipset else None
-        for event in as_events(
-            source, strip_whitespace=strip_whitespace, engine=engine, skip=skip
-        ):
-            self.feed(event)
-        return self.finish()
+        run = run_pipeline(
+            source,
+            rules=self.transformation,
+            schema=self._schema,
+            deduplicate=self._deduplicate,
+            jobs=jobs,
+            engine=engine,
+            plan=plan,
+            strip_whitespace=strip_whitespace,
+        )
+        self._instances = dict(run.instances or {})
+        return dict(self._instances)
 
 
 def stream_evaluate_transformation(

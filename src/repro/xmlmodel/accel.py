@@ -54,6 +54,7 @@ import re
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro import obs
 from repro.xmlmodel.events import ATTR, END, SKIP, START, TEXT, Event
 from repro.xmlmodel.parser import XMLSyntaxError
 
@@ -681,6 +682,12 @@ def fragment_byte_events(
         memoryview(fragment),
         f"</{root_tag}>".encode("utf-8"),
     )
+    if obs.enabled():
+        # One tokenizer call over the wrapped slice, as the text twin of
+        # this path (``fragment_events`` → ``iter_events``) records it.
+        registry = obs.metrics()
+        registry.inc("tokenizer.calls", engine=resolve_engine(engine))
+        registry.inc("tokenizer.bytes", sum(len(piece) for piece in pieces))
     events = _stream(pieces, strip_whitespace, replay_text, skip)
     next(events)  # the synthetic root START (present even on replay)
     pending = next(events, None)

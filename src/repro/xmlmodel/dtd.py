@@ -569,14 +569,17 @@ def stream_dtd_violations(
     strip_whitespace: bool = True,
     engine: Optional[str] = None,
 ) -> List[DTDViolation]:
-    """Validate ``source`` against ``dtd`` in one streaming pass."""
-    from repro.xmlmodel.events import iter_events
+    """Validate ``source`` against ``dtd`` in one streaming pass.
 
-    validator = DTDStreamValidator(dtd)
-    feed = validator.feed
-    for event in iter_events(source, strip_whitespace=strip_whitespace, engine=engine):
-        feed(event)
-    return validator.finish()
+    Validation is single-pass by nature, so this always runs the serial
+    arm of :func:`repro.parallel.run_pipeline`, whatever ``REPRO_JOBS``
+    says.
+    """
+    from repro.parallel import run_pipeline
+
+    return run_pipeline(
+        source, dtd=dtd, jobs=1, engine=engine, strip_whitespace=strip_whitespace
+    ).dtd_violations
 
 
 def existence_facts(dtd: DTD) -> Dict[str, Set[str]]:

@@ -35,7 +35,17 @@ class XMLSyntaxError(ValueError):
 
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (at offset {position})")
+        self.message = message
         self.position = position
+
+    def __reduce__(self):
+        # Pickled by its constructor arguments, so the error crosses a
+        # process boundary (a shard worker) intact.
+        return type(self), (self.message, self.position)
+
+    def shifted(self, offset: int) -> "XMLSyntaxError":
+        """The same error ``offset`` characters further into the input."""
+        return type(self)(self.message, self.position + offset)
 
 
 _PREDEFINED_ENTITIES = {

@@ -323,3 +323,112 @@ class TestZeroCopyMmapPath:
             assert list(restored.shard_events(index)) == list(
                 shards.shard_events(index)
             )
+
+
+class TestSyntaxErrorsCrossThePool:
+    """A worker's tokenizer error reaches the caller as the serial error:
+    it pickles across the process boundary and its offset is rebased from
+    the slice to the document."""
+
+    # Four books, so the split is real; the mismatched tags sit in the last.
+    DOC = DOC.replace(
+        "<book><title>D</title></book>", "<book><title><i>D</title></i></book>"
+    )
+
+    def test_error_pickles_with_its_position(self):
+        import pickle
+
+        from repro.xmlmodel.parser import XMLSyntaxError
+
+        error = pickle.loads(pickle.dumps(XMLSyntaxError("bad tag", 7)))
+        assert (error.message, error.position, str(error)) == (
+            "bad tag", 7, "bad tag (at offset 7)"
+        )
+
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["text", "path"])
+    def test_sharded_run_raises_the_serial_error(
+        self, tmp_path, transformation, on_disk
+    ):
+        from repro.xmlmodel.parser import XMLSyntaxError
+
+        source = self.DOC
+        if on_disk:
+            source = tmp_path / "doc.xml"
+            source.write_text(self.DOC)
+        with pytest.raises(XMLSyntaxError) as serial:
+            run_sharded(source, transformation=transformation, keys=KEYS, jobs=1)
+        with pytest.raises(XMLSyntaxError) as sharded:
+            run_sharded(source, transformation=transformation, keys=KEYS, jobs=2)
+        assert serial.value.message == "mismatched end tag </title> for <i>"
+        assert (sharded.value.message, sharded.value.position) == (
+            serial.value.message, serial.value.position
+        )
+        assert str(sharded.value) == str(serial.value)
+
+
+class TestMetricParity:
+    """Serial and sharded runs record the same metric names, and the same
+    values for every deterministic counter."""
+
+    EQUAL = (
+        "pipeline.events",
+        "pipeline.skips",
+        "pipeline.elided_ids",
+        "check.violations",
+        "shred.rows",
+    )
+
+    @staticmethod
+    def _snapshot(source, jobs, **kwargs):
+        from repro import obs
+
+        with obs.collect() as registry:
+            run = run_sharded(source, jobs=jobs, **kwargs)
+        assert run.shards == (1 if jobs == 1 else 4)
+        return registry.snapshot()
+
+    def _assert_parity(self, source, **kwargs):
+        serial = self._snapshot(source, 1, **kwargs)
+        sharded = self._snapshot(source, 2, **kwargs)
+
+        def names(snapshot):
+            return {key[0] for series in (
+                snapshot.counters, snapshot.gauges, snapshot.histograms
+            ) for key in series}
+
+        assert names(sharded) == names(serial)
+        for key, value in serial.counters.items():
+            if key[0] in self.EQUAL:
+                assert sharded.counters.get(key) == value, key
+        return serial
+
+    @pytest.fixture()
+    def mondial(self, tmp_path):
+        from repro.experiments.scenarios import mondial_shaped_chunks
+
+        target = tmp_path / "mondial.xml"
+        target.write_text("".join(mondial_shaped_chunks(countries=60)))
+        return target
+
+    def test_shred_and_check(self, mondial):
+        from repro.keys import parse_keys
+
+        rules = parse_transformation(
+            "table city\n  var c <- xr : //city\n  var n <- c : name\n"
+            "  field name = value(n)\n"
+        )
+        keys = parse_keys("K1 = (., (//country, {@car_code}))\nK2 = (//province, (city, {}))\n")
+        serial = self._assert_parity(mondial, transformation=rules, keys=keys)
+        assert serial.counter("check.violations") > 0
+        assert serial.counter("shred.rows", relation="city") > 0
+
+    def test_pruned_check(self, mondial):
+        from repro.experiments.scenarios import MONDIAL_DTD
+        from repro.keys import parse_keys
+        from repro.xmlmodel.dtd import parse_dtd
+        from repro.xmlmodel.static import compile_plan
+
+        keys = parse_keys("K = (., (//country, {@car_code}))\n")
+        plan = compile_plan(parse_dtd(MONDIAL_DTD), keys=keys)
+        serial = self._assert_parity(mondial, keys=keys, plan=plan, engine="auto")
+        assert serial.counter("pipeline.skips") > 0

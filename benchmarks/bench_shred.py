@@ -338,4 +338,4 @@ def test_events_per_second_pure(benchmark, gate_scenario):
 @pytest.mark.benchmark(group="events_per_second")
 def test_events_per_second_accel(benchmark, gate_scenario):
     _, text = gate_scenario
-    _record_events_per_second(benchmark, text, "accel")
+    _record_events_per_second(benchmark, text, "expat")

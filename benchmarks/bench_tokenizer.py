@@ -105,7 +105,7 @@ def test_accel_output_identical_report(gate_file):
     assert nodes >= 90_000, "the gate document must stay ~100k-node scale"
     assert available_backends(), "expat ships with CPython; the probe found nothing"
     pure = iter_events(path, engine="pure")
-    accel = iter_events(path, engine="accel")
+    accel = iter_events(path, engine="expat")
     count = 0
     for pure_event, accel_event in zip(pure, accel):
         assert accel_event == pure_event
@@ -129,7 +129,7 @@ def test_accel_tokenizer_speedup_report(gate_file):
     for _ in range(7):
         round_time, _unused = _best_of(lambda: _drain(path, "pure"), repeats=1)
         pure_time = min(pure_time, round_time)
-        round_time, _unused = _best_of(lambda: _drain(path, "accel"), repeats=1)
+        round_time, _unused = _best_of(lambda: _drain(path, "expat"), repeats=1)
         accel_time = min(accel_time, round_time)
     events = sum(1 for _ in iter_events(path, engine="pure"))
 
@@ -155,14 +155,14 @@ def test_accel_end_to_end_report(gate_file):
     workload, path, nodes = gate_file
     pure_time, pure_run = _best_of(
         lambda: run_sharded(
-            path, transformation=[workload.rule], keys=workload.keys,
-            jobs=1, engine="pure",
+            iter_events(path, engine="pure"), transformation=[workload.rule],
+            keys=workload.keys, jobs=1,
         )
     )
     accel_time, accel_run = _best_of(
         lambda: run_sharded(
-            path, transformation=[workload.rule], keys=workload.keys,
-            jobs=1, engine="accel",
+            iter_events(path, engine="expat"), transformation=[workload.rule],
+            keys=workload.keys, jobs=1,
         )
     )
     assert _fingerprint(accel_run) == _fingerprint(pure_run)
@@ -186,7 +186,7 @@ def test_file_events_pure(benchmark, gate_file):
 @pytest.mark.benchmark(group="tokenizer-file-events")
 def test_file_events_accel(benchmark, gate_file):
     _, path, _ = gate_file
-    benchmark(_drain, path, "accel")
+    benchmark(_drain, path, "expat")
 
 
 @pytest.mark.benchmark(group="tokenizer-string-events")
@@ -200,14 +200,14 @@ def test_string_events_pure(benchmark, gate_file):
 def test_string_events_accel(benchmark, gate_file):
     _, path, _ = gate_file
     text = path.read_text(encoding="ascii")
-    benchmark(_drain, text, "accel")
+    benchmark(_drain, text, "expat")
 
 
 @pytest.mark.benchmark(group="tokenizer-shred-pipeline")
 def test_shred_pipeline_pure(benchmark, gate_file):
     workload, path, _ = gate_file
     instance = benchmark(
-        stream_evaluate_rule, workload.rule, path, engine="pure"
+        lambda: stream_evaluate_rule(workload.rule, iter_events(path, engine="pure"))
     )
     assert len(instance) > 0
 
@@ -216,6 +216,6 @@ def test_shred_pipeline_pure(benchmark, gate_file):
 def test_shred_pipeline_accel(benchmark, gate_file):
     workload, path, _ = gate_file
     instance = benchmark(
-        stream_evaluate_rule, workload.rule, path, engine="accel"
+        lambda: stream_evaluate_rule(workload.rule, iter_events(path, engine="expat"))
     )
     assert len(instance) > 0

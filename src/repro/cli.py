@@ -32,7 +32,9 @@ and shredded / checked / validated in a single pass, without a DOM.
 not grow with the document; ``shred`` materializes the relation instances
 before printing them, so its memory is proportional to the *output* (the
 library's ``iter_rule_rows`` → ``iter_insert_statements`` pipeline loads
-documents into SQL in constant memory).
+documents into SQL in constant memory).  No command takes a tokenizer
+setting: :mod:`repro.xmlmodel` routes each document to expat or to the
+pure tokenizer from what it can observe, with the same events either way.
 
 ``--dtd schema.dtd`` on its own *validates while shredding/checking*: the
 streaming DTD validator is one more consumer of the same pass, with the
@@ -209,25 +211,9 @@ def _load_dtd(args: argparse.Namespace):
     return parse_dtd(_read(args.dtd))
 
 
-def _tokenizer_engine(args: argparse.Namespace) -> Optional[str]:
-    """Validate ``--tokenizer`` up front; unavailable backends exit 2.
-
-    :exc:`~repro.xmlmodel.accel.TokenizerUnavailable` is a
-    :class:`ValueError`, so ``main()``'s uniform usage-error handling
-    applies — but raising here, before any work, keeps the failure crisp.
-    """
-    engine = getattr(args, "tokenizer", None)
-    if engine is not None:
-        from repro.xmlmodel import resolve_engine
-
-        resolve_engine(engine)
-    return engine
-
-
 def cmd_shred(args: argparse.Namespace) -> int:
     transformation = _load_transformation(args.transform)
     keys = _load_keys(args.keys) if args.keys else []
-    engine = _tokenizer_engine(args)
     dtd = _load_dtd(args)
     exit_code = 0
     if args.stream or args.jobs is not None:
@@ -243,7 +229,6 @@ def cmd_shred(args: argparse.Namespace) -> int:
             keys=keys or None,
             dtd=dtd,
             jobs=args.jobs,
-            engine=engine,
         )
         instances = run.instances or {}
         if run.violations is not None:
@@ -288,7 +273,6 @@ def cmd_shred(args: argparse.Namespace) -> int:
 def cmd_check_doc(args: argparse.Namespace) -> int:
     """Validate a document against a key set (the Figure 2(a) workflow)."""
     keys = _load_keys(args.keys)
-    engine = _tokenizer_engine(args)
     dtd = _load_dtd(args)
     if args.prune and dtd is None:
         log.error("error: --prune needs --dtd (the skip set is compiled from it)")
@@ -319,7 +303,6 @@ def cmd_check_doc(args: argparse.Namespace) -> int:
             keys=keys,
             dtd=None if args.prune else dtd,
             jobs=args.jobs,
-            engine=engine,
             plan=plan,
         )
         found = run.violations
@@ -349,7 +332,6 @@ def cmd_load(args: argparse.Namespace) -> int:
 
     transformation = _load_transformation(args.transform)
     keys = _load_keys(args.keys) if args.keys else []
-    engine = _tokenizer_engine(args)
     rules = list(transformation)
     documents = list(args.xml)
     provenance = args.provenance
@@ -364,7 +346,7 @@ def cmd_load(args: argparse.Namespace) -> int:
         from repro.xmlmodel.dtd import stream_dtd_violations
 
         for path in documents:
-            found = stream_dtd_violations(Path(path), dtd, engine=engine)
+            found = stream_dtd_violations(Path(path), dtd)
             if found:
                 print(f"{path} violates its DTD; nothing was loaded:")
                 for violation in found:
@@ -405,7 +387,6 @@ def cmd_load(args: argparse.Namespace) -> int:
                 ((path, Path(path)) for path in documents),
                 rules,
                 jobs=args.jobs,
-                engine=engine,
             )
         except LoadError as error:
             print(f"load rejected: {error}")
@@ -589,7 +570,7 @@ def cmd_apply_delta(args: argparse.Namespace) -> int:
         log.error("error: provide at least one --op, or --repl")
         return 2
 
-    engine = IncrementalEngine(transformation, keys, engine=_tokenizer_engine(args))
+    engine = IncrementalEngine(transformation, keys)
     subtrees = engine.load(_read(args.xml))
     print(f"indexed {args.xml}: {subtrees} top-level subtree(s)")
 
@@ -724,22 +705,6 @@ def _add_stats_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_tokenizer_flag(sub: argparse.ArgumentParser) -> None:
-    """``--tokenizer``: the event tokenizer backend of a document command."""
-    from repro.xmlmodel.accel import ENGINES
-
-    sub.add_argument(
-        "--tokenizer",
-        choices=ENGINES,
-        default=None,
-        help=(
-            "tokenizer backend: accel (an alias of expat) is the C tokenizer, "
-            "with the pure tokenizer as the identical-output fallback; "
-            "default: REPRO_TOKENIZER, else auto"
-        ),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
 
@@ -842,7 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
             "violations print after the key report, exit 1"
         ),
     )
-    _add_tokenizer_flag(shred)
     _add_stats_flags(shred)
     shred.set_defaults(handler=cmd_shred)
 
@@ -883,7 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
             "identical violations, even on documents that violate the DTD"
         ),
     )
-    _add_tokenizer_flag(check_doc)
     _add_stats_flags(check_doc)
     check_doc.set_defaults(handler=cmd_check_doc)
 
@@ -962,7 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
             "database is touched — a non-conforming document aborts the load"
         ),
     )
-    _add_tokenizer_flag(load)
     _add_stats_flags(load)
     load.set_defaults(handler=cmd_load)
 
@@ -1084,7 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="save the edited document over --xml after all operations applied",
     )
-    _add_tokenizer_flag(apply_delta)
     _add_stats_flags(apply_delta)
     apply_delta.set_defaults(handler=cmd_apply_delta)
 

@@ -189,8 +189,6 @@ class IncrementalEngine:
         keys: Optional[Sequence[XMLKey]] = None,
         schema: Optional[DatabaseSchema] = None,
         deduplicate: bool = True,
-        strip_whitespace: bool = True,
-        engine: Optional[str] = None,
         plan=None,
     ) -> None:
         self.rules: List[TableRule] = (
@@ -201,10 +199,6 @@ class IncrementalEngine:
             raise ValueError("IncrementalEngine needs a transformation, keys, or both")
         self._schema = schema
         self.deduplicate = deduplicate
-        self.strip_whitespace = strip_whitespace
-        #: Tokenizer backend for fragment replays
-        #: (:func:`repro.xmlmodel.events.iter_events`).
-        self.engine = engine
         #: Optional :class:`~repro.xmlmodel.static.StaticPlan`; its skip set
         #: (compiled over at least these keys and rules — empty whenever a
         #: rule captures element values) fast-forwards schema-invisible
@@ -286,13 +280,7 @@ class IncrementalEngine:
         """
         output = feed_shard(
             self._prologue_events,
-            fragment_events(
-                self._root_tag,
-                fragment,
-                strip_whitespace=self.strip_whitespace,
-                engine=self.engine,
-                skip=self._skip,
-            ),
+            fragment_events(self._root_tag, fragment, skip=self._skip),
             self.rules,
             self.keys,
             first=False,

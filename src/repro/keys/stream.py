@@ -765,9 +765,7 @@ def merge_shard_results(
 def stream_violations(
     source: EventSource,
     keys: Union[XMLKey, Iterable[XMLKey]],
-    strip_whitespace: bool = True,
     jobs: Optional[int] = None,
-    engine: Optional[str] = None,
     plan=None,
 ) -> List[KeyViolation]:
     """All violations of ``keys`` on the document, in one streaming pass.
@@ -789,30 +787,14 @@ def stream_violations(
         keys = [keys]
     from repro.parallel import run_pipeline
 
-    return run_pipeline(
-        source,
-        keys=keys,
-        jobs=jobs,
-        engine=engine,
-        plan=plan,
-        strip_whitespace=strip_whitespace,
-    ).violations
+    return run_pipeline(source, keys=keys, jobs=jobs, plan=plan).violations
 
 
 def stream_satisfies(
     source: EventSource,
     keys: Union[XMLKey, Iterable[XMLKey]],
-    strip_whitespace: bool = True,
     jobs: Optional[int] = None,
-    engine: Optional[str] = None,
     plan=None,
 ) -> bool:
     """``T ⊨ Σ`` decided in a single pass over the event stream."""
-    return not stream_violations(
-        source,
-        keys,
-        strip_whitespace=strip_whitespace,
-        jobs=jobs,
-        engine=engine,
-        plan=plan,
-    )
+    return not stream_violations(source, keys, jobs=jobs, plan=plan)

@@ -219,8 +219,6 @@ class _ShardWorker:
     shards: Union[DocumentShards, MappedDocumentShards]
     rules: Sequence[TableRule]
     keys: Sequence[XMLKey]
-    strip_whitespace: bool
-    engine: Optional[str] = None
     skip: object = None  # an optional, picklable SkipSet
     metrics_enabled: bool = False
 
@@ -234,9 +232,7 @@ class _ShardWorker:
 
     def _run(self, index: int) -> ShardOutput:
         shards = self.shards
-        slice_events = shards.shard_events(
-            index, strip_whitespace=self.strip_whitespace, engine=self.engine, skip=self.skip
-        )
+        slice_events = shards.shard_events(index, skip=self.skip)
         try:
             return feed_shard(
                 shards.prologue_events, slice_events, self.rules, self.keys,
@@ -318,9 +314,7 @@ def run_pipeline(
     schema: Optional[DatabaseSchema] = None,
     deduplicate: bool = True,
     jobs: Optional[int] = None,
-    engine: Optional[str] = None,
     plan=None,
-    strip_whitespace: bool = True,
     use_processes: bool = True,
     executor=None,
 ) -> ShardedRun:
@@ -337,7 +331,11 @@ def run_pipeline(
     ``use_processes=False`` runs the shard tasks in-process (the same
     shard/map/merge path, as the differential suites exercise it) and
     ``executor`` reuses an existing :class:`concurrent.futures.Executor`.
-    ``engine`` selects the tokenizer backend.  ``plan`` is an optional
+    Which tokenizer backend turns text into events is
+    :mod:`repro.xmlmodel`'s decision alone; a caller that needs a
+    particular one passes its :class:`~repro.xmlmodel.events.Event`
+    stream (e.g. ``iter_events(text, engine="pure")``) as ``source``,
+    which always runs the serial arm.  ``plan`` is an optional
     :class:`~repro.xmlmodel.static.StaticPlan` compiled over (at least)
     these keys and rules: its skip set fast-forwards schema-invisible
     subtrees, output unchanged.
@@ -380,9 +378,7 @@ def run_pipeline(
 
             validator = DTDStreamValidator(dtd)
             feeds.append(validator.feed)
-        events = as_events(
-            source, strip_whitespace=strip_whitespace, engine=engine, skip=skip
-        )
+        events = as_events(source, skip=skip)
         skipped = _pump(events, feeds, skip is not None)
         for streamer in streamers:
             streamer.finish()
@@ -395,9 +391,7 @@ def run_pipeline(
             dtd_violations=validator.finish() if validator is not None else None,
         )
 
-    worker = _ShardWorker(
-        shards, rules, keys or (), strip_whitespace, engine, skip, obs.enabled()
-    )
+    worker = _ShardWorker(shards, rules, keys or (), skip, obs.enabled())
     indices = range(len(shards))
     if executor is not None:
         outputs = list(executor.map(worker.run, indices))
@@ -455,10 +449,8 @@ def run_sharded(
     keys: Optional[Iterable[XMLKey]] = None,
     schema: Optional[DatabaseSchema] = None,
     deduplicate: bool = True,
-    strip_whitespace: bool = True,
     jobs: Optional[int] = None,
     use_processes: Optional[bool] = None,
-    engine: Optional[str] = None,
     executor=None,
     plan=None,
 ) -> ShardedRun:
@@ -471,9 +463,7 @@ def run_sharded(
         schema=schema,
         deduplicate=deduplicate,
         jobs=jobs,
-        engine=engine,
         plan=plan,
-        strip_whitespace=strip_whitespace,
         use_processes=use_processes is not False,
         executor=executor,
     )

@@ -325,8 +325,6 @@ class BulkLoader:
         transformation: Union[Transformation, Iterable[TableRule]],
         document: Optional[str] = None,
         jobs: Optional[int] = None,
-        strip_whitespace: bool = True,
-        engine: Optional[str] = None,
     ) -> Dict[str, int]:
         """Shred one document and load every rule's rows, atomically.
 
@@ -355,8 +353,6 @@ class BulkLoader:
                 sinks={table: sink.push for table, sink in sinks.items()},
                 deduplicate=self.deduplicate,
                 jobs=jobs,
-                engine=engine,
-                strip_whitespace=strip_whitespace,
             )
             counts = {
                 rule.relation: self._settle(rule.relation, sinks[rule.relation], document)
@@ -381,9 +377,7 @@ class BulkLoader:
         documents: Iterable[Union[EventSource, Tuple[str, EventSource]]],
         transformation: Union[Transformation, Iterable[TableRule]],
         jobs: Optional[int] = None,
-        strip_whitespace: bool = True,
         on_error: str = "raise",
-        engine: Optional[str] = None,
     ) -> LoadReport:
         """Ingest many documents into the same tables.
 
@@ -404,12 +398,7 @@ class BulkLoader:
                 document_id, source = f"doc{index}", entry
             try:
                 counts = self.load_document(
-                    source,
-                    rules,
-                    document=document_id,
-                    jobs=jobs,
-                    strip_whitespace=strip_whitespace,
-                    engine=engine,
+                    source, rules, document=document_id, jobs=jobs
                 )
             except LoadError as error:
                 if on_error == "raise":

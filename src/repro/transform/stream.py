@@ -869,8 +869,6 @@ def iter_rule_rows(
     rule: TableRule,
     source: EventSource,
     deduplicate: bool = False,
-    strip_whitespace: bool = True,
-    engine: Optional[str] = None,
     plan=None,
 ) -> Iterator[Dict[str, Value]]:
     """Lazily yield the rows ``Rule(R)`` produces over ``source``.
@@ -886,9 +884,7 @@ def iter_rule_rows(
     """
     skip = plan.skipset if plan is not None and plan.skipset else None
     streamer = RuleStreamer(rule, deduplicate=deduplicate)
-    for event in as_events(
-        source, strip_whitespace=strip_whitespace, engine=engine, skip=skip
-    ):
+    for event in as_events(source, skip=skip):
         streamer.feed(event)
         if streamer.ready:
             yield from streamer.drain()
@@ -901,21 +897,12 @@ def stream_evaluate_rule(
     source: EventSource,
     schema: Optional[RelationSchema] = None,
     deduplicate: bool = True,
-    strip_whitespace: bool = True,
-    engine: Optional[str] = None,
     plan=None,
 ) -> RelationInstance:
     """Streaming counterpart of :func:`repro.transform.evaluate.evaluate_rule`."""
     target_schema = schema if schema is not None else rule.schema()
     instance = RelationInstance(target_schema)
-    for row in iter_rule_rows(
-        rule,
-        source,
-        deduplicate=deduplicate,
-        strip_whitespace=strip_whitespace,
-        engine=engine,
-        plan=plan,
-    ):
+    for row in iter_rule_rows(rule, source, deduplicate=deduplicate, plan=plan):
         instance.add_row(row)
     return instance
 
@@ -962,9 +949,7 @@ class StreamShredder:
     def run(
         self,
         source: EventSource,
-        strip_whitespace: bool = True,
         jobs: Optional[int] = None,
-        engine: Optional[str] = None,
         plan=None,
     ) -> Dict[str, RelationInstance]:
         """Shred ``source`` completely and return the relation instances.
@@ -983,9 +968,7 @@ class StreamShredder:
             schema=self._schema,
             deduplicate=self._deduplicate,
             jobs=jobs,
-            engine=engine,
             plan=plan,
-            strip_whitespace=strip_whitespace,
         )
         self._instances = dict(run.instances or {})
         return dict(self._instances)
@@ -996,13 +979,9 @@ def stream_evaluate_transformation(
     source: EventSource,
     schema: Optional[DatabaseSchema] = None,
     deduplicate: bool = True,
-    strip_whitespace: bool = True,
     jobs: Optional[int] = None,
-    engine: Optional[str] = None,
     plan=None,
 ) -> Dict[str, RelationInstance]:
     """Streaming counterpart of :func:`evaluate_transformation` (one pass)."""
     shredder = StreamShredder(transformation, schema=schema, deduplicate=deduplicate)
-    return shredder.run(
-        source, strip_whitespace=strip_whitespace, jobs=jobs, engine=engine, plan=plan
-    )
+    return shredder.run(source, jobs=jobs, plan=plan)

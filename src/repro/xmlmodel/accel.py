@@ -31,12 +31,15 @@ Identity is engineered, not assumed, through two mechanisms:
 
 Backend selection follows the libearth ``compat.etree`` model: one
 façade over an ordered list of backends — expat, then the pure fallback —
-with both an environment variable (``REPRO_TOKENIZER``) and an
-``engine=`` keyword able to pin the choice (``accel`` is an alias of
-``expat``).  ``auto`` (the default) uses the accelerated backend for
-in-memory strings, byte buffers and file paths, and leaves file-like
-objects and chunk iterables on the pure incremental tokenizer, whose
-peak memory is bounded by the longest token rather than the document.
+chosen from what it can observe, with no user switch.  ``auto`` uses the
+accelerated backend for in-memory strings, byte buffers and file paths,
+and leaves file-like objects and chunk iterables on the pure incremental
+tokenizer, whose peak memory is bounded by the longest token rather than
+the document.  Only the tokenizer entry points of :mod:`repro.xmlmodel`
+(:func:`~repro.xmlmodel.events.iter_events` and the fragment functions)
+take an ``engine=`` keyword, so tests and benchmarks can pin each
+backend; every plane above consumes :class:`~repro.xmlmodel.events.Event`
+streams and never names one.
 
 The byte-oriented entry points (:func:`fragment_byte_events`, path
 sources) are the zero-copy half of the design: an ``mmap``-ed document is
@@ -58,16 +61,10 @@ from repro import obs
 from repro.xmlmodel.events import ATTR, END, SKIP, START, TEXT, Event
 from repro.xmlmodel.parser import XMLSyntaxError
 
-#: Environment variable consulted when ``engine`` is not given explicitly.
-ENGINE_ENV = "REPRO_TOKENIZER"
-
+#: ``tokenizer.calls`` label of the default, source-routed backend choice.
 AUTO = "auto"
 PURE = "pure"
-ACCEL = "accel"
 EXPAT = "expat"
-
-#: Engine names accepted by ``resolve_engine`` (and the CLI).
-ENGINES = (AUTO, PURE, ACCEL, EXPAT)
 
 #: Bytes fed to the C parser per ``Parse`` call.  Events are handed to the
 #: consumer between segments, so peak accelerated memory is one segment's
@@ -82,14 +79,6 @@ _AUTO_THRESHOLD = 1 << 12
 #: Bound on the per-parse event caches; adversarial inputs with millions
 #: of distinct names/values reset the cache instead of growing it.
 _CACHE_LIMIT = 1 << 16
-
-
-class TokenizerUnavailable(ValueError):
-    """An explicitly requested tokenizer backend is not installed.
-
-    A :class:`ValueError` so the CLI's uniform exit-code policy (usage
-    error → 2) applies without special-casing.
-    """
 
 
 class _Fallback(Exception):
@@ -113,26 +102,21 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an engine request to ``auto``, ``pure`` or ``expat``.
+    """Resolve an ``engine=`` request to ``auto``, ``pure`` or ``expat``.
 
-    ``engine`` overrides the ``REPRO_TOKENIZER`` environment variable,
-    which overrides the default ``auto``.  ``accel`` is an alias of
-    ``expat``.  Requesting expat where it is not available raises
-    :exc:`TokenizerUnavailable`; an unknown name raises
+    ``None`` is ``auto``, the source-based routing of
+    :func:`accelerated_events`; ``pure`` and ``expat`` pin a backend.
+    Any other name, or ``expat`` where it is not available, raises
     :exc:`ValueError`.
     """
     if engine is None:
-        engine = os.environ.get(ENGINE_ENV, "").strip().lower() or AUTO
-    else:
-        engine = engine.strip().lower()
-    if engine not in ENGINES:
+        return AUTO
+    if engine not in (PURE, EXPAT):
         raise ValueError(
-            f"unknown tokenizer engine {engine!r} (expected one of {', '.join(ENGINES)})"
+            f"unknown tokenizer engine {engine!r} (expected None, 'pure' or 'expat')"
         )
-    if engine == ACCEL:
-        engine = EXPAT
     if engine == EXPAT and _expat_module() is None:
-        raise TokenizerUnavailable("the expat tokenizer backend is not available")
+        raise ValueError("the expat tokenizer backend is not available")
     return engine
 
 

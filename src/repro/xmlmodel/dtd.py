@@ -563,12 +563,7 @@ class DTDStreamValidator:
         return violations
 
 
-def stream_dtd_violations(
-    source,
-    dtd: DTD,
-    strip_whitespace: bool = True,
-    engine: Optional[str] = None,
-) -> List[DTDViolation]:
+def stream_dtd_violations(source, dtd: DTD) -> List[DTDViolation]:
     """Validate ``source`` against ``dtd`` in one streaming pass.
 
     Validation is single-pass by nature, so this always runs the serial
@@ -577,9 +572,7 @@ def stream_dtd_violations(
     """
     from repro.parallel import run_pipeline
 
-    return run_pipeline(
-        source, dtd=dtd, jobs=1, engine=engine, strip_whitespace=strip_whitespace
-    ).dtd_violations
+    return run_pipeline(source, dtd=dtd, jobs=1).dtd_violations
 
 
 def existence_facts(dtd: DTD) -> Dict[str, Set[str]]:

@@ -151,21 +151,23 @@ def iter_events(
     object (read in ``chunk_size`` pieces) or an iterable of string chunks.
     ``strip_whitespace`` drops whitespace-only text events.
 
-    ``engine`` selects the tokenizer backend (default: the
-    ``REPRO_TOKENIZER`` environment variable, else ``auto``):
+    ``engine`` pins the tokenizer backend; it exists so tests and
+    benchmarks can reach each one, and no plane above this module passes
+    it:
 
-    * ``pure`` — the in-tree reference tokenizer below;
-    * ``accel`` / ``expat`` — the expat front-end of
-      :mod:`repro.xmlmodel.accel`, which emits the identical event stream
-      and errors (falling back to a pure replay whenever the C dialect
-      could disagree);
-    * ``auto`` — accelerate in-memory strings, buffers and paths; keep
-      file-like objects and chunk iterables on the pure incremental
-      tokenizer, preserving its bounded-memory contract.  When a
-      non-empty ``skip`` set accompanies an in-memory string, ``auto``
-      prefers the pure scanner: its bulk fast-forward elides skippable
-      regions at C speed, which beats a C parser that must still visit
-      every node.
+    * ``None`` (``auto``, the default) — accelerate in-memory strings,
+      buffers and paths; keep file-like objects and chunk iterables on the
+      pure incremental tokenizer, preserving its bounded-memory contract.
+      When a non-empty ``skip`` set accompanies an in-memory string,
+      ``auto`` prefers the pure scanner: its bulk fast-forward elides
+      skippable regions at C speed, which beats a C parser that must
+      still visit every node;
+    * ``"pure"`` — the in-tree reference tokenizer below;
+    * ``"expat"`` — the expat front-end of :mod:`repro.xmlmodel.accel`,
+      which emits the identical event stream and errors (falling back to
+      a pure replay whenever the C dialect could disagree).
+
+    Any other ``engine`` raises :exc:`ValueError`.
 
     On the pure path a fully in-memory string takes a specialized
     single-buffer scanner (the hot path of the shredding benchmarks);
@@ -209,8 +211,8 @@ def iter_events(
         # Under a selective plan the pure scanner is the fastest backend:
         # its bulk fast-forward settles skippable regions with a few
         # C-level scans, while a C parser still pays a Python callback
-        # per element it visits.  Explicit engine requests (argument or
-        # environment variable) are honored unchanged.
+        # per element it visits.  An explicit ``engine`` is honored
+        # unchanged.
         return _string_events(source, strip_whitespace, skip)
     if resolved != accel.PURE:
         accelerated = accel.accelerated_events(source, strip_whitespace, resolved, skip)
@@ -708,18 +710,14 @@ def iter_tree_events(tree_or_element: Union[XMLTree, ElementNode]) -> Iterator[E
         stack.extend(reversed(element.children))
 
 
-def as_events(
-    source: EventSource,
-    strip_whitespace: bool = True,
-    engine: Optional[str] = None,
-    skip=None,
-) -> Iterator[Event]:
+def as_events(source: EventSource, skip=None) -> Iterator[Event]:
     """Coerce any supported source into an event stream.
 
     Accepts trees/elements (replayed), strings, byte buffers, paths and
     file-like objects (tokenized via :func:`iter_events`, honoring
-    ``engine`` and ``skip``), iterables of string chunks (tokenized) and
-    iterables that already yield :class:`Event` objects (passed through).
+    ``skip``), iterables of string chunks (tokenized) and iterables that
+    already yield :class:`Event` objects (passed through).  An empty
+    iterable is the empty document, which the tokenizer rejects.
     """
     if isinstance(source, (XMLTree, ElementNode)):
         return iter_tree_events(source)
@@ -729,20 +727,16 @@ def as_events(
         or hasattr(source, "read")
         or hasattr(source, "__fspath__")
     ):
-        return iter_events(
-            source, strip_whitespace=strip_whitespace, engine=engine, skip=skip
-        )  # type: ignore[arg-type]
+        return iter_events(source, skip=skip)  # type: ignore[arg-type]
     iterator = iter(source)  # type: ignore[arg-type]
     try:
         first = next(iterator)
     except StopIteration:
-        return iter(())
+        return iter_events("", skip=skip)
     rest = itertools.chain((first,), iterator)
     if isinstance(first, Event):
         return rest  # type: ignore[return-value]
-    return iter_events(
-        rest, strip_whitespace=strip_whitespace, engine=engine, skip=skip
-    )  # type: ignore[arg-type]
+    return iter_events(rest, skip=skip)  # type: ignore[arg-type]
 
 
 def element_from_events(events: Iterable[Event]) -> ElementNode:

@@ -3,8 +3,8 @@
 :func:`parse_document` is the event tokenizer of
 :mod:`repro.xmlmodel.events` feeding
 :func:`~repro.xmlmodel.events.tree_from_events`, so the DOM and every
-streaming plane read documents through one front end, with one engine
-selection (``REPRO_TOKENIZER``, else ``auto``) and one set of errors.
+streaming plane read documents through one front end, with one backend
+routing (``auto``) and one set of errors.
 The library builds its own tree (instead of wrapping ``xml.etree``) so
 that the resulting model is exactly the paper's: attribute nodes are
 first-class, node identities are assigned in document order, and

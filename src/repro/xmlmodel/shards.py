@@ -106,11 +106,7 @@ class DocumentShards:
         return self.text[piece.start:piece.end]
 
     def shard_events(
-        self,
-        index: int,
-        strip_whitespace: bool = True,
-        engine: Optional[str] = None,
-        skip=None,
+        self, index: int, strip_whitespace: bool = True, skip=None
     ) -> Iterator[Event]:
         """Replay one slice as events (synthetic root start/end dropped).
 
@@ -124,13 +120,10 @@ class DocumentShards:
             self.root_tag,
             self.slice_text(index),
             strip_whitespace=strip_whitespace,
-            engine=engine,
             skip=skip,
         )
 
-    def replay_events(
-        self, strip_whitespace: bool = True, engine: Optional[str] = None
-    ) -> Iterator[Event]:
+    def replay_events(self, strip_whitespace: bool = True) -> Iterator[Event]:
         """The whole document as events, reassembled from the shards.
 
         Used by the differential tests: this must equal
@@ -138,9 +131,7 @@ class DocumentShards:
         """
         yield from self.prologue_events
         for index in range(len(self.slices)):
-            yield from self.shard_events(
-                index, strip_whitespace=strip_whitespace, engine=engine
-            )
+            yield from self.shard_events(index, strip_whitespace=strip_whitespace)
         yield Event(END, self.root_tag)
 
 
@@ -162,7 +153,7 @@ def fragment_events(
     :exc:`~repro.xmlmodel.parser.XMLSyntaxError` lazily, mid-iteration —
     consumers that must stay consistent drain the whole stream before
     committing any state (as the incremental engine does).  ``engine``
-    selects the tokenizer backend, as in :func:`iter_events`.
+    pins the tokenizer backend, as in :func:`iter_events`.
     """
     events = iter_events(
         f"<{root_tag}>{fragment}</{root_tag}>",
@@ -242,16 +233,12 @@ class MappedDocumentShards:
         return bytes(self.slice_bytes(index)).decode("ascii")
 
     def shard_events(
-        self,
-        index: int,
-        strip_whitespace: bool = True,
-        engine: Optional[str] = None,
-        skip=None,
+        self, index: int, strip_whitespace: bool = True, skip=None
     ) -> Iterator[Event]:
         """Replay one mapped slice as events, zero-copy into the C backend.
 
-        With a pure ``engine`` (or when the capability probe declines) the
-        slice decodes once in the worker — still never pickled or shipped.
+        When the capability probe declines (or expat is missing) the slice
+        decodes once in the worker — still never pickled or shipped.
         """
         from repro.xmlmodel.accel import fragment_byte_events
 
@@ -259,18 +246,13 @@ class MappedDocumentShards:
             self.root_tag,
             self.slice_bytes(index),
             strip_whitespace=strip_whitespace,
-            engine=engine,
             skip=skip,
         )
 
-    def replay_events(
-        self, strip_whitespace: bool = True, engine: Optional[str] = None
-    ) -> Iterator[Event]:
+    def replay_events(self, strip_whitespace: bool = True) -> Iterator[Event]:
         yield from self.prologue_events
         for index in range(len(self.slices)):
-            yield from self.shard_events(
-                index, strip_whitespace=strip_whitespace, engine=engine
-            )
+            yield from self.shard_events(index, strip_whitespace=strip_whitespace)
         yield Event(END, self.root_tag)
 
     def close(self) -> None:

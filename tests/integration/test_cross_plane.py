@@ -2,13 +2,17 @@
 
 ``check-doc`` and ``shred`` reach the same document through several
 planes — the DOM, the serial streaming pass, the sharded pass on worker
-processes, the DTD-pruned pass, the pure tokenizer.  All of them are
-promised to print byte-identical reports and exit codes.  This suite
-holds them to it on the schema-shaped stress corpora of
-:mod:`repro.experiments.scenarios` (entity-dense text, a DBLP-shaped
-bibliography, deep recursive nesting) and on an ill-formed document,
-whose syntax error must read the same on every plane.
+processes, the DTD-pruned pass.  All of them are promised to print
+byte-identical reports and exit codes.  This suite holds them to it on
+the schema-shaped stress corpora of :mod:`repro.experiments.scenarios`
+(entity-dense text, a DBLP-shaped bibliography, deep recursive nesting)
+and on an ill-formed document, whose syntax error must read the same on
+every plane.  The pure tokenizer is not a CLI plane (the backend is the
+tokenizer's own choice), so its events are fed to the pipeline driver
+in-process and compared with the default plane's answer.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +27,10 @@ from repro.experiments.scenarios import (
     entity_storm_chunks,
     mondial_shaped_chunks,
 )
-from repro.xmlmodel import parse_document
+from repro.keys import parse_keys
+from repro.parallel import run_pipeline
+from repro.transform import parse_transformation
+from repro.xmlmodel import iter_events, parse_document
 from repro.xmlmodel.parser import XMLSyntaxError
 
 #: name → (document chunks, DTD, keys, transformation).  The keys are
@@ -65,7 +72,6 @@ CHECK_PLANES = {
     "dom": ["--dom"],
     "jobs2": ["--jobs", "2"],
     "prune": ["--dtd", "{dtd}", "--prune"],
-    "pure": ["--tokenizer", "pure"],
 }
 
 KEYS = "K = (., (//country, {@car_code}))\n"
@@ -116,6 +122,26 @@ class TestCheckDocPlanesAgree:
             assert result == (code, out, err), name
 
 
+def _answer(run):
+    """Everything a pipeline run reports: rows and violations with ids."""
+    rows = {name: instance.rows for name, instance in run.instances.items()}
+    return rows, [
+        (v.key.text, v.context_node_id, v.kind, v.node_ids, v.detail)
+        for v in run.violations
+    ]
+
+
+class TestPureTokenizerPlane:
+    def test_pure_events_match_the_default_plane(self, corpus):
+        keys = parse_keys(Path(corpus["keys"]).read_text())
+        rules = parse_transformation(Path(corpus["rules"]).read_text())
+        doc = Path(corpus["doc"])
+        default = run_pipeline(doc, rules=rules, keys=keys)
+        pure = run_pipeline(iter_events(doc, engine="pure"), rules=rules, keys=keys)
+        assert default.violations
+        assert _answer(pure) == _answer(default)
+
+
 class TestShredPlanesAgree:
     def test_streaming_sharded_and_dom_rows_are_identical(self, corpus, capsys):
         base = [
@@ -162,13 +188,19 @@ class TestIllFormedDocument:
 
     @pytest.mark.parametrize(
         "plane",
-        [[], ["--dom"], ["--jobs", "2"], ["--tokenizer", "pure"],
-         ["--jobs", "1", "--tokenizer", "pure", "--dtd", "{dtd}", "--prune"]],
-        ids=["default", "dom", "jobs2", "pure", "prune-pure"],
+        [[], ["--dom"], ["--jobs", "2"]],
+        ids=["default", "dom", "jobs2"],
     )
     def test_check_doc_reports_the_serial_error(self, ill_formed, expected, plane, capsys):
         argv = ["check-doc", "--keys", ill_formed["keys"], "--xml", ill_formed["doc"]]
         assert _run(argv + _argv(plane, ill_formed), capsys) == expected
+
+    def test_pure_events_raise_the_serial_error(self, ill_formed, expected):
+        keys = parse_keys(Path(ill_formed["keys"]).read_text())
+        events = iter_events(Path(ill_formed["doc"]), engine="pure")
+        with pytest.raises(XMLSyntaxError) as caught:
+            run_pipeline(events, keys=keys)
+        assert f"error: {caught.value}\n" == expected[2]
 
     @pytest.mark.xfail(
         strict=True,
@@ -177,10 +209,8 @@ class TestIllFormedDocument:
     )
     @pytest.mark.parametrize(
         "plane",
-        [["--jobs", "1", "--tokenizer", "auto"],
-         ["--jobs", "2", "--tokenizer", "auto"],
-         ["--jobs", "2", "--tokenizer", "pure"]],
-        ids=["accel", "jobs2-accel", "jobs2-pure"],
+        [["--jobs", "1"], ["--jobs", "2"]],
+        ids=["accel", "jobs2-accel"],
     )
     def test_pruned_check_doc_reports_the_serial_error(
         self, ill_formed, expected, plane, capsys

@@ -12,13 +12,18 @@ check → report (and the CLI front end on top), with the DOM pipeline as the
 reference at every step.
 """
 
+import io
+
 import pytest
 
 from repro.cli import main
 from repro.experiments import paper_example as pe
+from repro.keys.key import parse_key
+from repro.keys.stream import stream_violations
 from repro.relational.instance import RelationInstance
 from repro.transform.evaluate import evaluate_transformation
-from repro.transform.stream import stream_evaluate_transformation
+from repro.transform.stream import iter_rule_rows, stream_evaluate_transformation
+from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.serializer import serialize
 
 
@@ -101,3 +106,29 @@ class TestFigure2aStreaming:
         assert main(argv + ["--stream"]) == 0
         stream_out = capsys.readouterr().out
         assert sorted(stream_out.splitlines()) == sorted(dom_out.splitlines())
+
+
+class TestEmptyDocument:
+    """No document is not a clean document: every empty source is the
+    empty text, which has no root element."""
+
+    @pytest.mark.parametrize(
+        "make_source",
+        [
+            lambda: "",
+            lambda: [""],
+            lambda: io.StringIO(""),
+            lambda: [],
+            lambda: iter([]),
+        ],
+        ids=["string", "one-empty-chunk", "file-like", "empty-list", "empty-iterator"],
+    )
+    def test_empty_sources_have_no_root_element(self, make_source):
+        key = parse_key("(//book, (chapter, {@number}))")
+        rule = pe.initial_chapter_design()[0].rule("Chapter")
+        with pytest.raises(XMLSyntaxError, match="expected a root element") as caught:
+            stream_violations(make_source(), [key])
+        assert caught.value.position == 0
+        with pytest.raises(XMLSyntaxError, match="expected a root element") as caught:
+            list(iter_rule_rows(rule, make_source()))
+        assert caught.value.position == 0

@@ -48,7 +48,7 @@ def _shard_outputs(compact, rules, keys, num_shards):
     shards = split_document(compact, num_shards)
     if shards is None:
         return None, None
-    worker = _ShardWorker(shards, rules, keys, strip_whitespace=True)
+    worker = _ShardWorker(shards, rules, keys)
     return shards, [worker.run(index) for index in range(len(shards))]
 
 

@@ -40,6 +40,7 @@ from repro.keys.stream import stream_violations
 from repro.parallel import run_sharded
 from repro.transform.stream import stream_evaluate_rule
 from repro.xmlmodel.dtd import parse_dtd, stream_dtd_violations
+from repro.xmlmodel.events import iter_events
 from repro.xmlmodel.parser import parse_document
 from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.static import compile_plan
@@ -111,8 +112,10 @@ class TestPrunedCheckerDifferential:
     def test_violations_identical(self, tree, keys, dtd, engine):
         compact = serialize(tree, indent=0)
         plan = compile_plan(dtd, keys=keys)
-        unpruned = stream_violations(compact, keys, engine=engine)
-        pruned = stream_violations(compact, keys, engine=engine, plan=plan)
+        unpruned = stream_violations(iter_events(compact, engine=engine), keys)
+        pruned = stream_violations(
+            iter_events(compact, engine=engine, skip=plan.skipset), keys, plan=plan
+        )
         assert fingerprint(pruned) == fingerprint(unpruned)
 
     @differential_settings
@@ -121,7 +124,9 @@ class TestPrunedCheckerDifferential:
         compact = serialize(tree, indent=0)
         plan = compile_plan(dtd, keys=keys)
         default_run = stream_violations(compact, keys, plan=plan)
-        pure_run = stream_violations(compact, keys, engine="pure", plan=plan)
+        pure_run = stream_violations(
+            iter_events(compact, engine="pure", skip=plan.skipset), keys, plan=plan
+        )
         assert fingerprint(default_run) == fingerprint(pure_run)
 
 
@@ -233,7 +238,7 @@ class TestStreamingValidatorDifferential:
     @given(tree=xml_documents(), dtd=random_dtds(), engine=st.sampled_from([None, "pure"]))
     def test_streaming_matches_dom(self, tree, dtd, engine):
         compact = serialize(tree, indent=0)
-        streamed = stream_dtd_violations(compact, dtd, engine=engine)
+        streamed = stream_dtd_violations(iter_events(compact, engine=engine), dtd)
         dom = dtd.validate(parse_document(compact))
         assert witness(streamed) == witness(dom)
 

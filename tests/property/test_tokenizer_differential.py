@@ -13,7 +13,9 @@ plane to be observationally identical on random documents:
 * **Consumers** — node-id-bearing results (key violations with context
   and witness ids, shredded rows) must not depend on the engine, and
   :func:`repro.parallel.run_sharded` over an ``mmap``-sliced file must be
-  byte-identical to the serial pure run.
+  byte-identical to the serial pure run.  The planes take no backend
+  setting, so each consumer is fed ``iter_events(text, engine=...)``
+  directly.
 """
 
 import os
@@ -111,16 +113,20 @@ class TestConsumerDifferential:
     @given(tree=xml_documents(), keys=st.lists(xml_keys(), min_size=1, max_size=3))
     def test_violation_node_ids_agree(self, tree, keys):
         text = serialize(tree, indent=0)
-        pure = stream_violations(text, keys, engine="pure")
-        accel = stream_violations(text, keys, engine="expat")
+        pure = stream_violations(iter_events(text, engine="pure"), keys)
+        accel = stream_violations(iter_events(text, engine="expat"), keys)
         assert canonical(accel) == canonical(pure)
 
     @differential_settings
     @given(rule=table_rules(), tree=xml_documents())
     def test_shredded_rows_agree(self, rule, tree):
         text = serialize(tree, indent=0)
-        pure = stream_evaluate_rule(rule, text, deduplicate=False, engine="pure")
-        accel = stream_evaluate_rule(rule, text, deduplicate=False, engine="expat")
+        pure = stream_evaluate_rule(
+            rule, iter_events(text, engine="pure"), deduplicate=False
+        )
+        accel = stream_evaluate_rule(
+            rule, iter_events(text, engine="expat"), deduplicate=False
+        )
         assert accel.rows == pure.rows
 
 
@@ -148,7 +154,7 @@ class TestShardedMmapDifferential:
         text = serialize(tree, indent=0)
         assert text.isascii(), "the strategy vocabulary is ASCII"
         serial = run_sharded(
-            text, transformation=[rule], keys=keys, jobs=1, engine="pure"
+            iter_events(text, engine="pure"), transformation=[rule], keys=keys, jobs=1
         )
         descriptor, path = tempfile.mkstemp(suffix=".xml")
         try:
@@ -160,7 +166,6 @@ class TestShardedMmapDifferential:
                 keys=keys,
                 jobs=2,
                 use_processes=False,
-                engine="expat",
             )
         finally:
             os.unlink(path)

@@ -661,37 +661,26 @@ class TestExitCodes:
             main(["load"])  # missing required arguments
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("engine", ["auto", "pure", "accel", "expat"])
-    def test_tokenizer_backends_agree_on_exit_and_output(
-        self, violating_workspace, capsys, engine
+    def test_missing_expat_falls_back_to_pure(
+        self, violating_workspace, capsys, monkeypatch
     ):
-        # The tokenizer backend is an executor choice: every backend must
-        # produce the same report and the same exit code.
+        # The backend is picked from what the platform offers: without
+        # expat every document command runs on the pure tokenizer, with
+        # the same report and exit code.
         ws = violating_workspace
         argv = ["shred", "--transform", ws["transform"], "--xml", ws["bad_xml"],
-                "--keys", ws["keys"], "--tokenizer"]
-        assert main(argv + ["pure"]) == 1
-        pure_out = capsys.readouterr().out
-        assert main(argv + [engine]) == 1
-        assert capsys.readouterr().out == pure_out
-
-    @pytest.mark.parametrize("command", ["check-doc", "shred", "load"])
-    def test_unavailable_tokenizer_exit_two(self, violating_workspace, monkeypatch, command):
+                "--keys", ws["keys"], "--stream"]
+        assert main(argv) == 1
+        expected = capsys.readouterr().out
         monkeypatch.setattr(accel, "_expat_module", lambda: None)
-        ws = violating_workspace
-        argv = {
-            "check-doc": ["check-doc", "--keys", ws["keys"], "--xml", ws["xml"]],
-            "shred": ["shred", "--transform", ws["transform"], "--xml", ws["xml"]],
-            "load": ["load", "--transform", ws["transform"], "--xml", ws["xml"],
-                     "--db", ws["db"]],
-        }[command]
-        assert main(argv + ["--tokenizer", "expat"]) == 2
+        assert main(argv) == 1
+        assert capsys.readouterr().out == expected
 
-    def test_unknown_tokenizer_is_an_argparse_error(self, violating_workspace):
+    def test_tokenizer_flag_is_an_argparse_error(self, violating_workspace):
         ws = violating_workspace
         with pytest.raises(SystemExit) as info:
             main(["check-doc", "--keys", ws["keys"], "--xml", ws["xml"],
-                  "--tokenizer", "bogus"])
+                  "--tokenizer", "pure"])
         assert info.value.code == 2
 
 
@@ -753,15 +742,6 @@ class TestEnvironmentErrors:
                      "--xml", ws["xml"], "--stream"])
         assert code == 2
         assert "REPRO_JOBS" in capsys.readouterr().err
-
-    def test_malformed_repro_tokenizer_exit_two(
-        self, violating_workspace, capsys, monkeypatch
-    ):
-        ws = violating_workspace
-        monkeypatch.setenv("REPRO_TOKENIZER", "bogus")
-        code = main(["check-doc", "--keys", ws["keys"], "--xml", ws["xml"]])
-        assert code == 2
-        assert "tokenizer" in capsys.readouterr().err
 
     def test_malformed_repro_backend_exit_two(
         self, violating_workspace, capsys, monkeypatch
@@ -920,15 +900,14 @@ class TestStatsFlags:
         files = {"book.dtd": dtd_text, "keys.txt": keys_text, "doc.xml": doc}
         for name, text in files.items():
             (tmp_path / name).write_text(text)
-        # An explicit engine: file sources skip on the accelerated path only.
+        # File sources skip on the accelerated path, which auto takes for paths.
         plan = compile_plan(parse_dtd(dtd_text), keys=parse_keys(keys_text))
-        events = iter_events(tmp_path / "doc.xml", engine="auto", skip=plan.skipset)
+        events = iter_events(tmp_path / "doc.xml", skip=plan.skipset)
         skips = [e for e in events if e.kind == SKIP]
         assert skips
         totals, _ = self._counters(
             ["check-doc", "--keys", str(tmp_path / "keys.txt"), "--xml",
-             str(tmp_path / "doc.xml"), "--dtd", str(tmp_path / "book.dtd"), "--prune",
-             "--tokenizer", "auto"],
+             str(tmp_path / "doc.xml"), "--dtd", str(tmp_path / "book.dtd"), "--prune"],
             capsys,
         )
         assert totals["pipeline.skips"] == len(skips)

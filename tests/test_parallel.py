@@ -430,5 +430,5 @@ class TestMetricParity:
 
         keys = parse_keys("K = (., (//country, {@car_code}))\n")
         plan = compile_plan(parse_dtd(MONDIAL_DTD), keys=keys)
-        serial = self._assert_parity(mondial, keys=keys, plan=plan, engine="auto")
+        serial = self._assert_parity(mondial, keys=keys, plan=plan)
         assert serial.counter("pipeline.skips") > 0

@@ -4,8 +4,8 @@ The accelerated plane (:mod:`repro.xmlmodel.accel`) must be *invisible*:
 same events, same errors, same positions as the pure tokenizer, for every
 source kind it accepts.  These tests pin
 
-* engine resolution (kwarg > ``REPRO_TOKENIZER`` > ``auto``, unknown
-  names, unavailable backends);
+* engine resolution (``None`` is ``auto``; ``pure`` and ``expat`` are
+  the only names; an unavailable backend is a :exc:`ValueError`);
 * event-for-event parity on the adversarial corpus in both whitespace
   modes;
 * error parity (exception type, message, position) on malformed inputs;
@@ -29,8 +29,6 @@ from test_chunk_boundaries import ADVERSARIAL_DOCUMENTS
 
 from repro.xmlmodel import accel
 from repro.xmlmodel.accel import (
-    ENGINE_ENV,
-    TokenizerUnavailable,
     available_backends,
     fragment_byte_events,
     resolve_engine,
@@ -87,42 +85,27 @@ def prefix_and_error(source, engine):
 # Engine resolution
 # ----------------------------------------------------------------------
 class TestEngineResolution:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
+    def test_default_is_auto(self):
         assert resolve_engine() == "auto"
 
-    def test_environment_variable_selects(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "pure")
-        assert resolve_engine() == "pure"
+    @pytest.mark.parametrize("engine", ["pure", "expat"])
+    def test_backend_names_resolve_to_themselves(self, engine):
+        assert resolve_engine(engine) == engine
 
-    def test_kwarg_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "pure")
-        assert resolve_engine("expat") == "expat"
-
-    def test_names_are_case_and_space_insensitive(self):
-        assert resolve_engine("  EXPAT ") == "expat"
-
-    def test_accel_is_an_alias_of_expat(self):
-        assert resolve_engine("accel") == "expat"
-
-    def test_unknown_name_raises_value_error(self):
+    @pytest.mark.parametrize(
+        "engine", ["bogus", "accel", "  EXPAT "], ids=["bogus", "accel", "padded"]
+    )
+    def test_unknown_name_raises_value_error(self, engine):
+        # No alias and no case folding: only "pure" and "expat" pin a backend.
         with pytest.raises(ValueError, match="unknown tokenizer engine"):
-            resolve_engine("bogus")
+            iter_events("<a/>", engine=engine)
 
-    def test_unknown_env_value_raises_from_iter_events(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "bogus")
-        with pytest.raises(ValueError, match="unknown tokenizer engine"):
-            iter_events("<a/>")
-
-    @pytest.mark.parametrize("engine", ["accel", "expat"])
-    def test_missing_expat_raises_unavailable(self, monkeypatch, engine):
+    def test_missing_expat_raises_value_error(self, monkeypatch):
         monkeypatch.setattr(accel, "_expat_module", lambda: None)
-        with pytest.raises(TokenizerUnavailable, match="expat"):
-            resolve_engine(engine)
+        with pytest.raises(ValueError, match="expat"):
+            resolve_engine("expat")
         assert available_backends() == ("pure",)
-
-    def test_unavailable_is_a_value_error(self):
-        assert issubclass(TokenizerUnavailable, ValueError)
+        assert resolve_engine() == "auto"
 
     def test_available_backends_end_with_pure(self):
         backends = available_backends()
@@ -139,10 +122,6 @@ class TestEventParity:
     def test_adversarial_corpus(self, name, strip):
         document = ADVERSARIAL_DOCUMENTS[name]
         assert outcome(document, strip, "expat") == outcome(document, strip, "pure")
-
-    def test_accel_equals_pure(self):
-        document = ADVERSARIAL_DOCUMENTS["entities"]
-        assert outcome(document, engine="accel") == outcome(document, engine="pure")
 
     def test_node_id_positions_match(self):
         # Node ids are positional in this dialect: equality of full event

@@ -161,5 +161,6 @@ class TestAsEvents:
         assert list(as_events(chunked(text, 16))) == reference
         assert list(as_events(iter(reference))) == reference
 
-    def test_empty_iterable(self):
-        assert list(as_events(iter([]))) == []
+    def test_empty_iterable_is_the_empty_document(self):
+        with pytest.raises(XMLSyntaxError, match="expected a root element"):
+            list(as_events(iter([])))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.scenarios import deep_nesting_chunks
-from repro.xmlmodel.accel import ENGINE_ENV
+from repro.xmlmodel.events import iter_events, tree_from_events
 from repro.xmlmodel.parser import XMLSyntaxError, parse_document
 from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.tree import XMLTree
@@ -94,9 +94,11 @@ class TestEntities:
 
 class TestDepth:
     @pytest.mark.parametrize("engine", ["pure", "expat"])
-    def test_nesting_deeper_than_the_recursion_limit(self, monkeypatch, engine):
-        monkeypatch.setenv(ENGINE_ENV, engine)
-        tree = parse_document("".join(deep_nesting_chunks(depth=5000, repeat=1)))
+    def test_nesting_deeper_than_the_recursion_limit(self, engine):
+        # parse_document is tree_from_events over iter_events; composing the
+        # two reaches each backend.
+        text = "".join(deep_nesting_chunks(depth=5000, repeat=1))
+        tree = tree_from_events(iter_events(text, engine=engine))
         # chain + 5000 links + 5000 @n + payload + its text
         assert len(tree) == 10_003
         assert tree.elements_by_tag("payload")[0].text_content() == "bottom 0"

@@ -6,12 +6,14 @@ then ``T`` is evaluated under every context.  For the data-plane workloads
 this module checks *all* keys in one pass over the event stream of
 :mod:`repro.xmlmodel.events`:
 
-* keys are bucketed by their (interned) context path; each bucket shares a
-  single context :class:`PathNFA` and one *combined* target automaton whose
-  states are sets of ``(key slot, step position)`` pairs — ten keys under
-  the same context advance as one memoised transition, not ten;
-* the per-element context work is one dictionary hit: the whole vector of
-  context states transitions through a ``(vector, tag)`` memo;
+* keys are bucketed by their (interned) context path, and every bucket's
+  context is a slot of one context :class:`~repro.xmlmodel.matching.PathNFA`:
+  the per-element context work is one memoised transition, whose state
+  names the buckets matching the element (and the attribute names that
+  complete a context);
+* each bucket owns one more :class:`PathNFA` over its member keys' target
+  paths (slot = key) — ten keys under the same context advance as one
+  memoised transition, not ten;
 * every context match opens a *context record* carrying a hash index from
   ``(key, attribute-value tuple)`` to the target nodes seen so far — the
   grouping Definition 2.1 quantifies over, built once instead of per pair;
@@ -61,127 +63,35 @@ from repro.xmlmodel.events import (
     Event,
     EventSource,
 )
-from repro.xmlmodel.matching import PathNFA
-from repro.xmlmodel.paths import PathExpression, StepKind
+from repro.xmlmodel.matching import NFAState, PathNFA
+from repro.xmlmodel.paths import PathExpression
 
 
 class _KeyMachine:
     """One key of the checked set: its slot in its context bucket plus the
     precomputed pieces the hot loop needs."""
 
-    __slots__ = ("index", "key", "attributes", "steps", "length")
+    __slots__ = ("index", "key", "attributes")
 
     def __init__(self, index: int, key: XMLKey) -> None:
         self.index = index
         self.key = key
         self.attributes = key.attribute_list
-        self.steps = key.target.steps
-        self.length = len(key.target.steps)
 
 
 class _ContextBucket:
     """All keys sharing one context path.
 
-    The bucket owns the shared context NFA and a combined target automaton:
-    a state is the frozen set of ``(slot, position)`` pairs over the member
-    keys' target paths, closed under the ``//`` self-match.  Transitions are
-    memoised together with their accepting slots, so advancing *all* member
-    targets below a context node costs one dictionary hit per element.
+    ``targets`` is one :class:`PathNFA` over the member keys' target paths
+    (slot ``i`` is ``machines[i]``), so advancing *all* member targets below
+    a context node costs one dictionary hit per element.
     """
 
-    __slots__ = (
-        "context_nfa",
-        "machines",
-        "_transitions",
-        "initial",
-        "initial_accepts",
-        "has_attribute_targets",
-        "_attr_accepts",
-    )
+    __slots__ = ("machines", "targets")
 
-    def __init__(self, context: PathExpression, machines: List[_KeyMachine]) -> None:
-        self.context_nfa = PathNFA(context)
+    def __init__(self, machines: List[_KeyMachine]) -> None:
         self.machines = machines
-        #: (state, tag) → (next state, slots accepting in the next state)
-        self._transitions: Dict[
-            Tuple[frozenset, str], Tuple[frozenset, Tuple[int, ...]]
-        ] = {}
-        self._attr_accepts: Dict[Tuple[frozenset, str], Tuple[int, ...]] = {}
-        initial = self._close({(slot, 0) for slot in range(len(machines))})
-        self.initial = initial
-        #: Slots whose target matches the empty path — every context node is
-        #: then a target of its own record.
-        self.initial_accepts = self._accepting(initial)
-        self.has_attribute_targets = any(
-            step.kind is StepKind.ATTRIBUTE
-            for machine in machines
-            for step in machine.steps
-        )
-
-    def _close(self, pairs: set) -> frozenset:
-        pending = list(pairs)
-        machines = self.machines
-        while pending:
-            slot, pos = pending.pop()
-            steps = machines[slot].steps
-            if pos < len(steps) and steps[pos].kind is StepKind.DESCENDANT:
-                succ = (slot, pos + 1)
-                if succ not in pairs:
-                    pairs.add(succ)
-                    pending.append(succ)
-        return frozenset(pairs)
-
-    def _accepting(self, state: frozenset) -> Tuple[int, ...]:
-        machines = self.machines
-        return tuple(
-            sorted({slot for slot, pos in state if pos == machines[slot].length})
-        )
-
-    def advance(self, state: frozenset, tag: str) -> Tuple[frozenset, Tuple[int, ...]]:
-        key = (state, tag)
-        cached = self._transitions.get(key)
-        if cached is not None:
-            return cached
-        machines = self.machines
-        pairs = set()
-        for slot, pos in state:
-            steps = machines[slot].steps
-            if pos >= len(steps):
-                continue
-            step = steps[pos]
-            if step.kind is StepKind.DESCENDANT:
-                pairs.add((slot, pos))
-            elif step.kind is StepKind.LABEL and step.name == tag:
-                pairs.add((slot, pos + 1))
-        closed = self._close(pairs)
-        result = (closed, self._accepting(closed))
-        self._transitions[key] = result
-        return result
-
-    def attr_accepting(self, state: frozenset, name: str) -> Tuple[int, ...]:
-        """Slots whose target matches attribute ``name`` of the element in
-        ``state`` (an attribute step, then only ``//`` steps may remain)."""
-        key = (state, name)
-        cached = self._attr_accepts.get(key)
-        if cached is not None:
-            return cached
-        machines = self.machines
-        accepting = set()
-        for slot, pos in state:
-            steps = machines[slot].steps
-            length = len(steps)
-            if pos >= length:
-                continue
-            step = steps[pos]
-            if step.kind is StepKind.ATTRIBUTE and step.name == name:
-                after = pos + 1
-                while after < length and steps[after].kind is StepKind.DESCENDANT:
-                    after += 1
-                if after == length:
-                    accepting.add(slot)
-        result = tuple(sorted(accepting))
-        self._attr_accepts[key] = result
-        return result
+        self.targets = PathNFA([machine.key.target for machine in machines])
 
 
 #: A violation before materialization: ``(kind, node ids, key values)``.
@@ -254,24 +164,25 @@ class _Frame:
         "node_id",
         "attrs",
         "attr_ids",
-        "context_states",
+        "context_state",
         "targets",
         "target_of",
         "records_here",
         "attrs_done",
     )
 
-    def __init__(self, node_id: int, context_states: Tuple[frozenset, ...]) -> None:
+    def __init__(self, node_id: int, context_state: NFAState) -> None:
         self.node_id = node_id
         # Attribute maps are created lazily on the first attr event —
         # attribute-free elements (a majority in data-centric documents)
         # never allocate them.
         self.attrs: Optional[Dict[str, str]] = None
         self.attr_ids: Optional[Dict[str, int]] = None
-        self.context_states = context_states
-        #: Live (record, combined target state) pairs for the open context
-        #: records whose targets can still reach below this element.
-        self.targets: List[Tuple[_ContextRecord, frozenset]] = []
+        #: This element's state in the checker's context automaton.
+        self.context_state = context_state
+        #: Live (record, target state) pairs for the open context records
+        #: whose targets can still reach below this element.
+        self.targets: List[Tuple[_ContextRecord, NFAState]] = []
         #: (record, accepted slots) for which this *element* is a target
         #: (resolved once the attribute section is complete).
         self.target_of: List[Tuple[_ContextRecord, Tuple[int, ...]]] = []
@@ -292,9 +203,9 @@ class KeyStreamChecker:
         by_context: Dict[PathExpression, List[_KeyMachine]] = {}
         for machine in self.machines:
             by_context.setdefault(machine.key.context, []).append(machine)
-        self.buckets = [
-            _ContextBucket(context, machines) for context, machines in by_context.items()
-        ]
+        self.buckets = [_ContextBucket(machines) for machines in by_context.values()]
+        #: One automaton over every bucket's context path (slot = bucket).
+        self.contexts = PathNFA(list(by_context))
         self._frames: List[_Frame] = []
         self._next_id = 0
         self._flushed: List[_FlushEntry] = []
@@ -302,41 +213,23 @@ class KeyStreamChecker:
         #: Node ids consumed by the shard prologue (set by begin_shard);
         #: ids below it are the root's own and are shard-invariant.
         self._prologue_ids = 0
-        #: Depth inside a *dead region*: a subtree whose context vector is
-        #: entirely empty and into which no open record's target automaton
-        #: reaches.  Nothing in such a region can match anything (an exact
-        #: automaton fact — no schema trusted), so the checker only counts
-        #: node ids until the region closes.
+        #: Depth inside a *dead region*: a subtree whose context state is
+        #: dead and into which no open record's target automaton reaches.
+        #: Nothing in such a region can match anything (an exact automaton
+        #: fact — no schema trusted), so the checker only counts node ids
+        #: until the region closes.
         self._dead_depth = 0
         self._dead_attrs: Optional[set] = None
-        #: (parent context vector, tag) →
-        #: (child vector, buckets matching it, child vector is all-empty)
-        self._vector_cache: Dict[
-            Tuple[Tuple[frozenset, ...], str],
-            Tuple[Tuple[frozenset, ...], Tuple[_ContextBucket, ...], bool],
-        ] = {}
-        self._initial_vector = tuple(b.context_nfa.initial for b in self.buckets)
-        self._initial_matched = tuple(
-            bucket
-            for i, bucket in enumerate(self.buckets)
-            if bucket.context_nfa.matches(self._initial_vector[i])
-        )
-        #: Buckets whose *context* may end in an attribute node.
-        self._attr_context_buckets = [
-            (i, bucket)
-            for i, bucket in enumerate(self.buckets)
-            if bucket.context_nfa.has_attribute_steps
-        ]
 
     # ------------------------------------------------------------------
     def _open_record(self, bucket: _ContextBucket, frame: _Frame) -> None:
         record = _ContextRecord(bucket, frame.node_id)
         frame.records_here.append(record)
-        state = bucket.initial
-        if state:
+        state = bucket.targets.initial
+        if not state.dead:
             frame.targets.append((record, state))
-        if bucket.initial_accepts:
-            frame.target_of.append((record, bucket.initial_accepts))
+        if state.accepts:
+            frame.target_of.append((record, state.accepts))
 
     def _resolve_attrs(self, frame: _Frame) -> None:
         """Process everything that had to wait for the attribute section.
@@ -352,27 +245,26 @@ class KeyStreamChecker:
             for record, slots in frame.target_of:
                 for slot in slots:
                     record.add_target(slot, frame.node_id, attrs)
-        # Attribute nodes as targets / contexts — only for keys whose paths
-        # can reach an attribute node at all.
+        # Attribute nodes as targets / contexts — only where some state
+        # can complete a path on an attribute.
         if frame.attr_ids:
             attr_targets = [
-                (record, state)
-                for record, state in frame.targets
-                if record.bucket.has_attribute_targets
+                (record, state.attrs) for record, state in frame.targets if state.attrs
             ]
-            if attr_targets or self._attr_context_buckets:
+            attr_contexts = frame.context_state.attrs
+            if attr_targets or attr_contexts:
                 for name, attr_id in frame.attr_ids.items():
-                    for record, state in attr_targets:
-                        for slot in record.bucket.attr_accepting(state, name):
+                    for record, attrs in attr_targets:
+                        for slot in attrs.get(name, ()):
                             record.add_target(slot, attr_id, None)
-                    for bucket_index, bucket in self._attr_context_buckets:
-                        if bucket.context_nfa.matches_attribute(
-                            frame.context_states[bucket_index], name
-                        ):
-                            record = _ContextRecord(bucket, attr_id)
-                            for slot in bucket.initial_accepts:
-                                record.add_target(slot, attr_id, None)
-                            self._flushed.extend(record.flush())
+                    if attr_contexts is None:
+                        continue
+                    for bucket_index in attr_contexts.get(name, ()):
+                        bucket = self.buckets[bucket_index]
+                        record = _ContextRecord(bucket, attr_id)
+                        for slot in bucket.targets.initial.accepts:
+                            record.add_target(slot, attr_id, None)
+                        self._flushed.extend(record.flush())
 
     # ------------------------------------------------------------------
     def feed(self, event: Event) -> None:
@@ -391,44 +283,34 @@ class KeyStreamChecker:
                 parent = frames[-1]
                 if not parent.attrs_done:
                     self._resolve_attrs(parent)
-                cache_key = (parent.context_states, tag)
-                cached = self._vector_cache.get(cache_key)
-                if cached is None:
-                    vector = tuple(
-                        bucket.context_nfa.advance(parent.context_states[i], tag)
-                        for i, bucket in enumerate(self.buckets)
-                    )
-                    matched = tuple(
-                        bucket
-                        for i, bucket in enumerate(self.buckets)
-                        if bucket.context_nfa.matches(vector[i])
-                    )
-                    cached = (vector, matched, not matched and not any(vector))
-                    self._vector_cache[cache_key] = cached
-                vector, matched, vector_dead = cached
-                if vector_dead and not parent.targets:
+                state = parent.context_state.moves.get(tag)
+                if state is None:
+                    state = self.contexts.move(parent.context_state, tag)
+                if state.dead and not parent.targets:
                     # No context path can ever match at or below this
                     # element and no open record's targets reach into it:
                     # the subtree contributes node ids and nothing else.
                     self._dead_depth = 1
                     self._dead_attrs = None
                     return
-                frame = _Frame(node_id, vector)
+                frame = _Frame(node_id, state)
                 parent_targets = parent.targets
                 if parent_targets:
                     frame_targets = frame.targets
                     frame_target_of = frame.target_of
-                    for record, state in parent_targets:
-                        advanced, accepts = record.bucket.advance(state, tag)
-                        if advanced:
+                    for record, target in parent_targets:
+                        advanced = target.moves.get(tag)
+                        if advanced is None:
+                            advanced = record.bucket.targets.move(target, tag)
+                        if not advanced.dead:
                             frame_targets.append((record, advanced))
-                            if accepts:
-                                frame_target_of.append((record, accepts))
+                            if advanced.accepts:
+                                frame_target_of.append((record, advanced.accepts))
             else:
-                frame = _Frame(node_id, self._initial_vector)
-                matched = self._initial_matched
-            for bucket in matched:
-                self._open_record(bucket, frame)
+                state = self.contexts.initial
+                frame = _Frame(node_id, state)
+            for bucket_index in state.accepts:
+                self._open_record(self.buckets[bucket_index], frame)
             frames.append(frame)
         elif kind == ATTR:
             if self._dead_depth:
@@ -525,14 +407,14 @@ class KeyStreamChecker:
 
     def _record_index_sizes(self) -> None:
         """Index sizes are additive levels (gauges summed across shards and
-        serial passes): flushed context records plus the memoised NFA
-        transition tables."""
+        serial passes): flushed context records plus the memoised automaton
+        transitions (at most ``MEMO_LIMIT`` per state)."""
         registry = obs.metrics()
         registry.gauge_add("check.flushed_contexts", len(self._flushed))
         registry.gauge_add(
             "check.nfa_memo_entries",
-            sum(len(bucket._transitions) for bucket in self.buckets)
-            + len(self._vector_cache),
+            self.contexts.memo_entries()
+            + sum(bucket.targets.memo_entries() for bucket in self.buckets),
         )
 
     # ------------------------------------------------------------------

@@ -27,7 +27,6 @@ from repro.transform.validate import (
 from repro.transform.table_tree import TableTree
 from repro.transform.evaluate import evaluate_rule, evaluate_transformation
 from repro.transform.stream import (
-    PathNFA,
     RuleShardResult,
     RuleStreamer,
     StreamShredder,
@@ -60,7 +59,6 @@ __all__ = [
     "TableTree",
     "evaluate_rule",
     "evaluate_transformation",
-    "PathNFA",
     "RuleStreamer",
     "StreamShredder",
     "iter_rule_rows",

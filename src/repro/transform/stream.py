@@ -8,10 +8,12 @@ of :mod:`repro.xmlmodel.events` instead, through one *binding plan* per
 rule (:func:`compile_rule`), compiled once and shared by every streamer:
 
 * the table tree's *anchor* variables (the children of the root variable —
-  the only mappings allowed to use ``//``) are matched against the document
-  with small per-path NFAs over the open-element stack;
+  the only mappings allowed to use ``//``) are the slots of one
+  :class:`~repro.xmlmodel.matching.PathNFA` per rule, stepped once per open
+  element; its state names the anchors matching an element (or one of its
+  attributes) and whether anything can still match below;
 * below an anchor every mapping is a simple path, so the anchor's whole
-  subtree of variables compiles into one combined automaton whose states
+  subtree of variables compiles into one binding automaton whose states
   are sets of ``(variable, step)`` pairs: one memoised transition per open
   element advances all of them at once.  A completed path appends a
   binding to the list its parent binding keeps for that variable — a small
@@ -75,7 +77,7 @@ from repro.xmlmodel.events import (
     EventSource,
     as_events,
 )
-from repro.xmlmodel.matching import MEMO_LIMIT, PathNFA
+from repro.xmlmodel.matching import MEMO_LIMIT, NFAState, PathNFA
 from repro.xmlmodel.paths import StepKind
 from repro.xmlmodel.tree import compose_value
 
@@ -187,14 +189,11 @@ class _Var:
 
 
 class _AnchorPlan:
-    """One anchor variable: its NFA, its binding automaton and row layout."""
+    """One anchor variable: its binding automaton and row layout."""
 
-    __slots__ = (
-        "nfa", "fields", "vars", "levels", "names", "project", "initial", "_states",
-    )
+    __slots__ = ("fields", "vars", "levels", "names", "project", "initial", "_states")
 
     def __init__(self, table_tree: TableTree, variable: str) -> None:
-        self.nfa = PathNFA(table_tree.path_from_parent(variable))
         # The DOM evaluator's variable order (BFS), restricted to the subtree.
         names = table_tree.descendants(variable, include_self=True)
         index = {name: i for i, name in enumerate(names)}
@@ -278,46 +277,22 @@ class _AnchorPlan:
         return [dict(zip(names, project(done))) for done in partials]
 
 
-class _Vector:
-    """The joint state of a rule's anchor NFAs at one element."""
-
-    __slots__ = ("states", "matched", "dead", "moves")
-
-    def __init__(self, anchors: List[_AnchorPlan], states: tuple) -> None:
-        self.states = states
-        #: Indexes of the anchors matching the element.
-        self.matched = tuple(
-            i for i, anchor in enumerate(anchors) if anchor.nfa.matches(states[i])
-        )
-        #: No anchor matches here or anywhere below.
-        self.dead = not self.matched and not any(states)
-        #: tag → the child element's vector (memoised transitions).
-        self.moves: Dict[str, _Vector] = {}
-
-
 class _RulePlan:
     """Everything about one rule that does not depend on the document."""
 
-    __slots__ = (
-        "anchors", "root_fields", "single_anchor", "initial", "attr_anchors", "_vectors",
-    )
+    __slots__ = ("anchors", "root_fields", "single_anchor", "nfa")
 
     def __init__(self, rule: TableRule) -> None:
         table_tree = TableTree(rule)
         root = rule.root_variable
+        anchors = table_tree.children(root)
         self.anchors: List[_AnchorPlan] = [
-            _AnchorPlan(table_tree, variable) for variable in table_tree.children(root)
+            _AnchorPlan(table_tree, variable) for variable in anchors
         ]
         self.root_fields = rule.fields_of_variable(root)
         self.single_anchor = len(self.anchors) == 1 and not self.root_fields
-        self._vectors: Dict[tuple, _Vector] = {}
-        #: The document root's vector.
-        self.initial = self._vector(tuple(anchor.nfa.initial for anchor in self.anchors))
-        #: Anchors whose path can end in an attribute node.
-        self.attr_anchors = [
-            (i, anchor) for i, anchor in enumerate(self.anchors)
-            if anchor.nfa.has_attribute_steps
-        ]
+        #: One automaton over the anchor paths (slot = anchor index).
+        self.nfa = PathNFA([table_tree.path_from_parent(variable) for variable in anchors])
 
     def product(self, blocks: Sequence[List[Dict[str, Value]]]) -> List[Dict[str, Value]]:
         """All rows from one row block per anchor (an empty one: NULL row).
@@ -330,24 +305,6 @@ class _RulePlan:
             block = block or [anchor.null_row()]
             rows = [dict(done, **part) for done in rows for part in block]
         return rows
-
-    def _vector(self, states: tuple) -> _Vector:
-        vector = self._vectors.get(states)
-        if vector is None:
-            vector = self._vectors[states] = _Vector(self.anchors, states)
-        return vector
-
-    def move(self, vector: _Vector, tag: str) -> _Vector:
-        """The memoised vector of a child element labelled ``tag``."""
-        child = self._vector(
-            tuple(
-                anchor.nfa.advance(vector.states[i], tag)
-                for i, anchor in enumerate(self.anchors)
-            )
-        )
-        if len(vector.moves) < MEMO_LIMIT:
-            vector.moves[tag] = child
-        return child
 
 
 @lru_cache(maxsize=256)
@@ -384,10 +341,11 @@ def compile_rule(rule: TableRule) -> _RulePlan:
 class _Frame:
     """Bookkeeping for one open element."""
 
-    __slots__ = ("vector", "binds", "parts", "sinks", "anchors", "attrs")
+    __slots__ = ("state", "binds", "parts", "sinks", "anchors", "attrs")
 
-    def __init__(self, vector: _Vector, binds, parts, sinks) -> None:
-        self.vector = vector
+    def __init__(self, state: NFAState, binds, parts, sinks) -> None:
+        #: This element's state in the rule's anchor automaton.
+        self.state = state
         #: (binding state, parent bindings of its pairs), one per open
         #: anchor match whose paths reach this element; ``None`` when none.
         self.binds: Optional[List[tuple]] = binds
@@ -467,19 +425,19 @@ class RuleStreamer:
                 self._resolve_attrs()
             plan = self._plan
             if not frames:
-                frame = _Frame(plan.initial, None, [] if plan.root_fields else None, None)
+                frame = _Frame(plan.nfa.initial, None, [] if plan.root_fields else None, None)
             else:
                 parent = frames[-1]
-                vector = parent.vector.moves.get(name)
-                if vector is None:
-                    vector = plan.move(parent.vector, name)
+                state = parent.state.moves.get(name)
+                if state is None:
+                    state = plan.nfa.move(parent.state, name)
                 binds = sinks = None
                 parts = None if parent.parts is None else []
                 if parent.binds is not None:
-                    for state, recs in parent.binds:
-                        move = state.moves.get(name)
+                    for bind, recs in parent.binds:
+                        move = bind.moves.get(name)
                         if move is None:
-                            move = state.advance(name)
+                            move = bind.advance(name)
                         following, carry, completions = move
                         grown = None
                         for src, pos, width, captures in completions:
@@ -511,13 +469,12 @@ class RuleStreamer:
                                 binds.append((following, below))
                     if sinks is not None and parts is None:
                         parts = []
-                if vector.dead and binds is None and parts is None:
+                if state.dead and binds is None and parts is None:
                     self._dead_depth = 1
                     return
-                frame = _Frame(vector, binds, parts, sinks)
-            if frame.vector.matched:
-                for index in frame.vector.matched:
-                    self._open_match(frame, index)
+                frame = _Frame(state, binds, parts, sinks)
+            for index in frame.state.accepts:
+                self._open_match(frame, index)
             frames.append(frame)
         elif kind == ATTR:
             if self._dead_depth:
@@ -619,13 +576,13 @@ class RuleStreamer:
                             record[pos] = [binding]
                         else:
                             record[pos].append(binding)
-        attr_anchors = self._plan.attr_anchors
-        if attr_anchors:
+        completes = frame.state.attrs
+        if completes is not None:
+            anchors = self._plan.anchors
             for name, value in attrs.items():
-                for index, anchor in attr_anchors:
-                    if anchor.nfa.matches_attribute(frame.vector.states[index], name):
-                        var = anchor.anchor
-                        self._anchor_matched(index, value if var.leaf else var.null)
+                for index in completes.get(name, ()):
+                    var = anchors[index].anchor
+                    self._anchor_matched(index, value if var.leaf else var.null)
 
     def _anchor_matched(self, index: int, binding) -> None:
         rows = self._plan.anchors[index].rows(binding)
@@ -666,7 +623,7 @@ class RuleStreamer:
         document as one subtree and cannot be sharded; the parallel
         executor falls back to the serial plane when it sees one.
         """
-        return bool(self._plan.initial.matched)
+        return bool(self._plan.nfa.initial.accepts)
 
     def shard_result(self) -> "RuleShardResult":
         """Extract this shard's mergeable state (shard mode only).

@@ -11,10 +11,11 @@ a run into a :class:`StaticPlan` holding
 * a **label-reachability graph** (:class:`LabelGraph`) over the declared
   element names, derived from the content models;
 * one **specialized automaton** (:class:`SpecializedNFA`) per interesting
-  path — the :class:`~repro.xmlmodel.matching.PathNFA` evaluated ahead of
-  time over the finite label alphabet: the full transition table, the
-  ``//``-equivalent state collapse, and the *dead states* from which no
-  acceptance is reachable under the content models;
+  path — the :class:`~repro.xmlmodel.matching.PathNFA` the key checker and
+  the shredder step on-line, stepped ahead of time over the finite label
+  alphabet: the full transition table, per-state attribute acceptance,
+  and the *dead states* from which no acceptance is reachable under the
+  content models;
 * a :class:`SkipSet` telling the tokenizers which subtrees can be
   fast-forwarded, and the consumers how to *verify* that decision tag by
   tag;
@@ -64,8 +65,12 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from repro.keys.key import XMLKey
 from repro.xmlmodel.dtd import DTD
-from repro.xmlmodel.matching import PathNFA, State
+from repro.xmlmodel.matching import NFAState, PathNFA
 from repro.xmlmodel.paths import PathExpression, StepKind
+
+#: A specialized automaton state: the step positions of a single-path
+#: :class:`PathNFA` state.
+State = FrozenSet[int]
 
 #: Sentinel consumed by :meth:`SpecializedNFA.advance` for any label the
 #: automaton's alphabet does not mention: all such labels are
@@ -133,19 +138,17 @@ class LabelGraph:
 # Path specialization
 # ----------------------------------------------------------------------
 class SpecializedNFA:
-    """A :class:`PathNFA` specialized to a finite label alphabet.
+    """A single-path :class:`PathNFA` specialized to a finite label alphabet.
 
     The on-line automaton memoises transitions as they happen; this class
-    computes them all ahead of time over ``mentioned ∪ declared ∪ other``:
+    steps it ahead of time over ``mentioned ∪ declared ∪ other``.  A state
+    here is the frozen set of step positions of one automaton state:
 
-    * **state collapse** — step positions with identical remaining-step
-      suffixes are behaviourally indistinguishable (matching and attribute
-      acceptance only look at ``steps[i:]``), so every state is
-      canonicalized to the least position per distinct suffix; chains of
-      ``//`` steps collapse this way;
     * **full transition table** — every ``(state, label)`` pair of the
       reachable state space, plus one ``other`` column standing for every
       label the alphabet does not mention;
+    * **attribute acceptance** — per state, the attribute names that
+      complete the path (the automaton state's ``attrs``);
     * **dead states** — states from which no element or attribute
       acceptance is reachable via *declared* labels (an undeclared label
       cannot occur in a DTD-obeying document).  :attr:`dead_states` is the
@@ -158,72 +161,47 @@ class SpecializedNFA:
     """
 
     __slots__ = (
-        "base",
-        "steps",
         "length",
         "initial",
         "alphabet",
         "states",
         "dead_states",
-        "_canon",
         "_table",
         "_attr_names",
     )
 
     def __init__(self, path: PathExpression, dtd: Optional[DTD] = None) -> None:
-        base = PathNFA(path)
-        self.base = base
-        steps = base.steps
-        length = base.length
-        self.steps = steps
+        base = PathNFA([path])
+        length = len(path.steps)
         self.length = length
 
-        # --- provably-equivalent state collapse --------------------------
-        canon_by_suffix: Dict[Tuple, int] = {}
-        canon: List[int] = []
-        for i in range(length + 1):
-            canon.append(canon_by_suffix.setdefault(steps[i:], i))
-        self._canon = canon
-
-        mentioned = {step.name for step in steps if step.kind is StepKind.LABEL}
+        mentioned = {step.name for step in path.steps if step.kind is StepKind.LABEL}
         declared = set(dtd.elements) if dtd is not None else set()
         self.alphabet: Tuple[str, ...] = tuple(sorted(mentioned | declared))
 
         # --- full transition table over the reachable state space --------
-        initial = self._canonical(base.initial)
-        self.initial = initial
+        def positions(node: NFAState) -> State:
+            return frozenset(pos for _, pos in node.items)
+
+        self.initial = positions(base.initial)
         table: Dict[Tuple[State, str], State] = {}
-        seen = {initial}
-        pending = [initial]
+        attr_names: Dict[State, FrozenSet[str]] = {}
+        seen = {base.initial}
+        pending = [base.initial]
         columns = self.alphabet + (OTHER_LABEL,)
         while pending:
-            state = pending.pop()
+            node = pending.pop()
+            state = positions(node)
+            attr_names[state] = frozenset(node.attrs or ())
             for label in columns:
-                succ = self._canonical(base.advance(state, label))
-                table[(state, label)] = succ
+                succ = base.move(node, label)
+                table[(state, label)] = positions(succ)
                 if succ not in seen:
                     seen.add(succ)
                     pending.append(succ)
         self._table = table
-        self.states: FrozenSet[State] = frozenset(seen)
-
-        # --- per-state attribute acceptance -------------------------------
-        attr_names: Dict[State, FrozenSet[str]] = {}
-        for state in seen:
-            names: Set[str] = set()
-            for i in state:
-                if i >= length:
-                    continue
-                step = steps[i]
-                if step.kind is not StepKind.ATTRIBUTE:
-                    continue
-                j = i + 1
-                while j < length and steps[j].kind is StepKind.DESCENDANT:
-                    j += 1
-                if j == length and step.name is not None:
-                    names.add(step.name)
-            attr_names[state] = frozenset(names)
         self._attr_names = attr_names
+        self.states: FrozenSet[State] = frozenset(attr_names)
 
         # --- dead states under the content-model alphabet -----------------
         live_columns: Tuple[str, ...] = (
@@ -231,13 +209,13 @@ class SpecializedNFA:
         )
         live = {
             state
-            for state in seen
+            for state in self.states
             if length in state or attr_names[state]
         }
         changed = True
         while changed:
             changed = False
-            for state in seen:
+            for state in self.states:
                 if state in live:
                     continue
                 for label in live_columns:
@@ -245,11 +223,7 @@ class SpecializedNFA:
                         live.add(state)
                         changed = True
                         break
-        self.dead_states: FrozenSet[State] = frozenset(seen - live)
-
-    def _canonical(self, state: State) -> State:
-        canon = self._canon
-        return frozenset(canon[i] for i in state)
+        self.dead_states: FrozenSet[State] = frozenset(self.states - live)
 
     # ------------------------------------------------------------------
     def advance(self, state: State, tag: str) -> State:
@@ -370,7 +344,8 @@ class StaticPlan:
 
     # ------------------------------------------------------------------
     def describe(self) -> str:
-        """A short human-readable summary (the CLI's ``--dtd`` report)."""
+        """A short human-readable summary of the plan, for interactive use
+        and debugging (no command prints it)."""
         declared = len(self.graph.labels)
         safe = sorted(
             label for label, ok in self.skipset.verdicts.items() if ok

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.experiments.scenarios import ScenarioSpec, build_scenario, scenario_text
 from repro.keys.key import XMLKey, parse_key
 from repro.keys.satisfaction import satisfies, violations
@@ -129,3 +130,19 @@ class TestInjectedScenarios:
         spec = ScenarioSpec(num_fields=16, depth=3, num_keys=8, fanout=3, seed=2)
         scenario = build_scenario(spec)
         assert stream_satisfies(scenario_text(scenario), scenario.keys)
+
+
+class TestMemoBound:
+    """The checker's automaton memos are bounded per state, so check-doc
+    memory does not grow with the number of distinct tag names."""
+
+    @staticmethod
+    def _memo_entries(distinct_tags):
+        body = "".join(f"<t{i} id='{i}'><name/></t{i}>" for i in range(distinct_tags))
+        keys = [parse_key("(., (//t1, {@id}))"), parse_key("(//t2, (name, {}))")]
+        with obs.collect() as registry:
+            stream_violations(f"<r>{body}</r>", keys, jobs=1)
+        return registry.snapshot().gauge("check.nfa_memo_entries")
+
+    def test_memo_entries_do_not_grow_with_distinct_tags(self):
+        assert self._memo_entries(20_000) == self._memo_entries(40_000)

@@ -293,16 +293,19 @@ class TestDeclarationCaches:
         from repro.xmlmodel.matching import PathNFA
         from repro.xmlmodel.paths import parse_path
 
-        nfa = PathNFA(parse_path("//book/@isbn"))
-        state = nfa.advance(nfa.initial, "book")
-        assert nfa.matches_attribute(state, "isbn") is True
-        assert nfa.matches_attribute(state, "lang") is False
-        # Both verdicts — True and False — are memoised per (state, name).
-        assert nfa._attr_matches[(state, "isbn")] is True
-        assert nfa._attr_matches[(state, "lang")] is False
-        # And the memo answers repeated probes without recomputation.
-        assert nfa.matches_attribute(state, "isbn") is True
-        assert nfa.matches_attribute(state, "lang") is False
+        nfa = PathNFA([parse_path("//book/@isbn")])
+        state = nfa.move(nfa.initial, "book")
+        # Attribute acceptance is computed once, with the state.
+        assert state.attrs == {"isbn": (0,)}
+        assert nfa.initial.attrs is None
+        # The transition is memoised on the parent state ...
+        assert nfa.initial.moves["book"] is state
+        assert nfa.move(nfa.initial, "book") is state
+        # ... and states are interned: every route to the same live pairs
+        # ends at the same object, memo and attribute table included.
+        assert nfa.move(state, "book") is state
+        assert nfa.move(nfa.initial, "other") is nfa.initial
+        assert state.moves["book"] is state
 
 
 class TestStreamingValidator:

@@ -21,43 +21,93 @@ transformation (shredding) language — is implemented in the sub-packages
 ``xmlmodel``, ``keys``, ``relational`` and ``transform``.
 """
 
-from repro.xmlmodel import (
-    XMLTree,
-    document,
-    element,
-    parse_document,
-    parse_path,
-    text,
-)
-from repro.keys import XMLKey, parse_key, parse_keys, satisfies, violations
-from repro.relational import (
-    NULL,
-    DatabaseSchema,
-    FDSet,
-    FunctionalDependency,
-    RelationInstance,
-    RelationSchema,
-)
-from repro.transform import (
-    TableRule,
-    TableTree,
-    Transformation,
-    UniversalRelation,
-    evaluate_rule,
-    evaluate_transformation,
-    parse_transformation,
-)
-from repro.core import (
-    check_propagation,
-    check_schema_consistency,
-    gminimum_cover_check,
-    minimum_cover_from_keys,
-    naive_minimum_cover,
-)
-from repro.design import design_from_scratch
-from repro.parallel import resolve_jobs, run_sharded
+import importlib
+import sys
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 __version__ = "1.0.0"
+
+
+def lazy_exports(
+    package: str, exports: Mapping[str, Iterable[str]]
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """The module ``__getattr__``/``__dir__`` pair (PEP 562) of a package
+    whose public names live in its submodules.
+
+    ``exports`` maps each submodule (relative to ``package``) to the names
+    it provides; the submodule itself is an attribute of the package too,
+    as it would be after an eager import.  Nothing is imported until a
+    name is first read: then its submodule is imported and the value is
+    cached in the package, so ``import repro.core`` costs only the package
+    ``__init__`` and ``from repro.core import check_propagation`` only
+    what that function's module imports.
+    """
+    table: Dict[str, Tuple[str, Optional[str]]] = {}
+    for submodule, names in exports.items():
+        table[submodule] = (f"{package}.{submodule}", None)
+        for name in names:
+            table[name] = (f"{package}.{submodule}", name)
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> Any:
+        try:
+            target, attribute = table[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = importlib.import_module(target)
+        if attribute is not None:
+            value = getattr(value, attribute)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(table))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "xmlmodel": (
+            "XMLTree",
+            "document",
+            "element",
+            "parse_document",
+            "parse_path",
+            "text",
+        ),
+        "keys": ("XMLKey", "parse_key", "parse_keys", "satisfies", "violations"),
+        "relational": (
+            "NULL",
+            "DatabaseSchema",
+            "FDSet",
+            "FunctionalDependency",
+            "RelationInstance",
+            "RelationSchema",
+        ),
+        "transform": (
+            "TableRule",
+            "TableTree",
+            "Transformation",
+            "UniversalRelation",
+            "evaluate_rule",
+            "evaluate_transformation",
+            "parse_transformation",
+        ),
+        "core": (
+            "check_propagation",
+            "check_schema_consistency",
+            "gminimum_cover_check",
+            "minimum_cover_from_keys",
+            "naive_minimum_cover",
+        ),
+        "design": ("design_from_scratch",),
+        "parallel": ("resolve_jobs", "run_sharded"),
+    },
+)
 
 __all__ = [
     "XMLTree",

@@ -79,6 +79,12 @@ ingestion front-end with per-tenant schema registration, concurrent
 uploads over a backend pool, and in-database verification
 (:mod:`repro.service`).
 
+A command pays only for its plane: this module imports nothing of the
+library but :mod:`repro.obs` at module level, and each handler imports
+the modules it runs.  ``cover``, ``design`` and ``check`` therefore never
+load the tokenizer, the streaming and sharded planes, storage or the
+service (``tests/test_layering.py`` pins this).
+
 File formats: keys files contain one key per line in the paper's notation
 (``K2 = (//book, (chapter, {@number}))``, ``#`` comments allowed);
 transformation files use the DSL of :mod:`repro.transform.dsl`; XML files are
@@ -98,18 +104,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.core import (
-    check_propagation,
-    check_schema_consistency,
-    minimum_cover_from_keys,
-)
-from repro.design import design_from_scratch
-from repro.keys import parse_keys, violations
-from repro.relational import sql as sql_module
-from repro.relational.schema import DatabaseSchema
-from repro.transform import evaluate_transformation, parse_transformation
-from repro.transform.stream import record_shred_rows
-from repro.xmlmodel import parse_document
 
 
 log = obs.get_logger("cli")
@@ -120,10 +114,16 @@ def _read(path: str) -> str:
 
 
 def _load_keys(path: Optional[str]):
-    return parse_keys(_read(path)) if path else []
+    if not path:
+        return []
+    from repro.keys import parse_keys
+
+    return parse_keys(_read(path))
 
 
 def _load_transformation(path: str):
+    from repro.transform import parse_transformation
+
     return parse_transformation(_read(path))
 
 
@@ -131,6 +131,9 @@ def _load_transformation(path: str):
 # Sub-commands
 # ----------------------------------------------------------------------
 def cmd_check(args: argparse.Namespace) -> int:
+    from repro.core import check_propagation, check_schema_consistency
+    from repro.relational.schema import DatabaseSchema
+
     keys = _load_keys(args.keys)
     transformation = _load_transformation(args.transform)
     rule = transformation.rule(args.relation)
@@ -149,6 +152,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
+    from repro.core import minimum_cover_from_keys
+
     keys = _load_keys(args.keys)
     transformation = _load_transformation(args.transform)
     rule = transformation.rule(args.relation)
@@ -162,6 +167,9 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_design(args: argparse.Namespace) -> int:
+    from repro.design import design_from_scratch
+    from repro.relational import sql as sql_module
+
     keys = _load_keys(args.keys)
     transformation = _load_transformation(args.transform)
     rule = transformation.rule(args.relation)
@@ -212,6 +220,8 @@ def _load_dtd(args: argparse.Namespace):
 
 
 def cmd_shred(args: argparse.Namespace) -> int:
+    from repro.relational import sql as sql_module
+
     transformation = _load_transformation(args.transform)
     keys = _load_keys(args.keys) if args.keys else []
     dtd = _load_dtd(args)
@@ -236,6 +246,11 @@ def cmd_shred(args: argparse.Namespace) -> int:
         if run.dtd_violations is not None:
             exit_code = max(exit_code, _print_dtd_report(run.dtd_violations))
     else:
+        from repro.keys import violations
+        from repro.transform import evaluate_transformation
+        from repro.transform.stream import record_shred_rows
+        from repro.xmlmodel import parse_document
+
         tree = parse_document(_read(args.xml))
         if keys:
             found = [violation for key in keys for violation in violations(tree, key)]
@@ -282,6 +297,9 @@ def cmd_check_doc(args: argparse.Namespace) -> int:
         return 2
     dtd_exit = 0
     if args.dom:
+        from repro.keys import violations
+        from repro.xmlmodel import parse_document
+
         tree = parse_document(_read(args.xml))
         if dtd is not None:
             dtd_exit = _print_dtd_report(dtd.validate(tree))
@@ -1107,8 +1125,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError, StorageError) as error:
         # LoadError (violations found → exit 1) is handled inside cmd_load;
         # any StorageError reaching here is a usage problem (bad SQL, a
-        # missing table, an incompatible existing database).
-        log.error("error: %s", error)
+        # missing table, an incompatible existing database).  str() of a
+        # KeyError is the repr of its argument, so print the message itself.
+        message = error.args[0] if isinstance(error, KeyError) and error.args else error
+        log.error("error: %s", message)
         return 2
     except KeyboardInterrupt:
         # Ctrl-C mid-command (serve, apply-delta --repl, a long load) is a

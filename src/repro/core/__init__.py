@@ -11,26 +11,33 @@
 * ``checking`` — consistency checking of predefined designs (Example 1.1).
 """
 
-from repro.core.propagation import (
-    PropagationResult,
-    attribute_field_pairs,
-    attribute_fields_of,
-    check_propagation,
-    propagated_fds,
-)
-from repro.core.minimum_cover import (
-    CandidateKey,
-    MinimumCoverResult,
-    minimum_cover_from_keys,
-)
-from repro.core.naive import TooManyFields, naive_minimum_cover
-from repro.core.gminimum_cover import gminimum_cover_check
-from repro.core.checking import (
-    ConsistencyReport,
-    InstanceCheck,
-    KeyCheck,
-    check_instance,
-    check_schema_consistency,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "propagation": (
+            "PropagationResult",
+            "attribute_field_pairs",
+            "attribute_fields_of",
+            "check_propagation",
+            "propagated_fds",
+        ),
+        "minimum_cover": (
+            "CandidateKey",
+            "MinimumCoverResult",
+            "minimum_cover_from_keys",
+        ),
+        "naive": ("TooManyFields", "naive_minimum_cover"),
+        "gminimum_cover": ("gminimum_cover_check",),
+        "checking": (
+            "ConsistencyReport",
+            "InstanceCheck",
+            "KeyCheck",
+            "check_instance",
+            "check_schema_consistency",
+        ),
+    },
 )
 
 __all__ = [

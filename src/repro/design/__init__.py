@@ -1,10 +1,17 @@
 """Design refinement workflows built on top of key propagation."""
 
-from repro.design.refine import (
-    DesignResult,
-    design_from_scratch,
-    restrict_rule,
-    validate_existing_design,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "refine": (
+            "DesignResult",
+            "design_from_scratch",
+            "restrict_rule",
+            "validate_existing_design",
+        ),
+    },
 )
 
 __all__ = [

@@ -4,15 +4,22 @@ See :mod:`repro.incremental.engine` for the delta model and
 :mod:`repro.incremental.storage` for keeping a database in step.
 """
 
-from repro.incremental.engine import (
-    Delta,
-    DeltaReport,
-    IncrementalEngine,
-    delete,
-    insert,
-    replace,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "engine": (
+            "Delta",
+            "DeltaReport",
+            "IncrementalEngine",
+            "delete",
+            "insert",
+            "replace",
+        ),
+        "storage": ("DeltaStore",),
+    },
 )
-from repro.incremental.storage import DeltaStore
 
 __all__ = [
     "Delta",

@@ -20,21 +20,28 @@ Modules
     Transitive key sets and keyed nodes (Section 4).
 """
 
-from repro.keys.key import XMLKey, parse_key, parse_keys
-from repro.keys.satisfaction import KeyViolation, satisfies, satisfies_all, violations
-from repro.keys.stream import (
-    CheckerShardResult,
-    KeyStreamChecker,
-    merge_shard_results,
-    stream_satisfies,
-    stream_violations,
-)
-from repro.keys.implication import ImplicationEngine, attributes_exist, implies
-from repro.keys.transitive import (
-    chain_to_root,
-    immediately_precedes,
-    is_transitive_set,
-    precedes,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "key": ("XMLKey", "parse_key", "parse_keys"),
+        "satisfaction": ("KeyViolation", "satisfies", "satisfies_all", "violations"),
+        "stream": (
+            "CheckerShardResult",
+            "KeyStreamChecker",
+            "merge_shard_results",
+            "stream_satisfies",
+            "stream_violations",
+        ),
+        "implication": ("ImplicationEngine", "attributes_exist", "implies"),
+        "transitive": (
+            "chain_to_root",
+            "immediately_precedes",
+            "is_transitive_set",
+            "precedes",
+        ),
+    },
 )
 
 __all__ = [

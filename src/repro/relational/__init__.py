@@ -15,34 +15,41 @@ need:
   undecidable) and for cross-checking instances in tests.
 """
 
-from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.relational.instance import (
-    NULL,
-    FDViolation,
-    FDViolationAccumulator,
-    NullType,
-    RelationInstance,
-    Row,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "schema": ("DatabaseSchema", "RelationSchema"),
+        "instance": (
+            "NULL",
+            "FDViolation",
+            "FDViolationAccumulator",
+            "NullType",
+            "RelationInstance",
+            "Row",
+        ),
+        "bitset": ("AttributeUniverse", "BitFDSet"),
+        "fd": (
+            "FDSet",
+            "FunctionalDependency",
+            "attribute_closure",
+            "equivalent",
+            "implies_fd",
+            "minimize",
+            "minimum_cover",
+        ),
+        "normalization": (
+            "bcnf_decompose",
+            "candidate_keys",
+            "is_bcnf",
+            "is_3nf",
+            "project_fds",
+            "synthesize_3nf",
+        ),
+        "algebra": (),
+    },
 )
-from repro.relational.bitset import AttributeUniverse, BitFDSet
-from repro.relational.fd import (
-    FDSet,
-    FunctionalDependency,
-    attribute_closure,
-    equivalent,
-    implies_fd,
-    minimize,
-    minimum_cover,
-)
-from repro.relational.normalization import (
-    bcnf_decompose,
-    candidate_keys,
-    is_bcnf,
-    is_3nf,
-    project_fds,
-    synthesize_3nf,
-)
-from repro.relational import algebra
 
 __all__ = [
     "AttributeUniverse",

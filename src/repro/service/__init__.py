@@ -15,15 +15,22 @@ per uploaded document here too.
   asyncio) and the NDJSON-over-TCP front door (``repro serve``).
 """
 
-from repro.service.registry import (
-    SchemaRegistry,
-    TenantConfig,
-    rule_from_wire,
-    rule_to_wire,
-    schema_from_wire,
-    schema_to_wire,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "registry": (
+            "SchemaRegistry",
+            "TenantConfig",
+            "rule_from_wire",
+            "rule_to_wire",
+            "schema_from_wire",
+            "schema_to_wire",
+        ),
+        "server": ("IngestionService", "serve"),
+    },
 )
-from repro.service.server import IngestionService, serve
 
 __all__ = [
     "IngestionService",

@@ -31,31 +31,34 @@ Backend selection (:func:`open_backend`): an explicit name beats the
 CLI: ``python -m repro load`` / ``query`` / ``serve``.
 """
 
-import os
-from typing import Optional
+from __future__ import annotations
 
-from repro.storage.backend import (
-    Backend,
-    IntegrityViolation,
-    StorageError,
-    TransientError,
-)
-from repro.storage.ddl import StorageDDL, TableDDL, compile_ddl, compile_table_ddl
-from repro.storage.faults import FaultInjectingBackend, FaultPlan
-from repro.storage.loader import BulkLoader, LoadError, LoadReport
-from repro.storage.pool import ConnectionPool
-from repro.storage.postgres import (
-    PostgresBackend,
-    connect_postgres,
-    fake_postgres_backend,
-)
-from repro.storage.retry import RetryingBackend, RetryPolicy, call_with_retries
-from repro.storage.sqlite import SQLiteBackend
-from repro.storage.verify import (
-    SQLVerifier,
-    conflict_groups_sql,
-    conflict_witness_sql,
-    null_determinant_sql,
+import os
+from typing import TYPE_CHECKING, Optional
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.storage.backend import Backend
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "backend": ("Backend", "IntegrityViolation", "StorageError", "TransientError"),
+        "ddl": ("StorageDDL", "TableDDL", "compile_ddl", "compile_table_ddl"),
+        "faults": ("FaultInjectingBackend", "FaultPlan"),
+        "loader": ("BulkLoader", "LoadError", "LoadReport"),
+        "pool": ("ConnectionPool",),
+        "postgres": ("PostgresBackend", "connect_postgres", "fake_postgres_backend"),
+        "retry": ("RetryingBackend", "RetryPolicy", "call_with_retries"),
+        "sqlite": ("SQLiteBackend",),
+        "verify": (
+            "SQLVerifier",
+            "conflict_groups_sql",
+            "conflict_witness_sql",
+            "null_determinant_sql",
+        ),
+    },
 )
 
 #: Names :func:`open_backend` accepts (aliases included).
@@ -109,9 +112,15 @@ def open_backend(
     """
     name = resolve_backend_name(database, backend)
     if name == "postgres":
+        from repro.storage.postgres import PostgresBackend
+
         return PostgresBackend(dsn=database)
     if name == "fake-postgres":
+        from repro.storage.postgres import fake_postgres_backend
+
         return fake_postgres_backend(database)
+    from repro.storage.sqlite import SQLiteBackend
+
     return SQLiteBackend(database, fast=fast, check_same_thread=check_same_thread)
 
 

@@ -8,40 +8,47 @@
 * ``universal`` — universal relations for the design-from-scratch workflow.
 """
 
-from repro.transform.rule import (
-    DEFAULT_ROOT_VARIABLE,
-    FieldRule,
-    TableRule,
-    Transformation,
-    VariableMapping,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "rule": (
+            "DEFAULT_ROOT_VARIABLE",
+            "FieldRule",
+            "TableRule",
+            "Transformation",
+            "VariableMapping",
+        ),
+        "validate": (
+            "InvalidTableRule",
+            "UnsupportedFeature",
+            "ValidationReport",
+            "assert_valid",
+            "reject_unsupported",
+            "validate_rule",
+            "validate_transformation",
+        ),
+        "table_tree": ("TableTree",),
+        "evaluate": ("evaluate_rule", "evaluate_transformation"),
+        "stream": (
+            "RuleShardResult",
+            "RuleStreamer",
+            "StreamShredder",
+            "iter_rule_rows",
+            "merge_rule_shards",
+            "stream_evaluate_rule",
+            "stream_evaluate_transformation",
+        ),
+        "dsl": (
+            "DSLSyntaxError",
+            "parse_rule",
+            "parse_transformation",
+            "render_transformation",
+        ),
+        "universal": ("UniversalRelation", "universal_from_transformation"),
+    },
 )
-from repro.transform.validate import (
-    InvalidTableRule,
-    UnsupportedFeature,
-    ValidationReport,
-    assert_valid,
-    reject_unsupported,
-    validate_rule,
-    validate_transformation,
-)
-from repro.transform.table_tree import TableTree
-from repro.transform.evaluate import evaluate_rule, evaluate_transformation
-from repro.transform.stream import (
-    RuleShardResult,
-    RuleStreamer,
-    StreamShredder,
-    iter_rule_rows,
-    merge_rule_shards,
-    stream_evaluate_rule,
-    stream_evaluate_transformation,
-)
-from repro.transform.dsl import (
-    DSLSyntaxError,
-    parse_rule,
-    parse_transformation,
-    render_transformation,
-)
-from repro.transform.universal import UniversalRelation, universal_from_transformation
 
 __all__ = [
     "DEFAULT_ROOT_VARIABLE",

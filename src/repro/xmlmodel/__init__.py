@@ -12,52 +12,53 @@ numeric identifier, elements carry attributes as first-class nodes, and the
 subtree (Example 2.5).
 """
 
-from repro.xmlmodel.nodes import (
-    AttributeNode,
-    ElementNode,
-    Node,
-    NodeKind,
-    TextNode,
-)
-from repro.xmlmodel.tree import XMLTree
-from repro.xmlmodel.builder import attr, element, text, document
-from repro.xmlmodel.parser import parse_document, XMLSyntaxError
-from repro.xmlmodel.events import (
-    ATTR,
-    END,
-    SKIP,
-    START,
-    TEXT,
-    Event,
-    as_events,
-    element_from_events,
-    iter_events,
-    iter_tree_events,
-    tree_from_events,
-)
-from repro.xmlmodel.static import (
-    LabelGraph,
-    SkipSet,
-    SpecializedNFA,
-    StaticPlan,
-    compile_plan,
-)
-from repro.xmlmodel.accel import available_backends
-from repro.xmlmodel.serializer import serialize
-from repro.xmlmodel.shards import (
-    DocumentShards,
-    MappedDocumentShards,
-    ShardSlice,
-    map_document_shards,
-    split_document,
-)
-from repro.xmlmodel.paths import (
-    PathExpression,
-    PathStep,
-    StepKind,
-    concat,
-    contains,
-    parse_path,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "nodes": ("AttributeNode", "ElementNode", "Node", "NodeKind", "TextNode"),
+        "tree": ("XMLTree",),
+        "builder": ("attr", "element", "text", "document"),
+        "parser": ("parse_document", "XMLSyntaxError"),
+        "events": (
+            "ATTR",
+            "END",
+            "SKIP",
+            "START",
+            "TEXT",
+            "Event",
+            "as_events",
+            "element_from_events",
+            "iter_events",
+            "iter_tree_events",
+            "tree_from_events",
+        ),
+        "static": (
+            "LabelGraph",
+            "SkipSet",
+            "SpecializedNFA",
+            "StaticPlan",
+            "compile_plan",
+        ),
+        "accel": ("available_backends",),
+        "serializer": ("serialize",),
+        "shards": (
+            "DocumentShards",
+            "MappedDocumentShards",
+            "ShardSlice",
+            "map_document_shards",
+            "split_document",
+        ),
+        "paths": (
+            "PathExpression",
+            "PathStep",
+            "StepKind",
+            "concat",
+            "contains",
+            "parse_path",
+        ),
+    },
 )
 
 __all__ = [

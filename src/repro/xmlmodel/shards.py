@@ -48,6 +48,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
+from repro.xmlmodel.accel import fragment_byte_events
 from repro.xmlmodel.events import (
     ATTR,
     END,
@@ -240,8 +241,6 @@ class MappedDocumentShards:
         When the capability probe declines (or expat is missing) the slice
         decodes once in the worker — still never pickled or shipped.
         """
-        from repro.xmlmodel.accel import fragment_byte_events
-
         return fragment_byte_events(
             self.root_tag,
             self.slice_bytes(index),

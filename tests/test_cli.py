@@ -126,6 +126,19 @@ class TestCheckCommand:
 
 
 class TestCoverCommand:
+    def test_unknown_relation_message_is_not_quoted(self, workspace, capsys):
+        code = main(
+            [
+                "cover",
+                "--keys", workspace["keys"],
+                "--transform", workspace["transform"],
+                "--relation", "NOPE",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: transformation 'sigma' has no rule for 'NOPE'\n"
+
     def test_cover_printed(self, workspace, capsys):
         code = main(
             [

@@ -1,4 +1,5 @@
-"""Tokenizer settings stay in the tokenizer.
+"""Layering: tokenizer settings stay in the tokenizer, and a command
+pays only for its plane.
 
 Which backend turns text into events, and whether whitespace-only text is
 kept, are decisions of :mod:`repro.xmlmodel` alone: the planes above it
@@ -6,11 +7,21 @@ kept, are decisions of :mod:`repro.xmlmodel` alone: the planes above it
 incremental engine, CLI) consume :class:`~repro.xmlmodel.events.Event`
 streams and take neither setting.  A caller that needs a particular
 backend composes ``iter_events(text, engine=...)`` into a plane.
+
+Every package re-exports its public names lazily (PEP 562) and the CLI
+imports each command's plane inside its handler, so the algorithm layer
+(core, design, implication) and the cover/design/check commands never
+load the data planes.  Those probes run in a fresh interpreter, because
+this process has imported everything already.
 """
 
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -110,3 +121,147 @@ def test_environment_does_not_pick_the_backend(monkeypatch):
     snapshot = registry.snapshot()
     assert snapshot.counter("tokenizer.calls", engine="auto") == 1
     assert snapshot.counter("tokenizer.calls", engine="pure") == 0
+
+
+PACKAGES = [
+    "repro",
+    "repro.core",
+    "repro.design",
+    "repro.experiments",
+    "repro.incremental",
+    "repro.keys",
+    "repro.obs",
+    "repro.relational",
+    "repro.service",
+    "repro.storage",
+    "repro.transform",
+    "repro.xmlmodel",
+]
+
+#: Data-plane modules the algorithm layer must not load.
+DATA_PLANE = {
+    "repro.xmlmodel.events",
+    "repro.xmlmodel.accel",
+    "repro.xmlmodel.static",
+    "repro.xmlmodel.shards",
+    "repro.xmlmodel.parser",
+    "repro.xmlmodel.dtd",
+    "repro.keys.stream",
+    "repro.transform.stream",
+    "repro.parallel",
+}
+
+
+def _is_data_plane(module):
+    return (
+        module in DATA_PLANE
+        or module.startswith(("repro.incremental", "repro.service"))
+        or (module.startswith("repro.storage.") and module != "repro.storage.backend")
+    )
+
+
+def _run_fresh(script, *args, cwd=None):
+    """Run ``script`` in a fresh interpreter; return its last stdout line."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1]
+
+
+def _loaded_after(statements, cwd=None):
+    """The ``repro`` modules a fresh interpreter holds after ``statements``."""
+    script = statements + (
+        "\nimport json, sys"
+        "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))"
+    )
+    return json.loads(_run_fresh(script, cwd=cwd))
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["repro.core", "repro.relational", "repro.keys.implication", "repro.design"],
+)
+def test_algorithm_layer_imports_no_data_plane(module):
+    loaded = _loaded_after(f"import {module}")
+    assert module in loaded
+    assert [name for name in loaded if _is_data_plane(name)] == []
+
+
+@pytest.fixture()
+def design_workspace(tmp_path):
+    from repro.experiments import paper_example
+
+    (tmp_path / "keys.txt").write_text(
+        "\n".join(key.text for key in paper_example.paper_keys()) + "\n"
+    )
+    (tmp_path / "universal.dsl").write_text(paper_example._UNIVERSAL_DSL)
+    return tmp_path
+
+
+DESIGN_INPUTS = ["--keys", "keys.txt", "--transform", "universal.dsl", "--relation", "U"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", *DESIGN_INPUTS],
+        ["design", "--sql", *DESIGN_INPUTS],
+        ["check", "--fd", "bookIsbn, chapNum -> chapName", *DESIGN_INPUTS],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_algorithm_commands_import_no_data_plane(design_workspace, argv):
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n",
+        cwd=design_workspace,
+    )
+    assert "repro.core" in loaded
+    assert [name for name in loaded if _is_data_plane(name)] == []
+
+
+def test_importing_the_cli_loads_no_plane():
+    loaded = _loaded_after("import repro.cli")
+    assert [
+        name for name in loaded
+        if name not in ("repro", "repro.cli") and not name.startswith("repro.obs")
+    ] == []
+
+
+#: Run with the package name as ``sys.argv[1]``; prints what is wrong with
+#: its public surface as one JSON object.
+PUBLIC_SURFACE_PROBE = """
+import importlib, json, sys
+name = sys.argv[1]
+package = importlib.import_module(name)
+public = list(package.__all__)
+report = {"not_in_dir": sorted(set(public) - set(dir(package)))}
+namespace = {}
+exec(f"from {name} import *", namespace)
+report["not_starred"] = [n for n in public if n not in namespace]
+report["mismatched"] = [n for n in public if getattr(package, n) is not namespace.get(n)]
+try:
+    package.no_such_name
+    report["unknown"] = "resolved"
+except AttributeError:
+    report["unknown"] = "AttributeError"
+except RecursionError:
+    report["unknown"] = "RecursionError"
+print(json.dumps(report))
+"""
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_public_surface_resolves(package):
+    assert json.loads(_run_fresh(PUBLIC_SURFACE_PROBE, package)) == {
+        "not_in_dir": [],
+        "not_starred": [],
+        "mismatched": [],
+        "unknown": "AttributeError",
+    }

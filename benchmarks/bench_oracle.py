@@ -1,15 +1,18 @@
 """Oracle benchmarks: the fast key-implication path vs. the reference path.
 
-Every Fig. 7 workload bottoms out in the implication oracle: ``contains``
-probes (path-language containment), variant scans in ``_derive`` and
-table-tree traversals.  The library interns the paths, decides containment
-by an iterative DP with a persistent cross-call memo, indexes the engine's
-target-to-context variants, and shares one engine + table tree across batch
-workloads.  These benchmarks compare the two configurations end-to-end on
-the Fig. 7(c) spot-check shape (200 fields / depth 10 / 100 keys):
+Every Fig. 7 workload bottoms out in the implication oracle: containment
+probes (path languages), variant scans and table-tree traversals.  The
+library engine answers over integer step codes — paths are code tuples,
+attribute sets bit masks — with its target-to-context variants indexed by
+the last concrete step of their context, containment decided by the
+code-level DP of ``repro.xmlmodel.paths`` under a bounded memo, and
+prefix uniqueness on an explicit stack; one engine + table tree is shared
+across batch workloads.  These benchmarks compare the two configurations
+end-to-end on the Fig. 7(c) spot-check shape (200 fields / depth 10 / 100
+keys):
 
 * **new** — ``propagated_fds`` batch + ``minimum_cover_from_keys`` with the
-  default indexed engine and memoised containment;
+  default code-level engine;
 * **old** — per-FD ``check_propagation`` with a shared engine but per-call
   table-tree rebuilds, the linear-scan engine of
   ``tests/keys/implication_reference.py`` and, for every ``contains``
@@ -89,9 +92,10 @@ def test_oracle_batch_old_reference(benchmark, workload_cache):
 def test_oracle_speedup_report(workload_cache):
     """The fast oracle must beat the reference path ≥ 5× on the Fig. 7c shape.
 
-    Reports cold (containment memo cleared) and warm timings for the new
-    path; the gate compares the old path against the *cold* new run, so the
-    persistent memo only has whatever one batch naturally accumulates.
+    Reports cold (process-wide ``contains`` memo cleared) and warm timings
+    for the new path; every run builds fresh engines, whose memos start
+    empty.  The gate compares the old path against the *cold* new run, so
+    no memo holds more than one batch naturally accumulates.
     """
     workload = workload_cache(FIELDS, DEPTH, KEYS)
     fds = _batch_fds(workload)

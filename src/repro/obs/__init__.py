@@ -12,9 +12,9 @@ Three layers, matching the issue that introduced it:
 * **Stage tracing** (:mod:`repro.obs.trace`): ``with
   trace("load.batch"): ...`` spans at coarse granularity, compiled down
   to a shared no-op when telemetry is off.
-* **Exposition** (:mod:`repro.obs.render`): human table
-  (``--stats``), JSON (``--stats-json``), and Prometheus text for the
-  service's ``/metrics`` endpoint; :mod:`repro.obs.logs` carries the
+* **Exposition** (:mod:`repro.obs.render`, loaded on first use): human
+  table (``--stats``), JSON (``--stats-json``), and Prometheus text for
+  the service's ``/metrics`` endpoint; :mod:`repro.obs.logs` carries the
   structured-logging setup shared by the CLI and the service plane.
 
 The module-level switch
@@ -51,9 +51,15 @@ from repro.obs.metrics import (
     NULL_REGISTRY,
     NullRegistry,
 )
+from repro import lazy_exports
 from repro.obs.logs import get_logger, setup_cli_logging
-from repro.obs.render import render_json, render_prometheus, render_table
 from repro.obs.trace import STAGE_CALLS, STAGE_SECONDS, trace
+
+# Exposition is read only by ``--stats`` and the service's ``/metrics``;
+# every other command skips importing it.
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"render": ("render_json", "render_prometheus", "render_table")}
+)
 
 __all__ = [
     "DEFAULT_BUCKETS",

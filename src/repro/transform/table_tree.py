@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.transform.rule import TableRule
 from repro.transform.validate import validate_rule
-from repro.xmlmodel.paths import PathExpression, concat
+from repro.xmlmodel.paths import PathExpression
 
 
 class TableTree:
@@ -105,6 +105,14 @@ class TableTree:
 
         Defined only when ``ancestor`` is an ancestor-or-self of
         ``descendant``; raises ``ValueError`` otherwise.
+
+        Walks up from ``descendant`` to the nearest variable whose path from
+        ``ancestor`` is already known and extends that path by the mapping
+        segments below it, building one expression: the path to ``y`` is
+        the cached path to ``parent(y)`` plus one segment whenever the
+        parent was asked first, as the top-down cover and propagation
+        loops do.  The walk is a loop, so a rule thousands of variables
+        deep needs no recursion.
         """
         self._check(ancestor)
         self._check(descendant)
@@ -112,18 +120,22 @@ class TableTree:
         cached = self._path_cache.get(cache_key)
         if cached is not None:
             return cached
-        if ancestor == descendant:
-            result = PathExpression.epsilon()
-        else:
-            segments: List[PathExpression] = []
-            current: Optional[str] = descendant
-            while current is not None and current != ancestor:
-                segments.append(self._path_from_parent[current])
-                current = self._parent[current]
+        segments: List[PathExpression] = []
+        current: Optional[str] = descendant
+        while current != ancestor:
             if current is None:
                 raise ValueError(f"{ancestor!r} is not an ancestor of {descendant!r}")
-            segments.reverse()
-            result = concat(*segments)
+            segments.append(self._path_from_parent[current])
+            current = self._parent[current]
+            base = self._path_cache.get((ancestor, current))
+            if base is not None:
+                break
+        else:
+            base = PathExpression.epsilon()
+        steps = list(base.steps)
+        for segment in reversed(segments):
+            steps.extend(segment.steps)
+        result = PathExpression(steps)
         self._path_cache[cache_key] = result
         return result
 

@@ -25,23 +25,24 @@ language, with one semantic restriction mirroring the XML data model: the
 absorbed by ``//`` during containment checking and attribute nodes have no
 descendants during evaluation.
 
-Performance architecture (the key-implication oracle hot path)
---------------------------------------------------------------
+Performance architecture
+------------------------
 
 Path values are *interned*: :class:`PathStep` and :class:`PathExpression`
 keep process-level pools, so equal values are the same object, hashes are
 precomputed once, and equality starts with an identity test.  ``parse_path``
 and the pairwise worker behind :func:`concat` are cached on top of the
-pools, which makes the path keys that the implication engine hashes and
-compares millions of times O(1) instead of re-hashing step tuples.
+pools, so paths used as keys (keys of ``Σ``, table-tree paths, the
+``contains`` memo) hash and compare in O(1).
 
-Containment is decided by an *iterative* dynamic program over the interned
-step tuples (:func:`_containment`) whose verdicts live in a bounded
-cross-call memo table: the implication engine probes the same
-``(covering, covered)`` pairs thousands of times per cover computation, and
-every repeat is a single dict hit.  The per-call recursive procedure it
-replaced is the reference oracle of the differential suites and oracle
-benchmarks, ``tests/xmlmodel/containment_reference.py``.
+Containment is decided by one *iterative* dynamic program over integer
+step codes (:func:`contains_codes`, with :func:`encode_steps`): the public
+:func:`contains` encodes its two expressions and memoises the verdict in a
+bounded cross-call table, and the key-implication engine, which keeps every
+path as a tuple of codes, runs the same program under its own memo.  The
+per-call recursive procedure it replaced is the reference oracle of the
+differential suites and oracle benchmarks,
+``tests/xmlmodel/containment_reference.py``.
 """
 
 from __future__ import annotations
@@ -429,10 +430,9 @@ def _evaluate_steps(node: Node, steps: Tuple[PathStep, ...], index: int) -> Iter
 # ----------------------------------------------------------------------
 # Containment
 # ----------------------------------------------------------------------
-#: Bound on memoised containment verdicts.  A propagation/cover workload
-#: probes a quadratic-in-|Σ| but small family of (covered, covering) pairs;
-#: entries past the bound are recomputed rather than cached, so the table
-#: can never grow without bound under adversarial query streams.
+#: Bound on memoised containment verdicts: entries past the bound are
+#: recomputed rather than cached, so the table can never grow without bound
+#: under adversarial query streams.
 CONTAINMENT_CACHE_LIMIT = 1 << 16
 
 _containment_cache: Dict[Tuple[PathExpression, PathExpression], bool] = {}
@@ -449,54 +449,82 @@ def contains(covering: PathLike, covered: PathLike) -> bool:
     this fragment under an unbounded label alphabet.
 
     Verdicts are memoised across calls (bounded by
-    :data:`CONTAINMENT_CACHE_LIMIT`); repeated pairs — the overwhelmingly
-    common case inside the key-implication engine — are O(1) dict hits.
+    :data:`CONTAINMENT_CACHE_LIMIT`), so a repeated pair is an O(1) dict
+    hit; a miss encodes both expressions and runs :func:`contains_codes`.
     """
     covering_expr = PathExpression.of(covering)
     covered_expr = PathExpression.of(covered)
     key = (covered_expr, covering_expr)
     cached = _containment_cache.get(key)
     if cached is None:
-        cached = _containment(covered_expr.steps, covering_expr.steps)
+        codes: Dict[PathStep, int] = {}
+        cached = contains_codes(
+            encode_steps(covering_expr.steps, codes),
+            encode_steps(covered_expr.steps, codes),
+        )
         if len(_containment_cache) < CONTAINMENT_CACHE_LIMIT:
             _containment_cache[key] = cached
     return cached
 
 
-def _containment(covered: Tuple[PathStep, ...], covering: Tuple[PathStep, ...]) -> bool:
-    """Iterative bottom-up DP; allocation-light equivalent of the recursion.
+def encode_steps(steps: Iterable[PathStep], codes: Dict[PathStep, int]) -> Tuple[int, ...]:
+    """The step codes of ``steps`` under the code table ``codes``.
 
-    ``row[j]`` is the verdict for (suffix of ``covered`` from ``i``, suffix
-    of ``covering`` from ``j``); rows are filled for ``i = m .. 0``.  Steps
-    are interned, so the concrete-vs-concrete case is an identity test.
+    ``//`` is 0, an element label a positive and an attribute label a
+    negative integer; a step the table has not met yet gets the next unused
+    magnitude.  Two steps share a code exactly when they are equal, so a
+    normalised expression's codes are normalised too (no ``0, 0`` run).
+    """
+    encoded: List[int] = []
+    for step in steps:
+        code = codes.get(step)
+        if code is None:
+            if step.kind is StepKind.DESCENDANT:
+                code = 0
+            elif step.kind is StepKind.ATTRIBUTE:
+                code = -len(codes) - 1
+            else:
+                code = len(codes) + 1
+            codes[step] = code
+        encoded.append(code)
+    return tuple(encoded)
+
+
+def contains_codes(covering: Sequence[int], covered: Sequence[int]) -> bool:
+    """``L(covered) ⊆ L(covering)`` over step codes (see :func:`encode_steps`).
+
+    Iterative bottom-up DP: ``row[j]`` is the verdict for (suffix of
+    ``covered`` from ``i``, suffix of ``covering`` from ``j``); rows are
+    filled for ``i = m .. 0``.  Both :func:`contains` and the key-implication
+    engine, which keeps its paths as code tuples, decide containment here.
     """
     m = len(covered)
     n = len(covering)
-    descendant = StepKind.DESCENDANT
-    label = StepKind.LABEL
     # Row i = m: the covered expression is exhausted, so epsilon must belong
     # to the remaining covering language (all-// suffix).
     row = [False] * (n + 1)
     row[n] = True
     for j in range(n - 1, -1, -1):
-        row[j] = row[j + 1] and covering[j].kind is descendant
+        row[j] = row[j + 1] and not covering[j]
     for i in range(m - 1, -1, -1):
         prev = row
         row = [False] * (n + 1)
-        covered_step = covered[i]
-        covered_kind = covered_step.kind
+        covered_code = covered[i]
+        if not covered_code:
+            #  L(// P') ⊆ L(// Q')  iff  L(P') ⊆ L(// Q');  a concrete
+            #  label cannot cover the arbitrary paths of '//'.
+            for j in range(n - 1, -1, -1):
+                row[j] = not covering[j] and prev[j]
+            continue
+        # '//' absorbs element labels (not attribute steps), or matches the
+        # empty path and moves on.
+        absorbed = covered_code > 0
         for j in range(n - 1, -1, -1):
-            covering_step = covering[j]
-            if covered_kind is descendant:
-                #  L(// P') ⊆ L(// Q')  iff  L(P') ⊆ L(// Q');  a concrete
-                #  label cannot cover the arbitrary paths of '//'.
-                row[j] = covering_step.kind is descendant and prev[j]
-            elif covering_step.kind is descendant:
-                # '//' absorbs element labels (not attribute steps), or
-                # matches the empty path and moves on.
-                row[j] = (covered_kind is label and prev[j]) or row[j + 1]
+            covering_code = covering[j]
+            if not covering_code:
+                row[j] = (absorbed and prev[j]) or row[j + 1]
             else:
-                row[j] = covered_step is covering_step and prev[j + 1]
+                row[j] = covering_code == covered_code and prev[j + 1]
     return row[0]
 
 

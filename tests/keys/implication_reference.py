@@ -1,15 +1,18 @@
 """A linear-scan key-implication engine, kept as the reference oracle.
 
-:class:`repro.keys.implication.ImplicationEngine` prunes the
-target-to-context variants of ``Σ`` through a per-context candidate list
-and a first/last-step index, compares attribute sets as interned bit masks,
-and decides containment through the memoised ``contains``.
+:class:`repro.keys.implication.ImplicationEngine` answers over integer
+step codes: paths are code tuples, attribute sets bit masks, the variants
+of ``Σ`` are filed by the last concrete step of their context and pruned
+per query through a per-context candidate list and a first/last-step
+index, and prefix uniqueness runs on an explicit stack.
 :class:`LinearScanImplicationEngine` applies the same rules in the same
-order without any of that: every query scans every variant, containment of
-both the context and the target is tested per variant by the recursive
-procedure of ``tests/xmlmodel/containment_reference.py``, and attribute
-sets stay frozensets.  The two must answer every query stream identically;
-``tests/property/test_oracle_differential.py`` pins them and
+order without any of that: it works on ``PathExpression`` objects, every
+query scans every variant, containment of both the context and the target
+is tested per variant by the recursive procedure of
+``tests/xmlmodel/containment_reference.py``, attribute sets stay
+frozensets, and prefix uniqueness recurses.  The two must answer every
+query stream identically; ``tests/property/test_oracle_differential.py``
+and ``tests/property/test_engine_identity.py`` pin them and
 ``benchmarks/bench_oracle.py`` times them.
 
 It offers the interface the core algorithms use (``implies``,

@@ -1,9 +1,13 @@
 """Unit tests for the key-implication engine (``Σ ⊨ φ``)."""
 
+import sys
+
 import pytest
 
 from repro.keys.implication import ImplicationEngine, implies
 from repro.keys.key import XMLKey, parse_key, parse_keys
+
+from tests.keys.implication_reference import LinearScanImplicationEngine
 
 
 @pytest.fixture()
@@ -150,3 +154,77 @@ class TestEngineBehaviour:
         for query in queries:
             if engine.implies(query):
                 assert satisfies(figure1, query), query.text
+
+
+def _chain_keys(length, missing=None):
+    """``(., (a0, {}))`` and ``(//a{i-1}, (a{i}, {}))``, but for ``i = missing``."""
+    return [XMLKey(".", "a0", ())] + [
+        XMLKey(f"//a{i - 1}", f"a{i}", ()) for i in range(1, length) if i != missing
+    ]
+
+
+def _chain_target(length):
+    return "/".join(f"a{i}" for i in range(length))
+
+
+class TestDeepTargets:
+    """Prefix uniqueness runs on an explicit stack: a target's depth is not
+    bounded by the interpreter's recursion limit."""
+
+    def test_thousand_step_target_under_the_default_recursion_limit(self):
+        engine = ImplicationEngine(_chain_keys(1000))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert engine.implies_parts(".", _chain_target(1000), ())
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_a_missing_link_breaks_the_chain(self):
+        engine = ImplicationEngine(_chain_keys(100, missing=50))
+        assert not engine.implies_parts(".", _chain_target(100), ())
+        assert engine.implies_parts(".", _chain_target(50), ())
+        assert engine.implies_parts("//a50", "a51/a52/a53", ())
+
+    @pytest.mark.parametrize("missing", [None, 1, 5])
+    def test_chain_verdicts_match_the_reference(self, missing):
+        keys = _chain_keys(10, missing) + [XMLKey("//a3", "a4/a5", {"id"})]
+        fast = ImplicationEngine(keys)
+        reference = LinearScanImplicationEngine(keys)
+        for context in (".", "a0", "//a2", "//"):
+            for start in range(4):
+                # Longest first: shorter queries then answer from the memo
+                # the longer ones left behind.
+                for stop in range(10, start - 1, -1):
+                    target = "/".join(f"a{i}" for i in range(start, stop))
+                    for attributes in ((), ("id",)):
+                        assert fast.implies_parts(context, target, attributes) == (
+                            reference.implies_parts(context, target, attributes)
+                        ), (context, target, attributes)
+
+    def test_a_failed_query_memoises_its_nested_prefixes_correctly(self):
+        # (//r, x/y/z/w) fails for want of a key on w, but on the way its
+        # prefix x/y/z is derived by the split at y, whose prefix x/y was
+        # already known to hold when the nested frame reached it.
+        keys = parse_keys(
+            """
+            (//r, (x/y, {}))
+            (//r/x/y, (z, {}))
+            """
+        )
+        engine = ImplicationEngine(keys)
+        assert not engine.implies_parts("//r", "x/y/z/w")
+        assert engine.implies_parts("//r", "x/y/z")
+
+    def test_clearing_a_full_query_memo_changes_no_verdict(self):
+        keys = _chain_keys(40, missing=20)
+        bounded = ImplicationEngine(keys)
+        bounded.QUERY_CACHE_LIMIT = 8
+        unbounded = ImplicationEngine(keys)
+        for length in range(1, 41):
+            for context in (".", "a0", "//a9"):
+                target = _chain_target(length)
+                assert bounded.implies_parts(context, target) == unbounded.implies_parts(
+                    context, target
+                )
+        assert len(bounded._cache) <= 8

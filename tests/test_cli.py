@@ -167,6 +167,41 @@ class TestCoverCommand:
         assert "no functional dependencies" in capsys.readouterr().out
 
 
+def _write_chain(tmp_path, depth, chain_keys):
+    """A rule ``v{i} <- v{i-1} : a{i}`` ``depth`` variables deep, with
+    ``id = value(@id of v0)`` and ``leaf = value(v{depth-1})``.  With
+    ``chain_keys`` every ``a{i}`` is unique under its ``a{i-1}``, so the
+    cover is ``id -> leaf``; without, nothing below ``v0`` is keyed."""
+    lines = ["table U", "  var v0 <- xr : a0"]
+    lines += [f"  var v{i} <- v{i - 1} : a{i}" for i in range(1, depth)]
+    lines += [
+        "  var vid <- v0 : @id",
+        "  field id = value(vid)",
+        f"  field leaf = value(v{depth - 1})",
+    ]
+    keys = ["(., (a0, {@id}))"]
+    if chain_keys:
+        keys += [f"(//a{i - 1}, (a{i}, {{}}))" for i in range(1, depth)]
+    keys_file = tmp_path / f"chain{depth}.keys"
+    keys_file.write_text("\n".join(keys) + "\n")
+    transform_file = tmp_path / f"chain{depth}.dsl"
+    transform_file.write_text("\n".join(lines) + "\n")
+    return ["--keys", str(keys_file), "--transform", str(transform_file), "--relation", "U"]
+
+
+class TestDeepRules:
+    """Neither the implication oracle nor ``TableTree.path_between``
+    recurses once per variable or per target step."""
+
+    def test_cover_of_a_500_deep_keyed_chain(self, tmp_path, capsys):
+        assert main(["cover", *_write_chain(tmp_path, 500, chain_keys=True)]) == 0
+        assert capsys.readouterr().out == "id -> leaf\n"
+
+    def test_cover_of_a_1200_deep_unkeyed_chain(self, tmp_path, capsys):
+        assert main(["cover", *_write_chain(tmp_path, 1200, chain_keys=False)]) == 0
+        assert capsys.readouterr().out == "(no functional dependencies are propagated)\n"
+
+
 class TestDesignCommand:
     def test_design_with_sql(self, workspace, capsys):
         code = main(

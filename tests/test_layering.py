@@ -232,6 +232,8 @@ def test_importing_the_cli_loads_no_plane():
         name for name in loaded
         if name not in ("repro", "repro.cli") and not name.startswith("repro.obs")
     ] == []
+    # Exposition loads with ``--stats`` or the service, not with the CLI.
+    assert "repro.obs.render" not in loaded
 
 
 #: Run with the package name as ``sys.argv[1]``; prints what is wrong with

@@ -1,14 +1,19 @@
 """Schema-design benchmarks: FD projection and ``minimumCover`` at scale.
 
-Two costs of the paper's algorithm layer, on generated universal relations:
+Three costs of the paper's algorithm layer, on generated universal
+relations:
 
-* **BCNF refinement** (Examples 1.2 / 3.1) projects the cover onto every
-  candidate fragment.  ``project_fds`` trims each enumerated subset against
-  the source FDs; the exhaustive reference
+* **BCNF over projected FDs.**  ``bcnf_decompose`` by default projects the
+  cover onto every candidate fragment.  ``project_fds`` trims each
+  enumerated subset against the source FDs; the exhaustive reference
   (``tests/relational/projection_reference.py``) minimises the whole
   ``2^|A|``-FD projected pool instead.  ``test_design_speedup_report``
   gates ``bcnf_decompose`` on the 11-field design problem at ≥ 5× the
   reference, with identical fragments.
+* **Design by propagation** (Examples 1.2 / 3.1).  ``design_from_scratch``
+  takes each fragment's FDs from the keys instead of projecting.
+  ``test_design_20_report`` gates it at 20 fields (where projecting took
+  ~30 s) below 1 s.
 * **minimumCover** at Fig. 7(a) scale (2000 fields).
   ``test_minimum_cover_2000_report`` reports it next to a run with
   ``TableRule.fields_of_variable`` swapped back to a linear scan over all
@@ -26,6 +31,7 @@ from unittest import mock
 import pytest
 
 from repro.core.minimum_cover import minimum_cover_from_keys
+from repro.design import design_from_scratch
 from repro.experiments.generators import generate_workload
 from repro.experiments.runner import time_call
 from repro.relational.normalization import bcnf_decompose
@@ -38,7 +44,11 @@ from tests.relational.projection_reference import reference_projection
 DESIGN = dict(num_fields=11, depth=5, num_keys=8, seed=2)
 COVER = dict(num_fields=2000, depth=5, num_keys=100, seed=2)
 
+#: ``design_from_scratch`` at 20 fields, the default workload shape.
+DESIGN_20 = dict(num_fields=20, depth=5, seed=0)
+
 SPEEDUP_GATE = 5.0
+DESIGN_20_GATE_SECONDS = 1.0
 REPEATS = 3
 
 
@@ -111,6 +121,24 @@ def test_design_speedup_report(design_measurements):
     assert ratio >= SPEEDUP_GATE, (
         f"bcnf_decompose only {ratio:.1f}x faster than with the exhaustive "
         f"projection (expected >= {SPEEDUP_GATE:.0f}x)"
+    )
+
+
+def test_design_20_report():
+    workload = generate_workload(
+        DESIGN_20["num_fields"], depth=DESIGN_20["depth"], seed=DESIGN_20["seed"]
+    )
+    timed = time_call(
+        lambda: design_from_scratch(workload.keys, workload.rule), repeat=REPEATS
+    )
+    print(
+        f"\n[bench_design] design_from_scratch, {DESIGN_20['num_fields']} fields (BCNF): "
+        f"{timed.seconds * 1000:.1f} ms, {len(timed.result.schema)} relations "
+        f"(gate < {DESIGN_20_GATE_SECONDS:.0f} s)"
+    )
+    assert timed.seconds < DESIGN_20_GATE_SECONDS, (
+        f"design_from_scratch took {timed.seconds:.2f} s at "
+        f"{DESIGN_20['num_fields']} fields (expected < {DESIGN_20_GATE_SECONDS:.0f} s)"
     )
 
 

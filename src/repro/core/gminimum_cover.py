@@ -96,8 +96,9 @@ def gminimum_cover_check(
             pairs = attribute_field_pairs(table_tree, ancestor, still_missing)
             if not pairs:
                 continue
-            if engine.attributes_exist(
-                table_tree.path_from_root(ancestor), {attribute for attribute, _ in pairs}
+            if engine.exist_codes(
+                table_tree.codes_from_root(ancestor, engine.code_table),
+                engine.attribute_mask([attribute for attribute, _ in pairs]),
             ):
                 still_missing -= {field_name for _, field_name in pairs}
         if still_missing:

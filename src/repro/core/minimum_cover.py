@@ -27,6 +27,15 @@ partly unreadable; see DESIGN.md):
 3. Minimise the generated set with the relational ``minimize`` routine
    (extraneous attributes, then redundant FDs).
 
+Every oracle question is posed as step codes (``ImplicationEngine.implies_codes``):
+each variable's context and relative paths come from the table tree as code
+tuples under the engine's code table, built once per variable by joining
+its mapping segment onto its parent's codes, so no query builds a path.
+The same routine, :func:`cover_from_tree`, gives ``design`` the cover of
+each candidate fragment (the universal rule restricted to the fragment's
+fields); that is how design gets a fragment's FDs without the exponential
+projection.
+
 The FDs produced are the propagated FDs under the *identification* semantics
 (condition (2) of Section 3); the additional null/existence condition (1) is
 not closed under Armstrong's axioms, so it is checked separately — either by
@@ -119,7 +128,8 @@ def minimum_cover_from_keys(
     from the engine's keys.  Phases 1 and 2 share that single engine (and a
     single ``table_tree``, which may likewise be passed in prebuilt), so
     every oracle verdict of Phase 1 is a warm memo hit when Phase 2
-    re-probes it.
+    re-probes it.  The ``cover.*`` counters record this call; the work
+    itself is :func:`cover_from_tree`.
     """
     if isinstance(universal, UniversalRelation):
         rule = universal.rule
@@ -144,8 +154,38 @@ def minimum_cover_from_keys(
             "the supplied TableTree is built over a different rule than the "
             "universal relation's; paths and ancestor chains would disagree"
         )
-    root = table_tree.root
     queries_before = engine.query_count
+    result = cover_from_tree(key_list, engine, table_tree, require_existence)
+    registry = obs.metrics()
+    registry.inc("cover.implication_queries", engine.query_count - queries_before)
+    registry.inc("cover.generated_fds", len(result.generated))
+    registry.inc("cover.fds", len(result.cover))
+    return result
+
+
+def cover_from_tree(
+    keys: Sequence[XMLKey],
+    engine: ImplicationEngine,
+    table_tree: TableTree,
+    require_existence: bool = False,
+) -> MinimumCoverResult:
+    """Phases 1–3 for the rule of ``table_tree``; ``engine`` is over ``keys``.
+
+    The unchecked, unrecorded core of :func:`minimum_cover_from_keys`, for
+    callers that compute many covers over one engine (``design`` asks it
+    for every fragment of a decomposition) and count them themselves.
+    Every oracle query goes to the engine as step codes: each variable's
+    codes come from :meth:`TableTree.codes_between` under the engine's
+    code table, so no query builds a path.
+    """
+    rule = table_tree.rule
+    root = table_tree.root
+    table = engine.code_table
+    keyed_attributes = [
+        (key.attributes, engine.attribute_mask(key.attributes))
+        for key in keys
+        if key.attributes
+    ]
 
     # ------------------------------------------------------------------
     # Phase 1: candidate transitive keys, top-down.
@@ -169,17 +209,15 @@ def minimum_cover_from_keys(
         for ancestor in table_tree.ancestors(variable):
             if ancestor not in representative:
                 continue
-            ancestor_path = table_tree.path_from_root(ancestor)
-            relative_path = table_tree.path_between(ancestor, variable)
-            for key in key_list:
-                if not key.attributes:
+            ancestor_codes = table_tree.codes_from_root(ancestor, table)
+            relative_codes = table_tree.codes_between(ancestor, variable, table)
+            for attributes, mask in keyed_attributes:
+                if not attributes <= available_attributes:
                     continue
-                if not key.attributes <= available_attributes:
-                    continue
-                if not engine.implies_parts(ancestor_path, relative_path, key.attributes):
+                if not engine.implies_codes(ancestor_codes, relative_codes, mask):
                     continue
                 fields = representative[ancestor] | {
-                    available[attribute] for attribute in key.attributes
+                    available[attribute] for attribute in attributes
                 }
                 if fields in seen_field_sets:
                     continue
@@ -189,7 +227,7 @@ def minimum_cover_from_keys(
                         variable=variable,
                         fields=frozenset(fields),
                         via_ancestor=ancestor,
-                        key_attributes=key.attributes,
+                        key_attributes=attributes,
                     )
                 )
         if found:
@@ -222,9 +260,11 @@ def minimum_cover_from_keys(
         for ancestor in table_tree.ancestors(y_variable):
             if ancestor not in candidates:
                 continue
-            ancestor_path = table_tree.path_from_root(ancestor)
-            unique_path = table_tree.path_between(ancestor, y_variable)
-            if not engine.implies_parts(ancestor_path, unique_path, ()):
+            if not engine.implies_codes(
+                table_tree.codes_from_root(ancestor, table),
+                table_tree.codes_between(ancestor, y_variable, table),
+                0,
+            ):
                 continue
             for candidate in candidates[ancestor]:
                 emit(candidate.fields, field_name)
@@ -259,13 +299,8 @@ def minimum_cover_from_keys(
     # ------------------------------------------------------------------
     # Phase 3: relational minimisation.
     # ------------------------------------------------------------------
-    cover = minimize(generated)
-    registry = obs.metrics()
-    registry.inc("cover.implication_queries", engine.query_count - queries_before)
-    registry.inc("cover.generated_fds", len(generated))
-    registry.inc("cover.fds", len(cover))
     return MinimumCoverResult(
-        cover=cover,
+        cover=minimize(generated),
         generated=generated,
         candidate_keys=candidates,
         representative=representative,
@@ -287,8 +322,9 @@ def _existence_holds(
         pairs = attribute_field_pairs(table_tree, ancestor, missing)
         if not pairs:
             continue
-        if engine.attributes_exist(
-            table_tree.path_from_root(ancestor), {attribute for attribute, _ in pairs}
+        if engine.exist_codes(
+            table_tree.codes_from_root(ancestor, engine.code_table),
+            engine.attribute_mask([attribute for attribute, _ in pairs]),
         ):
             missing -= {field_name for _, field_name in pairs}
     return not missing

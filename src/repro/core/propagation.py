@@ -183,6 +183,7 @@ def _check_single_rhs(
     x_variable = rule.field_variable(rhs_attribute)
     ancestors = table_tree.ancestors(x_variable, include_self=True)
     root = table_tree.root
+    table = engine.code_table
 
     # ------------------------------------------------------------------
     # Identification: walk the ancestor chain, moving `context` down
@@ -199,9 +200,12 @@ def _check_single_rhs(
         if target == root or target == x_variable:
             continue
         beta = attribute_fields_of(table_tree, target, lhs)
-        context_path = table_tree.path_from_root(context)
-        relative_path = table_tree.path_between(context, target)
-        if engine.implies_parts(context_path, relative_path, beta.keys()):
+        if engine.implies_codes(
+            table_tree.codes_from_root(context, table),
+            table_tree.codes_between(context, target, table),
+            engine.attribute_mask(beta.keys()),
+        ):
+            relative_path = table_tree.path_between(context, target)
             trace.append(
                 f"  {target} is keyed relative to {context} by "
                 f"({relative_path.text}, {{{', '.join('@' + a for a in sorted(beta))}}})"
@@ -216,9 +220,12 @@ def _check_single_rhs(
         identified = True
         trace.append(f"  {rhs_attribute} is trivially determined ({rhs_attribute} in LHS)")
     else:
-        context_path = table_tree.path_from_root(context)
+        identified = engine.implies_codes(
+            table_tree.codes_from_root(context, table),
+            table_tree.codes_between(context, x_variable, table),
+            0,
+        )
         unique_path = table_tree.path_between(context, x_variable)
-        identified = engine.implies_parts(context_path, unique_path, ())
         trace.append(
             f"  value({x_variable}) is {'unique' if identified else 'NOT unique'} under "
             f"keyed context {context} (path {unique_path.text})"
@@ -235,8 +242,10 @@ def _check_single_rhs(
         pairs = attribute_field_pairs(table_tree, target, missing)
         if not pairs:
             continue
-        target_path = table_tree.path_from_root(target)
-        if engine.attributes_exist(target_path, {attribute for attribute, _ in pairs}):
+        if engine.exist_codes(
+            table_tree.codes_from_root(target, table),
+            engine.attribute_mask([attribute for attribute, _ in pairs]),
+        ):
             for attribute, field_name in pairs:
                 missing.discard(field_name)
                 trace.append(

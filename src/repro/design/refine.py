@@ -15,18 +15,21 @@ Two scenarios from the paper's introduction are packaged here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional
 
 from repro import obs
-from repro.core.checking import ConsistencyReport, check_schema_consistency
-from repro.core.minimum_cover import MinimumCoverResult, minimum_cover_from_keys
+from repro.core.minimum_cover import MinimumCoverResult, cover_from_tree, minimum_cover_from_keys
+from repro.keys.implication import ImplicationEngine
 from repro.keys.key import XMLKey
 from repro.relational.fd import FunctionalDependency
-from repro.relational.normalization import bcnf_decompose, candidate_keys, project_fds, synthesize_3nf
+from repro.relational.normalization import bcnf_decompose, canonical_cover, synthesize_3nf
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.transform.rule import TableRule, Transformation
 from repro.transform.table_tree import TableTree
 from repro.transform.universal import UniversalRelation
+
+if TYPE_CHECKING:
+    from repro.core.checking import ConsistencyReport
 
 
 @dataclass
@@ -60,13 +63,36 @@ def design_from_scratch(
     ``normal_form`` is ``"BCNF"`` (default) or ``"3NF"``.  ``relation_names``
     optionally maps frozensets of attributes to human-friendly relation
     names (otherwise fragments are numbered).
+
+    Every FD set comes from the keys, as the paper's Examples 1.1–1.2 ask:
+    the universal cover, and the cover of each candidate fragment, which is
+    Algorithm ``minimumCover`` run on the universal rule restricted to the
+    fragment's fields.  No FD set is projected (the exponential route of
+    ``project_fds``): one implication engine and one table tree of the
+    universal rule serve every fragment, and :func:`canonical_cover`
+    presents each fragment cover in the order the projection would, so
+    BCNF splits exactly where projecting the universal cover splits.
     """
     rule = universal.rule if isinstance(universal, UniversalRelation) else universal
     key_list = list(keys)
-    cover = minimum_cover_from_keys(key_list, rule)
+    engine = ImplicationEngine(key_list)
+    table_tree = TableTree(rule)
+    cover = minimum_cover_from_keys(key_list, rule, engine=engine, table_tree=table_tree)
+    fragment_covers: Dict[FrozenSet[str], List[FunctionalDependency]] = {}
+
+    def fragment_fds(fragment: FrozenSet[str]) -> List[FunctionalDependency]:
+        found = fragment_covers.get(fragment)
+        if found is None:
+            restricted = restrict_rule(rule, fragment, rule.relation, table_tree)
+            # A restriction of a valid rule is valid by construction.
+            propagated = cover_from_tree(
+                key_list, engine, TableTree(restricted, validate=False)
+            ).cover
+            found = fragment_covers[fragment] = canonical_cover(fragment, propagated)
+        return found
 
     if normal_form.upper() == "BCNF":
-        fragments = bcnf_decompose(rule.relation, rule.field_names, cover.cover)
+        fragments = bcnf_decompose(rule.relation, rule.field_names, cover.cover, fragment_fds)
     elif normal_form.upper() in {"3NF", "THIRD"}:
         fragments = synthesize_3nf(rule.relation, rule.field_names, cover.cover)
     else:
@@ -79,10 +105,12 @@ def design_from_scratch(
         name = (relation_names or {}).get(frozenset(fragment.attributes), fragment.name)
         renamed = RelationSchema(name, fragment.attributes, keys=fragment.keys)
         schema.add(renamed)
-        transformation.add_rule(restrict_rule(rule, renamed.attributes, name))
-        fd_by_relation[name] = project_fds(renamed.attributes, cover.cover)
+        transformation.add_rule(restrict_rule(rule, renamed.attributes, name, table_tree))
+        fd_by_relation[name] = fragment_fds(frozenset(renamed.attributes))
 
-    obs.metrics().inc("design.fragments", len(fragments))
+    registry = obs.metrics()
+    registry.inc("design.fragments", len(fragments))
+    registry.inc("design.fragment_covers", len(fragment_covers))
     return DesignResult(
         universal=rule,
         cover=cover,
@@ -93,20 +121,27 @@ def design_from_scratch(
     )
 
 
-def restrict_rule(rule: TableRule, fields: Iterable[str], name: str) -> TableRule:
+def restrict_rule(
+    rule: TableRule,
+    fields: Iterable[str],
+    name: str,
+    table_tree: Optional[TableTree] = None,
+) -> TableRule:
     """Restrict a table rule to a subset of its fields.
 
     Keeps exactly the variable mappings on the paths from the root variable
     to the variables defining the retained fields, producing a well-formed
-    rule for the fragment relation.
+    rule for the fragment relation.  ``table_tree``, a tree of ``rule``
+    already built, saves rebuilding (and re-validating) one per call.
     """
-    wanted = [field_name for field_name in rule.field_names if field_name in set(fields)]
-    table_tree = TableTree(rule)
-    needed_variables: List[str] = []
+    retained = set(fields)
+    wanted = [field_name for field_name in rule.field_names if field_name in retained]
+    if table_tree is None:
+        table_tree = TableTree(rule)
+    needed_variables: Dict[str, None] = {}
     for field_name in wanted:
         for variable in table_tree.ancestors(rule.field_variable(field_name), include_self=True):
-            if variable not in needed_variables:
-                needed_variables.append(variable)
+            needed_variables[variable] = None
     restricted = TableRule(name, root_variable=rule.root_variable)
     for variable in needed_variables:
         if variable == rule.root_variable:
@@ -124,4 +159,7 @@ def validate_existing_design(
     schema: DatabaseSchema,
 ) -> ConsistencyReport:
     """Convenience re-export of the predefined-design consistency check."""
+    # Imported here: the check loads the DOM plane, which design never runs.
+    from repro.core.checking import check_schema_consistency
+
     return check_schema_consistency(keys, transformation, schema)

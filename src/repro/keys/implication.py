@@ -40,7 +40,12 @@ table that lives as long as the engine, and attribute sets as bit masks.
 Splitting a target is a tuple slice, ``context/prefix`` a tuple ``+``, and
 containment the code-level dynamic program
 :func:`~repro.xmlmodel.paths.contains_codes`; a query builds no
-``PathExpression`` and no ``XMLKey``.
+``PathExpression`` and no ``XMLKey``.  The table-tree algorithms
+(propagation, ``minimumCover``) hand over code tuples directly through
+:meth:`ImplicationEngine.implies_codes` and
+:meth:`ImplicationEngine.exist_codes`, encoded under the engine's
+``code_table``; :meth:`ImplicationEngine.implies_parts` is the thin
+encode-and-delegate wrapper for callers holding paths.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from repro.xmlmodel.paths import (
     contains,
     contains_codes,
     encode_steps,
+    join_codes,
 )
 
 #: A path as step codes (``//`` = 0, element labels > 0, attributes < 0).
@@ -95,13 +101,6 @@ def attributes_exist(
             if not remaining:
                 return True
     return not remaining
-
-
-def _join(context: _Codes, suffix: _Codes) -> _Codes:
-    """``context/suffix`` over codes, collapsing a ``//``-``//`` junction."""
-    if context and suffix and not context[-1] and not suffix[0]:
-        return context + suffix[1:]
-    return context + suffix
 
 
 class ImplicationEngine:
@@ -170,7 +169,7 @@ class ImplicationEngine:
             context = self._encode(key.context)
             target = self._encode(key.target)
             for cut in range(len(target)):
-                variant_context = _join(context, target[:cut])
+                variant_context = join_codes(context, target[:cut])
                 variant_target = target[cut:]
                 context_last = variant_context[-1] if variant_context else 0
                 self._by_context_last.setdefault(context_last, []).append(
@@ -205,13 +204,26 @@ class ImplicationEngine:
     def implies_parts(
         self, context: PathLike, target: PathLike, attributes: AttrLike = ()
     ) -> bool:
-        """Decide ``Σ ⊨ (context, (target, attributes))`` from its parts."""
-        self.query_count += 1
-        query = (
-            self._encode(context),
-            self._encode(target),
-            self._universe.mask(_normalise_attributes(attributes)),
+        """Decide ``Σ ⊨ (context, (target, attributes))`` from its parts.
+
+        Encodes the paths against :attr:`code_table` and asks
+        :meth:`implies_codes`.
+        """
+        return self.implies_codes(
+            self._encode(context), self._encode(target), self.attribute_mask(attributes)
         )
+
+    def implies_codes(self, context: _Codes, target: _Codes, mask: int) -> bool:
+        """Decide ``Σ ⊨ (context, (target, S))`` over step codes.
+
+        ``context`` and ``target`` are code tuples under :attr:`code_table`
+        (as :func:`~repro.xmlmodel.paths.encode_steps` writes them) and
+        ``mask`` is :meth:`attribute_mask` of ``S``.  The table-tree loops
+        of propagation and ``minimumCover`` build their code tuples once per
+        variable and ask here, so no query builds or encodes a path.
+        """
+        self.query_count += 1
+        query = (context, target, mask)
         verdict = self._cache.get(query)
         if verdict is None:
             verdict = self._open(query)
@@ -226,16 +238,13 @@ class ImplicationEngine:
         same (path, attribute-set) pairs many times per run; the cache makes
         repeats O(1) dictionary hits.
         """
-        return self._exist(
+        return self.exist_codes(
             self._encode(path),
             self._universe.mask([name.lstrip("@") for name in attributes]),
         )
 
-    # ------------------------------------------------------------------
-    def _encode(self, path: PathLike) -> _Codes:
-        return encode_steps(PathExpression.of(path).steps, self._step_codes)
-
-    def _exist(self, path: _Codes, wanted: int) -> bool:
+    def exist_codes(self, path: _Codes, wanted: int) -> bool:
+        """:meth:`attributes_exist` over a code tuple and an attribute mask."""
         if not wanted:
             return True
         cache_key = (path, wanted)
@@ -251,6 +260,22 @@ class ImplicationEngine:
             if len(self._exist_cache) < self.EXIST_CACHE_LIMIT:
                 self._exist_cache[cache_key] = cached
         return cached
+
+    def attribute_mask(self, attributes: AttrLike) -> int:
+        """The bit mask of an attribute set (``@`` prefixes ignored)."""
+        return self._universe.mask(_normalise_attributes(attributes))
+
+    @property
+    def code_table(self) -> Dict[PathStep, int]:
+        """The step-code table every code tuple of this engine refers to.
+
+        It only grows: a step keeps its code for the engine's lifetime.
+        """
+        return self._step_codes
+
+    # ------------------------------------------------------------------
+    def _encode(self, path: PathLike) -> _Codes:
+        return encode_steps(PathExpression.of(path).steps, self._step_codes)
 
     def _contains(self, covering: _Codes, covered: _Codes) -> bool:
         cache_key = (covering, covered)
@@ -334,7 +359,7 @@ class ImplicationEngine:
                 continue
             sub_context = contexts.get(start)
             if sub_context is None:
-                sub_context = contexts[start] = _join(context, target[:start])
+                sub_context = contexts[start] = join_codes(context, target[:start])
             sub = (sub_context, target[start:stop], mask if stop == length else 0)
             verdict = cache.get(sub)
             if verdict is None:
@@ -348,7 +373,7 @@ class ImplicationEngine:
         """Every rule but prefix uniqueness."""
         # Rule "epsilon": a subtree has exactly one root.
         if not target:
-            return self._exist(context, mask)
+            return self.exist_codes(context, mask)
         # Rule "attribute uniqueness": at most one @a per element.
         if len(target) == 1 and target[0] < 0 and not mask:
             return True
@@ -371,7 +396,7 @@ class ImplicationEngine:
             if not self._contains(variant_target, target):
                 continue
             extra = mask & ~variant_mask
-            if extra and not self._exist(_join(context, target), extra):
+            if extra and not self.exist_codes(join_codes(context, target), extra):
                 continue
             return True
         return False

@@ -3,7 +3,10 @@
 These are the classical design tools (Abiteboul–Hull–Vianu / Beeri–Bernstein)
 that the paper plugs its propagated minimum cover into: Example 1.2 and
 Example 3.1 decompose the universal relation into BCNF guided by the cover
-computed from the XML keys.
+computed from the XML keys.  There each fragment's FDs are propagated from
+the keys too and handed to :func:`bcnf_decompose` as a function;
+:func:`canonical_cover` orders them as :func:`project_fds` would, so the
+exponential projection is left to callers that only hold FDs.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.relational.bitset import BitFDSet
+from repro.relational.bitset import AttributeUniverse, BitFDSet, iter_bits
 from repro.relational.fd import (
     FDLike,
     FunctionalDependency,
@@ -122,8 +125,10 @@ def project_fds(attributes: AttrSetLike, fds: Iterable[FDLike]) -> List[Function
     The enumeration stays exponential in ``|A|``; what goes away is the
     minimisation of a ``2^|A|``-FD pool.  Closures are taken under the
     source ``fds`` and memoised per attribute set, so there are at most
-    ``2^|A|`` of them.  Intended for the small schemas produced by
-    decomposition, not for universal relations with hundreds of fields.
+    ``2^|A|`` of them.  Intended for callers that hold only FDs and for
+    small schemas, not for universal relations with hundreds of fields;
+    ``design_from_scratch`` never calls it (it propagates each fragment's
+    FDs from the keys and orders them with :func:`canonical_cover`).
     """
     attrs = sorted(attr_set(attributes))
     attr_pool = frozenset(attrs)
@@ -162,6 +167,75 @@ def project_fds(attributes: AttrSetLike, fds: Iterable[FDLike]) -> List[Function
     )
 
 
+def canonical_cover(attributes: AttrSetLike, fds: Iterable[FDLike]) -> List[FunctionalDependency]:
+    """The cover :func:`project_fds` gives for FDs already over ``attributes``.
+
+    ``fds`` must mention only ``attributes``.  The result is, FD for FD and
+    in the same order, ``project_fds(attributes, source)`` for every
+    ``source`` whose projection onto ``attributes`` is equivalent to
+    ``fds``: that projection is a function of the closure ``X ↦ X+ ∩ A``
+    alone.  Design takes each fragment's FDs from the keys and presents
+    them here, so BCNF meets its violations in the order the projection
+    route met them.
+
+    It replays the projection's tie-breaking without enumerating ``A``.
+    Call an attribute in no LHS of ``fds`` a *sink*; sinks never fire an
+    FD, so ``X+ = (X − sinks)+ ∪ X``.  In the projection's enumeration a
+    sink in ``X`` is therefore always trimmed away, and an attribute ``a``
+    derived from ``X`` is trimmed to the same ``Y → a`` as from ``X``
+    without its sinks.  The last occurrence of ``Y → a``, which fixes its
+    place in the pool, is thus at ``X = X' ∪ (sinks − {a})`` for the last
+    set ``X'`` of LHS attributes that trims to it: adding the same sinks
+    to two sets keeps their (size, lexicographic) order.  So only the
+    subsets of the LHS attributes are enumerated, each position is the
+    enumeration rank of the full ``X`` (then ``a``, as the projection
+    walks ``sorted(rhs)``), and the pool goes to :func:`minimum_cover`
+    exactly as there.  The work is exponential in the number of LHS
+    attributes only; for a propagated cover those are the key fields,
+    never the value fields.
+    """
+    attrs = sorted(attr_set(attributes))
+    pool = [coerce_fd(fd) for fd in fds]
+    # Bits in sorted-name order, so a sorted bit tuple is an enumeration rank.
+    universe = AttributeUniverse(attrs)
+    source = BitFDSet.from_fds(pool, universe)
+    if len(universe) != len(attrs):
+        raise ValueError("canonical_cover: the FDs mention attributes outside the relation")
+    closure = source.closure_mask
+    lhs_union = 0
+    for fd in pool:
+        lhs_union |= universe.mask(fd.lhs)
+    keyed = [bit for bit in range(len(attrs)) if lhs_union >> bit & 1]
+    sinks = tuple(bit for bit in range(len(attrs)) if not lhs_union >> bit & 1)
+    # (trimmed LHS mask, RHS bit) → rank of its last occurrence.
+    last: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...], int]] = {}
+    for size in range(len(keyed) + 1):
+        for combination in combinations(keyed, size):
+            subset = 0
+            for bit in combination:
+                subset |= 1 << bit
+            for attribute in iter_bits(closure(subset) & ~subset):
+                probe = 1 << attribute
+                lhs = subset
+                for bit in combination:
+                    smaller = lhs & ~(1 << bit)
+                    if closure(smaller) & probe:
+                        lhs = smaller
+                enumerated = tuple(
+                    sorted(combination + tuple(bit for bit in sinks if bit != attribute))
+                )
+                rank = (len(enumerated), enumerated, attribute)
+                if rank > last.get((lhs, attribute), ()):
+                    last[lhs, attribute] = rank
+    return minimum_cover(
+        [
+            FunctionalDependency(universe.names(lhs), (attrs[attribute],))
+            for lhs, attribute in sorted(last, key=last.__getitem__)
+        ],
+        merge_lhs=True,
+    )
+
+
 def is_bcnf(attributes: AttrSetLike, fds: Iterable[FDLike]) -> bool:
     """Is the relation (with these FDs, already projected) in BCNF?"""
     attrs = attr_set(attributes)
@@ -195,34 +269,59 @@ def is_3nf(attributes: AttrSetLike, fds: Iterable[FDLike]) -> bool:
 
 
 def bcnf_decompose(
-    name: str, attributes: Sequence[str], fds: Iterable[FDLike]
+    name: str,
+    attributes: Sequence[str],
+    fds: Iterable[FDLike],
+    fragment_fds: Optional[Callable[[FrozenSet[str]], List[FunctionalDependency]]] = None,
 ) -> List[RelationSchema]:
     """Lossless-join BCNF decomposition of ``name(attributes)`` under ``fds``.
 
     The classical recursive algorithm: pick a violating FD ``X → Y`` (with
     ``Y`` expanded to ``X+``), split into ``(X ∪ X+)`` and
-    ``(attributes − (X+ − X))``, and recurse with projected FDs.  Sub-relation
-    names are derived from the attribute that "leads" each fragment for
-    readability; every produced schema carries its candidate keys.
+    ``(attributes − (X+ − X))``, and recurse on each fragment's FDs.
+    Sub-relation names are derived from the attribute that "leads" each
+    fragment for readability; every produced schema carries its candidate
+    keys.
+
+    ``fragment_fds(fragment)`` supplies the FDs that hold on a candidate
+    fragment; it is asked once per fragment.  The split is on the *first*
+    violating FD, so their order decides the fragments.  The default is
+    ``project_fds(fragment, fds)``, the exponential projection;
+    :func:`repro.design.design_from_scratch` instead passes each
+    fragment's cover propagated from the XML keys, presented by
+    :func:`canonical_cover` in the projection's order.
     """
-    pool = [coerce_fd(fd) for fd in fds]
-    fragments = _bcnf_recurse(tuple(attributes), pool)
+    if fragment_fds is None:
+        pool = [coerce_fd(fd) for fd in fds]
+
+        def fragment_fds(fragment: FrozenSet[str]) -> List[FunctionalDependency]:
+            return project_fds(fragment, pool)
+
+    memo: Dict[FrozenSet[str], List[FunctionalDependency]] = {}
+
+    def local_fds(fragment: FrozenSet[str]) -> List[FunctionalDependency]:
+        found = memo.get(fragment)
+        if found is None:
+            found = memo[fragment] = fragment_fds(fragment)
+        return found
+
+    fragments = _bcnf_recurse(tuple(attributes), local_fds)
     schemas: List[RelationSchema] = []
     for index, fragment in enumerate(fragments):
-        fragment_fds = project_fds(fragment, pool)
-        keys = candidate_keys(fragment, fragment_fds)
+        keys = candidate_keys(fragment, local_fds(fragment))
         schema_name = f"{name}_{index + 1}" if len(fragments) > 1 else name
         schemas.append(RelationSchema(schema_name, sorted(fragment), keys=keys or [fragment]))
     return schemas
 
 
 def _bcnf_recurse(
-    attributes: Tuple[str, ...], fds: List[FunctionalDependency]
+    attributes: Tuple[str, ...],
+    local_fds: Callable[[FrozenSet[str]], List[FunctionalDependency]],
 ) -> List[FrozenSet[str]]:
     attrs = frozenset(attributes)
-    local_fds = project_fds(attrs, fds)
-    local_closure = BitFDSet.from_fds(local_fds).closure
-    for fd in local_fds:
+    fds = local_fds(attrs)
+    local_closure = BitFDSet.from_fds(fds).closure
+    for fd in fds:
         if fd.is_trivial:
             continue
         closure = local_closure(fd.lhs)
@@ -231,8 +330,8 @@ def _bcnf_recurse(
         # Violation: split around fd.lhs.
         first = frozenset(fd.lhs | (closure & attrs))
         second = frozenset((attrs - (closure & attrs)) | fd.lhs)
-        left = _bcnf_recurse(tuple(sorted(first)), fds)
-        right = _bcnf_recurse(tuple(sorted(second)), fds)
+        left = _bcnf_recurse(tuple(sorted(first)), local_fds)
+        right = _bcnf_recurse(tuple(sorted(second)), local_fds)
         merged = left + [fragment for fragment in right if fragment not in left]
         return merged
     return [attrs]

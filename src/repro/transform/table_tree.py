@@ -16,7 +16,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.transform.rule import TableRule
 from repro.transform.validate import validate_rule
-from repro.xmlmodel.paths import PathExpression
+from repro.xmlmodel.paths import PathExpression, PathStep, encode_steps, join_codes
+
+#: A path as step codes (see :func:`repro.xmlmodel.paths.encode_steps`).
+Codes = Tuple[int, ...]
 
 
 class TableTree:
@@ -41,6 +44,10 @@ class TableTree:
         # construction, so the answers are computed once.
         self._ancestors_cache: Dict[Tuple[str, bool], Tuple[str, ...]] = {}
         self._path_cache: Dict[Tuple[str, str], PathExpression] = {}
+        # The same paths as step codes, for the code table last asked about.
+        self._code_table: Optional[Dict[PathStep, int]] = None
+        self._segment_codes: Dict[str, Codes] = {}
+        self._codes_cache: Dict[Tuple[str, str], Codes] = {}
 
     # ------------------------------------------------------------------
     # Structure
@@ -110,9 +117,10 @@ class TableTree:
         ``ancestor`` is already known and extends that path by the mapping
         segments below it, building one expression: the path to ``y`` is
         the cached path to ``parent(y)`` plus one segment whenever the
-        parent was asked first, as the top-down cover and propagation
-        loops do.  The walk is a loop, so a rule thousands of variables
-        deep needs no recursion.
+        parent was asked first.  The walk is a loop, so a rule thousands of
+        variables deep needs no recursion.  The oracle loops ask
+        :meth:`codes_between` instead; this serves universal-relation
+        merging and trace text.
         """
         self._check(ancestor)
         self._check(descendant)
@@ -141,6 +149,58 @@ class TableTree:
 
     def path_from_root(self, variable: str) -> PathExpression:
         return self.path_between(self.root, variable)
+
+    def codes_between(
+        self, ancestor: str, descendant: str, table: Dict[PathStep, int]
+    ) -> Codes:
+        """:meth:`path_between` as step codes under the code table ``table``.
+
+        Equal to ``encode_steps(path_between(ancestor, descendant).steps,
+        table)``, but no path is built: the codes to ``y`` are the codes to
+        ``parent(y)`` joined (:func:`~repro.xmlmodel.paths.join_codes`) with
+        the codes of ``y``'s mapping segment, each segment encoded once.  A
+        ``//``-``//`` junction collapses at the join exactly as it does in
+        the concatenated expression, which is why a relative tuple is never
+        a slice of a root tuple.  The walk and the memo are those of
+        :meth:`path_between`; the memo serves one code table at a time (an
+        implication engine's ``code_table``) and is reset when another is
+        passed.
+        """
+        self._check(ancestor)
+        self._check(descendant)
+        if table is not self._code_table:
+            self._code_table = table
+            self._segment_codes = {}
+            self._codes_cache = {}
+        cache_key = (ancestor, descendant)
+        cached = self._codes_cache.get(cache_key)
+        if cached is not None:
+            return cached
+        below: List[str] = []
+        current: Optional[str] = descendant
+        base: Optional[Codes] = None
+        while current != ancestor:
+            if current is None:
+                raise ValueError(f"{ancestor!r} is not an ancestor of {descendant!r}")
+            below.append(current)
+            current = self._parent[current]
+            base = self._codes_cache.get((ancestor, current))
+            if base is not None:
+                break
+        codes: Codes = base or ()
+        for variable in reversed(below):
+            segment = self._segment_codes.get(variable)
+            if segment is None:
+                segment = self._segment_codes[variable] = encode_steps(
+                    self._path_from_parent[variable].steps, table
+                )
+            codes = join_codes(codes, segment)
+        self._codes_cache[cache_key] = codes
+        return codes
+
+    def codes_from_root(self, variable: str, table: Dict[PathStep, int]) -> Codes:
+        """:meth:`path_from_root` as step codes (see :meth:`codes_between`)."""
+        return self.codes_between(self.root, variable, table)
 
     # ------------------------------------------------------------------
     # Fields and attributes

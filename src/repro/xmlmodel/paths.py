@@ -490,6 +490,18 @@ def encode_steps(steps: Iterable[PathStep], codes: Dict[PathStep, int]) -> Tuple
     return tuple(encoded)
 
 
+def join_codes(context: Tuple[int, ...], suffix: Tuple[int, ...]) -> Tuple[int, ...]:
+    """``context/suffix`` over step codes, collapsing a ``//``-``//`` junction.
+
+    The codes of two normalised expressions joined this way are exactly the
+    codes of their concatenation, since normalisation only collapses
+    adjacent ``//`` steps.
+    """
+    if context and suffix and not context[-1] and not suffix[0]:
+        return context + suffix[1:]
+    return context + suffix
+
+
 def contains_codes(covering: Sequence[int], covered: Sequence[int]) -> bool:
     """``L(covered) ⊆ L(covering)`` over step codes (see :func:`encode_steps`).
 

@@ -83,6 +83,62 @@ class TestRestrictRule:
         assert len(instance) == 3
 
 
+class TestDesignByPropagation:
+    """Fragment FDs come from the keys, never from ``project_fds``."""
+
+    #: ``design_from_scratch(..., "BCNF")`` on ``generate_workload(20,
+    #: depth=5, seed=0)`` when every fragment's FDs were projected from the
+    #: universal cover (about 30 s of ``project_fds``).
+    FRAGMENTS_20 = [
+        ("U_1", ["a0_0", "a0_1", "e0_0", "k0"], [["k0"]]),
+        ("U_2", ["a1_0", "e1_0", "e1_1", "k0", "k1"], [["k0", "k1"]]),
+        ("U_3", ["a2_0", "a2_1", "e2_0", "k0", "k1", "k2"], [["k0", "k1", "k2"]]),
+        ("U_4", ["a3_0", "e3_0", "k0", "k1", "k2", "k3"], [["k0", "k1", "k2", "k3"]]),
+        ("U_5", ["a4_0", "a4_1", "k0", "k1", "k2", "k3", "k4"], [["k0", "k1", "k2", "k3", "k4"]]),
+        (
+            "U_6",
+            ["e3_1", "e4_0", "k0", "k1", "k2", "k3", "k4"],
+            [["e3_1", "e4_0", "k0", "k1", "k2", "k3", "k4"]],
+        ),
+    ]
+
+    @pytest.fixture()
+    def no_projection(self, monkeypatch):
+        from repro.relational import normalization
+
+        def refuse(*_args):
+            raise AssertionError("design projected an FD set")
+
+        monkeypatch.setattr(normalization, "project_fds", refuse)
+
+    def test_twenty_fields_match_the_projection_route(self, no_projection):
+        from repro.experiments.generators import generate_workload
+
+        workload = generate_workload(20, depth=5, seed=0)
+        result = design_from_scratch(workload.keys, workload.rule)
+        assert [
+            (r.name, list(r.attributes), [sorted(key) for key in r.keys]) for r in result.schema
+        ] == self.FRAGMENTS_20
+
+    @pytest.mark.parametrize("normal_form", ["BCNF", "3NF"])
+    def test_relation_fds_equal_the_projection(self, paper_keys, universal, normal_form):
+        result = design_from_scratch(paper_keys, universal, normal_form=normal_form)
+        for relation in result.schema:
+            assert [fd.text for fd in result.fd_by_relation[relation.name]] == [
+                fd.text for fd in project_fds(relation.attributes, result.cover.cover)
+            ]
+
+    def test_fragment_covers_are_counted_apart(self, paper_keys, universal):
+        from repro import obs
+
+        with obs.collect() as registry:
+            result = design_from_scratch(paper_keys, universal)
+        snapshot = registry.snapshot()
+        assert snapshot.counter("cover.fds") == len(result.cover.cover)
+        assert snapshot.counter("design.fragment_covers") >= len(result.schema)
+        assert snapshot.counter("design.projections") == 0
+
+
 class TestValidateExistingDesign:
     def test_reexport_behaves_like_core(self, paper_keys):
         transformation, schema = initial_chapter_design()

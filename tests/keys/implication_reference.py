@@ -18,15 +18,19 @@ and ``tests/property/test_engine_identity.py`` pin them and
 It offers the interface the core algorithms use (``implies``,
 ``implies_parts``, ``attributes_exist``, ``covers_keys``, ``query_count``),
 so it can stand in for the library engine in ``check_propagation`` and
-``minimum_cover_from_keys``.
+``minimum_cover_from_keys``.  Those ask over step codes (``code_table``,
+``attribute_mask``, ``implies_codes``, ``exist_codes``); a thin adapter
+decodes each code tuple back to a ``PathExpression`` and each mask to a
+name set, so every answer still comes from the path-level rules below.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
-from repro.keys.key import XMLKey
-from repro.xmlmodel.paths import PathExpression, PathLike, concat
+from repro.keys.key import AttrLike, XMLKey, _normalise_attributes
+from repro.relational.bitset import AttributeUniverse
+from repro.xmlmodel.paths import PathExpression, PathLike, PathStep, concat
 
 from tests.xmlmodel.containment_reference import reference_contains as contains
 
@@ -48,6 +52,9 @@ class LinearScanImplicationEngine:
         self._cache: Dict[Tuple[PathExpression, PathExpression, FrozenSet[str]], bool] = {}
         self._exist_cache: Dict[Tuple[PathExpression, FrozenSet[str]], bool] = {}
         self.query_count = 0
+        self.code_table: Dict[PathStep, int] = {}
+        self._steps_by_code: Dict[int, PathStep] = {}
+        self._universe = AttributeUniverse()
 
     def covers_keys(self, keys: Iterable[XMLKey]) -> bool:
         return self._key_set == frozenset(keys)
@@ -60,6 +67,22 @@ class LinearScanImplicationEngine:
         self, context: PathLike, target: PathLike, attributes: Iterable[str] = ()
     ) -> bool:
         return self.implies(XMLKey(context, target, attributes))
+
+    def attribute_mask(self, attributes: AttrLike) -> int:
+        return self._universe.mask(_normalise_attributes(attributes))
+
+    def implies_codes(self, context: Tuple[int, ...], target: Tuple[int, ...], mask: int) -> bool:
+        return self.implies_parts(
+            self._decode(context), self._decode(target), self._universe.names(mask)
+        )
+
+    def exist_codes(self, path: Tuple[int, ...], mask: int) -> bool:
+        return self.attributes_exist(self._decode(path), self._universe.names(mask))
+
+    def _decode(self, codes: Tuple[int, ...]) -> PathExpression:
+        if len(self._steps_by_code) != len(self.code_table):
+            self._steps_by_code = {code: step for step, code in self.code_table.items()}
+        return PathExpression([self._steps_by_code[code] for code in codes])
 
     def attributes_exist(self, path: PathLike, attributes: Iterable[str]) -> bool:
         """The ``exist`` test of Fig. 5: every ``path`` node carries them."""

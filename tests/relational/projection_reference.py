@@ -4,10 +4,12 @@
 ``X`` of the projected attributes ``A`` (the empty one included), and
 :func:`reference_project_fds` minimises that whole pool.
 :func:`repro.relational.normalization.project_fds` must return exactly what
-the latter returns, FD for FD and in the same order; the differential suite,
-the CLI pins and ``benchmarks/bench_design.py`` compare against it.
-:func:`reference_projection` swaps it in for every caller of ``project_fds``
-inside the design pipeline.
+the latter returns, FD for FD and in the same order; the differential suites
+and ``benchmarks/bench_design.py`` compare against it.
+:func:`reference_projection` swaps it in for ``bcnf_decompose``'s default
+fragment FDs.  ``design_from_scratch`` projects nothing: its fragment FDs
+come from the keys, and the differential suites compare them with this
+oracle's projection of the universal cover.
 
 Closures and the minimum cover come from the frozenset reference engine of
 ``tests/relational/fd_reference.py``, so this oracle is independent of the
@@ -27,7 +29,7 @@ from repro.relational.schema import AttrSetLike, attr_set
 from tests.relational.fd_reference import attribute_closure, minimum_cover
 
 #: Modules that call ``project_fds`` through a module-level name.
-PROJECTION_CALLERS = ("repro.relational.normalization", "repro.design.refine")
+PROJECTION_CALLERS = ("repro.relational.normalization",)
 
 
 def raw_projection(attributes: AttrSetLike, fds: Iterable[FDLike]) -> List[FunctionalDependency]:
@@ -53,7 +55,7 @@ def reference_project_fds(
 
 @contextmanager
 def reference_projection() -> Iterator[None]:
-    """Run the design pipeline with :func:`reference_project_fds`."""
+    """Run ``project_fds``'s callers with :func:`reference_project_fds`."""
     with ExitStack() as stack:
         for module in PROJECTION_CALLERS:
             stack.enter_context(

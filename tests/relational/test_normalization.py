@@ -8,6 +8,7 @@ from repro.relational.fd import FunctionalDependency, attribute_closure, equival
 from repro.relational.normalization import (
     bcnf_decompose,
     candidate_keys,
+    canonical_cover,
     is_3nf,
     is_bcnf,
     is_superkey,
@@ -179,6 +180,56 @@ class TestBCNFDecomposition:
             assert is_bcnf(fragment.attributes, local)
 
 
+class TestFragmentFDs:
+    """``bcnf_decompose`` asks a caller-supplied function for each fragment's
+    FDs; ``canonical_cover`` gives any cover the projection's order."""
+
+    FDS = ["a -> b", "b -> a", "a -> c", "c, d -> e", "b -> f"]
+
+    def test_supplied_fragment_fds_are_asked_once_each(self):
+        asked = []
+
+        def fragment_fds(fragment):
+            asked.append(fragment)
+            return project_fds(fragment, self.FDS)
+
+        attrs = ["a", "b", "c", "d", "e", "f"]
+        supplied = bcnf_decompose("r", attrs, [], fragment_fds)
+        assert len(asked) == len(set(asked))
+        default = bcnf_decompose("r", attrs, self.FDS)
+        assert [(f.name, f.attributes, f.keys) for f in supplied] == [
+            (f.name, f.attributes, f.keys) for f in default
+        ]
+
+    @pytest.mark.parametrize(
+        "target", [["a", "b", "c", "d", "e", "f"], ["a", "b", "c"], ["b", "c", "d", "e"], ["g"]]
+    )
+    def test_canonical_cover_is_the_projection(self, target):
+        projection = project_fds(target, self.FDS)
+        # The same FDs with singleton right-hand sides, in reverse.
+        other = [
+            FunctionalDependency(fd.lhs, {attribute})
+            for fd in reversed(projection)
+            for attribute in sorted(fd.rhs)
+        ]
+        assert [fd.text for fd in canonical_cover(target, other)] == [
+            fd.text for fd in projection
+        ]
+
+    def test_canonical_cover_keeps_the_projections_tie_breaks(self):
+        # k ≡ x ≡ y: the projection keys each member to the last name, y.
+        fds = ["k -> x, y, v", "x -> k", "y -> k"]
+        assert [fd.text for fd in canonical_cover(["k", "x", "y", "v"], fds[::-1])] == [
+            "k -> y",
+            "x -> y",
+            "y -> k, v, x",
+        ] == [fd.text for fd in project_fds(["k", "x", "y", "v"], fds)]
+
+    def test_canonical_cover_rejects_foreign_attributes(self):
+        with pytest.raises(ValueError):
+            canonical_cover(["a", "b"], ["a -> c"])
+
+
 def _bcnf_under_exact_projection(fragment, fds):
     """BCNF by definition: every ``X ⊆ fragment`` either determines no other
     attribute of the fragment or determines all of it."""
@@ -226,6 +277,23 @@ class TestEmptyLhsDesign:
         assert [(f.name, f.attributes, f.keys) for f in fragments] == [
             (f.name, f.attributes, f.keys) for f in reference
         ]
+
+    def test_design_by_propagation_takes_the_same_fragments(self, cover, monkeypatch):
+        from repro.design import design_from_scratch
+        from repro.experiments.generators import generate_workload
+        from repro.keys import parse_key
+        from repro.relational import normalization
+
+        rule, fds = cover
+        fragments = bcnf_decompose(rule.relation, rule.field_names, fds)
+        keys = list(generate_workload(11, depth=5, num_keys=8, seed=2).keys)
+        keys.append(parse_key("root_one = (., (//lvl0, {}))"))
+        monkeypatch.setattr(normalization, "project_fds", None)
+        design = design_from_scratch(keys, rule)
+        assert [(f.name, f.attributes, f.keys) for f in design.schema] == [
+            (f.name, f.attributes, f.keys) for f in fragments
+        ]
+        assert any(not fd.lhs for fd in design.fd_by_relation["U_1"])
 
 
 class TestThirdNormalForm:

@@ -247,19 +247,38 @@ def _write_workload(tmp_path, num_fields, num_keys):
 
 class TestSchemaDesignPins:
     """``cover`` and ``design`` print exactly what the straightforward
-    algorithms print: the exhaustive FD projection, and the linear scan
-    behind ``TableRule.fields_of_variable``."""
+    algorithms print: BCNF over the exhaustive FD projection of the
+    universal cover, and the linear scan behind
+    ``TableRule.fields_of_variable``."""
 
-    def test_design_matches_the_exhaustive_projection(self, tmp_path, capsys):
+    def test_design_matches_the_exhaustive_projection(self, tmp_path, capsys, monkeypatch):
+        from repro.core import minimum_cover_from_keys
+        from repro.relational import normalization, sql
+        from repro.relational.schema import DatabaseSchema
+
         from tests.relational.projection_reference import reference_projection
 
-        argv = ["design", *_write_workload(tmp_path, 11, 8), "--sql"]
-        assert main(argv) == 0
-        fast = capsys.readouterr().out
+        args = _write_workload(tmp_path, 11, 8)
+        rule = parse_transformation(open(args[3]).read()).rule("U")
+        cover = minimum_cover_from_keys(parse_keys(open(args[1]).read()), rule).cover
         with reference_projection():
-            assert main(argv) == 0
-        assert capsys.readouterr().out == fast
-        assert fast.count("CREATE TABLE") == 5
+            fragments = normalization.bcnf_decompose(rule.relation, rule.field_names, cover)
+        expected = "\n".join(
+            ["Minimum cover of propagated FDs:"]
+            + [f"  {fd}" for fd in cover]
+            + ["BCNF decomposition:"]
+            + [f"  {relation.describe()}" for relation in fragments]
+        )
+        expected += "\n\n" + sql.create_schema(DatabaseSchema(fragments)) + "\n"
+
+        def no_projection(*_args):
+            raise AssertionError("design projected an FD set")
+
+        monkeypatch.setattr(normalization, "project_fds", no_projection)
+        assert main(["design", *args, "--sql"]) == 0
+        out = capsys.readouterr().out
+        assert out == expected
+        assert out.count("CREATE TABLE") == 5
 
     def test_cover_matches_the_linear_field_scan(self, tmp_path, capsys, monkeypatch):
         from repro.transform.rule import TableRule
@@ -999,7 +1018,7 @@ class TestSchemaCommandStats:
         "command, counters",
         [
             ("cover", ["cover.implication_queries", "cover.generated_fds", "cover.fds"]),
-            ("design", ["design.projections", "design.closures", "design.fragments"]),
+            ("design", ["design.fragment_covers", "design.fragments"]),
         ],
     )
     def test_stats_leave_stdout_alone(self, workspace, capsys, command, counters):
@@ -1046,6 +1065,28 @@ class TestSchemaCommandStats:
         captured = capsys.readouterr()
         values = {c["name"]: c["value"] for c in json.loads(captured.err)["counters"]}
         assert values["design.fragments"] == captured.out.count("CREATE TABLE")
+
+    def test_design_cover_counters_describe_the_universal_cover(self, workspace, capsys):
+        """``design`` propagates a cover per fragment, but ``cover.*`` counts
+        only the universal one (as ``cover`` prints it); fragment covers have
+        their own counter, and nothing is projected."""
+        import json
+
+        ws = workspace
+        inputs = ["--keys", ws["keys"], "--transform", ws["transform"], "--relation", "chapter"]
+
+        def counters(argv):
+            assert main(argv + ["--stats-json"]) == 0
+            err = capsys.readouterr().err
+            return {c["name"]: c["value"] for c in json.loads(err)["counters"]}
+
+        cover = counters(["cover", *inputs])
+        design = counters(["design", "--sql", *inputs])
+        names = ["cover.implication_queries", "cover.generated_fds", "cover.fds"]
+        assert {name: design[name] for name in names} == {name: cover[name] for name in names}
+        assert design["design.fragment_covers"] >= design["design.fragments"] > 0
+        assert design.get("design.projections", 0) == 0
+        assert design.get("design.closures", 0) == 0
 
     @pytest.mark.parametrize("command", ["cover", "design"])
     def test_stats_keep_usage_exit_code(self, workspace, command):

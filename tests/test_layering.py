@@ -226,6 +226,27 @@ def test_algorithm_commands_import_no_data_plane(design_workspace, argv):
     assert [name for name in loaded if _is_data_plane(name)] == []
 
 
+#: The DOM plane, and the design-validation check that loads it.
+DOM_PLANE = ["repro.core.checking", "repro.transform.evaluate", "repro.xmlmodel.tree"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cover", *DESIGN_INPUTS], ["design", "--sql", *DESIGN_INPUTS]],
+    ids=lambda argv: argv[0],
+)
+def test_schema_commands_load_no_dom_plane(design_workspace, argv):
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n",
+        cwd=design_workspace,
+    )
+    assert "repro.design" in loaded or argv[0] == "cover"
+    assert [name for name in DOM_PLANE if name in loaded] == []
+
+
 def test_importing_the_cli_loads_no_plane():
     loaded = _loaded_after("import repro.cli")
     assert [

@@ -73,6 +73,37 @@ class TestPaths:
         assert section_tree.path_from_root("z3") == parse_path("//book/chapter/section/name")
 
 
+class TestCodes:
+    def test_codes_equal_the_encoded_paths(self, section_tree, paper_keys):
+        from repro.keys.implication import ImplicationEngine
+
+        engine = ImplicationEngine(paper_keys)
+        table = engine.code_table
+        for variable in reversed(section_tree.variables):
+            for ancestor in section_tree.ancestors(variable, include_self=True):
+                assert section_tree.codes_between(ancestor, variable, table) == engine._encode(
+                    section_tree.path_between(ancestor, variable)
+                )
+            assert section_tree.codes_from_root(variable, table) == engine._encode(
+                section_tree.path_from_root(variable)
+            )
+
+    def test_descendant_junction_collapses(self):
+        rule = TableRule("R")
+        rule.add_mapping("x", "xr", "a//")
+        rule.add_mapping("y", "x", "//b")
+        rule.add_field("f", "y")
+        tree = TableTree(rule, validate=False)
+        table = {}
+        assert len(tree.codes_from_root("y", table)) == 3
+        assert tree.codes_between("xr", "y", table) == tree.codes_from_root("y", table)
+        assert tree.codes_between("x", "y", table) == tree.codes_from_root("y", table)[1:]
+
+    def test_codes_between_non_ancestor_raises(self, book_tree):
+        with pytest.raises(ValueError):
+            book_tree.codes_between("x1", "x4", {})
+
+
 class TestFieldsAndAttributes:
     def test_field_variable(self, section_tree):
         assert section_tree.field_variable("name") == "z3"

@@ -190,13 +190,17 @@ def canonical_cover(attributes: AttrSetLike, fds: Iterable[FDLike]) -> List[Func
     subsets of the LHS attributes are enumerated, each position is the
     enumeration rank of the full ``X`` (then ``a``, as the projection
     walks ``sorted(rhs)``), and the pool goes to :func:`minimum_cover`
-    exactly as there.  The work is exponential in the number of LHS
-    attributes only; for a propagated cover those are the key fields,
-    never the value fields.
+    exactly as there.  The enumeration runs from the largest sets down and
+    stops at the first size whose occurrences already imply ``fds``:
+    redundancy removal drops every FD that the FDs after it imply, so
+    nothing earlier in the pool can survive.  When every attribute has one
+    minimal determining set (a cover without alternative keys) that is
+    after the two largest sizes; in general it is exponential in the number
+    of LHS attributes only, which for a propagated cover are key fields.
     """
     attrs = sorted(attr_set(attributes))
     pool = [coerce_fd(fd) for fd in fds]
-    # Bits in sorted-name order, so a sorted bit tuple is an enumeration rank.
+    # Bits in sorted-name order, as the projection enumerates names.
     universe = AttributeUniverse(attrs)
     source = BitFDSet.from_fds(pool, universe)
     if len(universe) != len(attrs):
@@ -205,15 +209,25 @@ def canonical_cover(attributes: AttrSetLike, fds: Iterable[FDLike]) -> List[Func
     lhs_union = 0
     for fd in pool:
         lhs_union |= universe.mask(fd.lhs)
-    keyed = [bit for bit in range(len(attrs)) if lhs_union >> bit & 1]
-    sinks = tuple(bit for bit in range(len(attrs)) if not lhs_union >> bit & 1)
-    # (trimmed LHS mask, RHS bit) → rank of its last occurrence.
-    last: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...], int]] = {}
-    for size in range(len(keyed) + 1):
+    width = len(attrs)
+    keyed = [bit for bit in range(width) if lhs_union >> bit & 1]
+    sink_mask = ((1 << width) - 1) & ~lhs_union
+    sink_count = bin(sink_mask).count("1")
+
+    def weight(mask: int) -> int:
+        # Bit i weighs 2^(width-1-i): among equal-size sets, a heavier set
+        # comes earlier in the projection's (lexicographic) enumeration.
+        return int(format(mask, f"0{width}b")[::-1], 2) if width else 0
+
+    # (trimmed LHS mask, RHS bit) → (size, -weight, RHS bit) of its last
+    # occurrence, which orders like the projection's enumeration.
+    last: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
+    for size in range(len(keyed), -1, -1):
         for combination in combinations(keyed, size):
             subset = 0
             for bit in combination:
                 subset |= 1 << bit
+            heaviest = weight(subset | sink_mask)
             for attribute in iter_bits(closure(subset) & ~subset):
                 probe = 1 << attribute
                 lhs = subset
@@ -221,16 +235,34 @@ def canonical_cover(attributes: AttrSetLike, fds: Iterable[FDLike]) -> List[Func
                     smaller = lhs & ~(1 << bit)
                     if closure(smaller) & probe:
                         lhs = smaller
-                enumerated = tuple(
-                    sorted(combination + tuple(bit for bit in sinks if bit != attribute))
-                )
-                rank = (len(enumerated), enumerated, attribute)
+                if probe & sink_mask:
+                    rank = (
+                        size + sink_count - 1,
+                        (1 << (width - 1 - attribute)) - heaviest,
+                        attribute,
+                    )
+                else:
+                    rank = (size + sink_count, -heaviest, attribute)
                 if rank > last.get((lhs, attribute), ()):
                     last[lhs, attribute] = rank
+        # Every occurrence of size ``size + sink_count`` or more is known
+        # now (all of them after the last round).  Once those FDs imply
+        # ``fds``, each earlier FD of the pool is implied by the FDs after
+        # it and redundancy removal drops it whatever else it keeps, so the
+        # rest of the enumeration is moot.
+        floor = size + sink_count if size else 0
+        suffix = sorted(
+            (rank, key) for key, rank in last.items() if rank[0] >= floor
+        )
+        covering = BitFDSet(universe)
+        for _, (lhs, attribute) in suffix:
+            covering.add(lhs, 1 << attribute)
+        if all(covering.implies_mask(lhs, rhs) for lhs, rhs in source.masks()):
+            break
     return minimum_cover(
         [
             FunctionalDependency(universe.names(lhs), (attrs[attribute],))
-            for lhs, attribute in sorted(last, key=last.__getitem__)
+            for _, (lhs, attribute) in suffix
         ],
         merge_lhs=True,
     )

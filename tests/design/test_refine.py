@@ -88,7 +88,7 @@ class TestDesignByPropagation:
 
     #: ``design_from_scratch(..., "BCNF")`` on ``generate_workload(20,
     #: depth=5, seed=0)`` when every fragment's FDs were projected from the
-    #: universal cover (about 30 s of ``project_fds``).
+    #: universal cover (2^20 subsets per projection).
     FRAGMENTS_20 = [
         ("U_1", ["a0_0", "a0_1", "e0_0", "k0"], [["k0"]]),
         ("U_2", ["a1_0", "e1_0", "e1_1", "k0", "k1"], [["k0", "k1"]]),
@@ -119,6 +119,20 @@ class TestDesignByPropagation:
         assert [
             (r.name, list(r.attributes), [sorted(key) for key in r.keys]) for r in result.schema
         ] == self.FRAGMENTS_20
+
+    def test_thirty_levels_of_keys(self, no_projection):
+        from repro.experiments.generators import generate_workload
+
+        # 30 key fields: enumerating their subsets, let alone the 60
+        # fields', would not finish.
+        workload = generate_workload(60, depth=30, num_keys=40, seed=1)
+        result = design_from_scratch(workload.keys, workload.rule)
+        covered = set()
+        for relation in result.schema:
+            assert is_bcnf(relation.attributes, result.fd_by_relation[relation.name])
+            covered |= set(relation.attributes)
+        assert covered == set(workload.rule.field_names)
+        assert len(result.schema) > 20
 
     @pytest.mark.parametrize("normal_form", ["BCNF", "3NF"])
     def test_relation_fds_equal_the_projection(self, paper_keys, universal, normal_form):

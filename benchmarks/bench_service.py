@@ -34,9 +34,10 @@ from repro.storage import (
     PostgresBackend,
     SQLiteBackend,
     compile_ddl,
-    fake_postgres_backend,
 )
 from repro.transform.rule import TableRule
+
+from tests.storage.fake_postgres import fake_postgres_backend
 
 PG_DSN = os.environ.get("REPRO_PG_DSN")
 

@@ -3,9 +3,14 @@
 The environment used for the reproduction has no ``wheel`` package, so PEP 660
 editable installs (which build a wheel) fail; ``pip install -e . --no-use-pep517
 --no-build-isolation`` falls back to ``setup.py develop`` and works offline.
-All metadata lives in ``pyproject.toml``.
+This file is the package's only build metadata: the ``repro`` package under
+``src/``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

@@ -13,7 +13,7 @@ consumer can run the analysis on files without writing Python::
     python -m repro check-doc --keys keys.txt --xml data.xml [--dom | --jobs N] \
                               [--dtd schema.dtd [--prune]]
     python -m repro load      --transform rules.dsl --xml data.xml [--xml more.xml ...] \
-                              --db out.db [--backend sqlite|postgres|fake-postgres] \
+                              --db out.db [--backend sqlite|postgres] \
                               [--keys keys.txt] [--mode strict|log] [--dtd schema.dtd] \
                               [--jobs N] [--verify] [--provenance COLUMN]
     python -m repro query     --db out.db [--backend NAME] \
@@ -71,8 +71,7 @@ command reports exactly which), ``--mode log`` stages everything and
 ``GROUP BY … HAVING`` SQL.  ``query`` inspects the result.  ``--backend``
 (or the ``REPRO_BACKEND`` environment variable, or a ``postgres://`` URL
 as ``--db``) picks the engine: SQLite is the default, ``postgres`` uses a
-real server (COPY bulk loading, savepoint semantics identical to SQLite),
-``fake-postgres`` is the in-process conformance stand-in.
+real server (COPY bulk loading, savepoint semantics identical to SQLite).
 
 ``serve`` starts the service plane: a long-lived NDJSON-over-TCP
 ingestion front-end with per-tenant schema registration, concurrent
@@ -492,27 +491,30 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the ingestion service (NDJSON over TCP) until interrupted."""
-    from repro.service import serve
-    from repro.storage import resolve_backend_name
+    import asyncio
 
-    # Fail fast on a bad --backend / REPRO_BACKEND before binding the port.
-    resolve_backend_name(args.db, backend=getattr(args, "backend", None))
+    from repro.service import IngestionService
+
+    # Building the service resolves --backend / REPRO_BACKEND and probes
+    # one pooled connection, so a bad engine fails before the banner.
+    service = IngestionService(
+        args.db,
+        backend=getattr(args, "backend", None),
+        mode=args.mode,
+        pool_size=args.pool_size,
+        workers=args.workers,
+        jobs=args.jobs if args.jobs is not None else 1,
+    )
     print(
         f"serving {args.db} on {args.host}:{args.port} "
         f"({args.mode} mode, {args.workers} worker(s))"
     )
     if args.metrics_port is not None:
         print(f"metrics on http://{args.host}:{args.metrics_port}/metrics")
-    serve(
-        args.db,
-        backend=getattr(args, "backend", None),
-        host=args.host,
-        port=args.port,
-        mode=args.mode,
-        pool_size=args.pool_size,
-        workers=args.workers,
-        jobs=args.jobs if args.jobs is not None else 1,
-        metrics_port=args.metrics_port,
+    asyncio.run(
+        service.serve_forever(
+            host=args.host, port=args.port, metrics_port=args.metrics_port
+        )
     )
     return 0
 
@@ -888,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help=(
-            "storage engine: sqlite (default), postgres, or fake-postgres; "
+            "storage engine: sqlite (default) or postgres; "
             "default: REPRO_BACKEND, else inferred from --db (postgres:// "
             "URLs open PostgreSQL)"
         ),

@@ -9,10 +9,7 @@ need:
   (``instance``);
 * functional dependencies, Armstrong closure, implication, covers and the
   ``minimize`` routine of Section 5 (``fd``);
-* candidate keys, BCNF / 3NF decomposition (``normalization``);
-* a small relational algebra (``algebra``) used to illustrate the boundary
-  drawn by Theorem 3.1 (full relational algebra makes propagation
-  undecidable) and for cross-checking instances in tests.
+* candidate keys, BCNF / 3NF decomposition (``normalization``).
 """
 
 from repro import lazy_exports
@@ -47,7 +44,6 @@ __getattr__, __dir__ = lazy_exports(
             "project_fds",
             "synthesize_3nf",
         ),
-        "algebra": (),
     },
 )
 
@@ -75,5 +71,4 @@ __all__ = [
     "is_3nf",
     "project_fds",
     "synthesize_3nf",
-    "algebra",
 ]

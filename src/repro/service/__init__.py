@@ -28,7 +28,7 @@ __getattr__, __dir__ = lazy_exports(
             "schema_from_wire",
             "schema_to_wire",
         ),
-        "server": ("IngestionService", "serve"),
+        "server": ("IngestionService",),
     },
 )
 
@@ -40,5 +40,4 @@ __all__ = [
     "rule_to_wire",
     "schema_from_wire",
     "schema_to_wire",
-    "serve",
 ]

@@ -523,28 +523,3 @@ async def _discard_frame(reader: asyncio.StreamReader, consumed: int) -> None:
             consumed = error.consumed
         except asyncio.IncompleteReadError:
             return
-
-
-def serve(
-    database: str = ":memory:",
-    backend: Optional[str] = None,
-    host: str = "127.0.0.1",
-    port: int = 8743,
-    mode: str = "strict",
-    pool_size: int = 1,
-    workers: int = 4,
-    jobs: int = 1,
-    metrics_port: Optional[int] = None,
-) -> None:
-    """Blocking entry point for ``repro serve``."""
-    service = IngestionService(
-        database,
-        backend=backend,
-        mode=mode,
-        pool_size=pool_size,
-        workers=workers,
-        jobs=jobs,
-    )
-    asyncio.run(
-        service.serve_forever(host=host, port=port, metrics_port=metrics_port)
-    )

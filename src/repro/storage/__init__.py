@@ -12,17 +12,19 @@ enforces the document's constraints:
 * :mod:`repro.storage.backend` / :mod:`repro.storage.sqlite` /
   :mod:`repro.storage.postgres` — the DB-API-shaped backend protocol, the
   stdlib ``sqlite3`` engine, and the PostgreSQL engine (psycopg/psycopg2
-  when installed, plus an in-process protocol-conformance fake);
+  when installed);
 * :mod:`repro.storage.loader` — transactional bulk loading from any row
   iterable (streaming shredder, sharded parallel runs, corpora with
   per-document provenance), batched ``executemany`` or ``COPY``,
   savepoint per document, exact violating-row rejection in strict mode;
 * :mod:`repro.storage.verify` — FD/key-violation checking as generated
   ``GROUP BY … HAVING`` SQL, witness-identical to the in-memory checkers;
-* :mod:`repro.storage.retry` / :mod:`repro.storage.faults` /
-  :mod:`repro.storage.pool` — the robustness layer: bounded backoff on
-  transient errors, deterministic fault injection for chaos tests, and a
-  small backend pool for the service plane.
+* :mod:`repro.storage.retry` / :mod:`repro.storage.pool` — the
+  robustness layer: bounded backoff on transient errors and a small
+  backend pool for the service plane.
+
+The test doubles of this plane — an in-process PostgreSQL driver and a
+deterministic fault injector — live with the tests, in ``tests/storage/``.
 
 Backend selection (:func:`open_backend`): an explicit name beats the
 ``REPRO_BACKEND`` environment variable beats URL-scheme inference
@@ -46,10 +48,9 @@ __getattr__, __dir__ = lazy_exports(
     {
         "backend": ("Backend", "IntegrityViolation", "StorageError", "TransientError"),
         "ddl": ("StorageDDL", "TableDDL", "compile_ddl", "compile_table_ddl"),
-        "faults": ("FaultInjectingBackend", "FaultPlan"),
         "loader": ("BulkLoader", "LoadError", "LoadReport"),
         "pool": ("ConnectionPool",),
-        "postgres": ("PostgresBackend", "connect_postgres", "fake_postgres_backend"),
+        "postgres": ("PostgresBackend", "connect_postgres"),
         "retry": ("RetryingBackend", "RetryPolicy", "call_with_retries"),
         "sqlite": ("SQLiteBackend",),
         "verify": (
@@ -62,7 +63,7 @@ __getattr__, __dir__ = lazy_exports(
 )
 
 #: Names :func:`open_backend` accepts (aliases included).
-BACKEND_NAMES = ("sqlite", "postgres", "postgresql", "pg", "fake-postgres")
+BACKEND_NAMES = ("sqlite", "postgres", "postgresql", "pg")
 
 #: URL schemes that imply the PostgreSQL backend.
 _PG_SCHEMES = ("postgres://", "postgresql://")
@@ -74,8 +75,8 @@ def resolve_backend_name(
     """Decide which engine ``database`` names: explicit > env > URL > sqlite.
 
     ``backend`` is the explicit request (``--backend``); ``env`` overrides
-    the ``REPRO_BACKEND`` environment variable (tests).  Returns one of
-    ``"sqlite"`` / ``"postgres"`` / ``"fake-postgres"``; an unknown name
+    the ``REPRO_BACKEND`` environment variable (tests).  Returns
+    ``"sqlite"`` or ``"postgres"``; an unknown name
     raises :exc:`ValueError` (the CLI turns that into usage exit code 2).
     """
     if env is None:
@@ -85,8 +86,6 @@ def resolve_backend_name(
         normalized = name.strip().lower()
         if normalized in ("postgres", "postgresql", "pg"):
             return "postgres"
-        if normalized in ("fake-postgres", "postgres-fake"):
-            return "fake-postgres"
         if normalized == "sqlite":
             return "sqlite"
         raise ValueError(
@@ -106,19 +105,13 @@ def open_backend(
     """Open the backend ``database`` names (see :func:`resolve_backend_name`).
 
     ``fast``/``check_same_thread`` apply to sqlite only; the PostgreSQL
-    backend treats ``database`` as its DSN.  The fake PostgreSQL backend
-    (``backend="fake-postgres"``) runs the protocol over in-process
-    sqlite — the hermetic stand-in the conformance tests use.
+    backend treats ``database`` as its DSN.
     """
     name = resolve_backend_name(database, backend)
     if name == "postgres":
         from repro.storage.postgres import PostgresBackend
 
         return PostgresBackend(dsn=database)
-    if name == "fake-postgres":
-        from repro.storage.postgres import fake_postgres_backend
-
-        return fake_postgres_backend(database)
     from repro.storage.sqlite import SQLiteBackend
 
     return SQLiteBackend(database, fast=fast, check_same_thread=check_same_thread)
@@ -129,8 +122,6 @@ __all__ = [
     "Backend",
     "BulkLoader",
     "ConnectionPool",
-    "FaultInjectingBackend",
-    "FaultPlan",
     "IntegrityViolation",
     "LoadError",
     "LoadReport",
@@ -149,7 +140,6 @@ __all__ = [
     "conflict_groups_sql",
     "conflict_witness_sql",
     "connect_postgres",
-    "fake_postgres_backend",
     "null_determinant_sql",
     "open_backend",
     "resolve_backend_name",

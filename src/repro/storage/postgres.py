@@ -1,4 +1,4 @@
-"""The PostgreSQL storage backend (psycopg / psycopg2), plus its fake.
+"""The PostgreSQL storage backend (psycopg / psycopg2).
 
 PostgreSQL is the first *out-of-process* engine behind the storage plane's
 DB-API-shaped protocol (:mod:`repro.storage.backend`).  The protocol was
@@ -37,14 +37,12 @@ restores the transaction, so the row-by-row pinpoint replay proceeds.
 
 No driver is imported at module import time.  :func:`connect_postgres`
 probes ``psycopg`` (v3) then ``psycopg2`` lazily and raises a clean
-:exc:`StorageError` when neither is installed.  For hermetic tests (and
-any environment without a server) :class:`FakePostgresConnection` is a
-psycopg-*shaped* connection over stdlib sqlite3 — same cursor surface,
-same exception taxonomy, ``format`` paramstyle, a COPY entry point — so
-the protocol conformance of everything above the driver is testable
-without PostgreSQL.  The fake advertises ``ordinal_column = None``
-(sqlite's real ``rowid`` serves), which is the one place it deliberately
-differs from a real server.
+:exc:`StorageError` when neither is installed.  A connection passed in
+directly may carry ``repro_flavor`` / ``repro_errors`` /
+``repro_ordinal_column`` attributes, which override the flavor probe, the
+driver's exception taxonomy and the ordinal column; that is how the test
+suite runs this backend over an in-process double
+(``tests/storage/fake_postgres.py``).
 """
 
 from __future__ import annotations
@@ -119,8 +117,10 @@ class PostgresBackend(Backend):
     """A :class:`~repro.storage.backend.Backend` over one psycopg connection.
 
     Construct with a ``dsn`` (a real server; driver probed lazily) or an
-    explicit ``connection`` — any psycopg-shaped object, which is how the
-    in-tree :class:`FakePostgresConnection` and the tests inject doubles.
+    explicit ``connection`` — any psycopg-shaped object.  Such a connection
+    may set ``repro_flavor``, ``repro_errors`` (the module-shaped exception
+    taxonomy) and ``repro_ordinal_column``; the tests inject their
+    PostgreSQL double that way.
     """
 
     placeholder = "%s"
@@ -261,16 +261,10 @@ class PostgresBackend(Backend):
     # Introspection (CLI query / REPL surface)
     # ------------------------------------------------------------------
     def table_names(self) -> List[str]:
-        if self.flavor == "fake":
-            rows = self.query(
-                "SELECT name FROM sqlite_master WHERE type = 'table' "
-                "AND name NOT LIKE 'sqlite_%' ORDER BY name"
-            )
-        else:
-            rows = self.query(
-                "SELECT tablename FROM pg_catalog.pg_tables "
-                "WHERE schemaname = 'public' ORDER BY tablename"
-            )
+        rows = self.query(
+            "SELECT tablename FROM pg_catalog.pg_tables "
+            "WHERE schemaname = 'public' ORDER BY tablename"
+        )
         return [name for (name,) in rows]
 
     def column_names(self, table: str) -> List[str]:
@@ -315,253 +309,3 @@ def _driver_errors(module_name: str) -> _ErrorNamespace:
         OperationalError=module.OperationalError,
         InterfaceError=module.InterfaceError,
     )
-
-
-# ----------------------------------------------------------------------
-# The protocol-conformance fake
-# ----------------------------------------------------------------------
-class FakeError(Exception):
-    """Root of the fake driver's exception taxonomy (mirrors psycopg)."""
-
-
-class FakeIntegrityError(FakeError):
-    pass
-
-
-class FakeOperationalError(FakeError):
-    pass
-
-
-class FakeInterfaceError(FakeError):
-    pass
-
-
-_FAKE_ERRORS = _ErrorNamespace(
-    Error=FakeError,
-    IntegrityError=FakeIntegrityError,
-    OperationalError=FakeOperationalError,
-    InterfaceError=FakeInterfaceError,
-)
-
-
-def _translate_format_sql(sql: str) -> str:
-    """``format`` paramstyle → ``qmark``: ``%s`` → ``?``, ``%%`` → ``%``.
-
-    Deliberately quote-*unaware*, because psycopg's own ``%``
-    interpolation is: a hostile column named ``a%sb`` must arrive here
-    already escaped to ``a%%sb`` (``insert_template`` does that when
-    building for a ``%``-style placeholder), and un-escaping it everywhere
-    is exactly what the real driver would do.  Only applied to
-    *parameterized* statements — psycopg performs no ``%`` processing when
-    ``execute()`` is called without arguments, and neither does the fake.
-    """
-    out: List[str] = []
-    i, n = 0, len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == "%" and i + 1 < n:
-            nxt = sql[i + 1]
-            if nxt == "s":
-                out.append("?")
-                i += 2
-                continue
-            if nxt == "%":
-                out.append("%")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
-class _FakeCursor:
-    """A psycopg-shaped cursor over a sqlite3 cursor."""
-
-    def __init__(self, connection: "FakePostgresConnection") -> None:
-        self._connection = connection
-        self._cursor = None
-
-    def _run(self, method: str, sql: str, *args):
-        raw = self._connection._sqlite
-        try:
-            self._cursor = getattr(raw, method)(sql, *args)
-        except Exception as error:
-            raise self._connection._translate(error) from error
-        return self
-
-    def execute(self, sql: str, parameters: Sequence = ()):  # noqa: D102
-        if parameters:
-            return self._run("execute", _translate_format_sql(sql), tuple(parameters))
-        return self._run("execute", sql)
-
-    def executemany(self, sql: str, seq_of_parameters: Iterable[Sequence]):
-        return self._run(
-            "executemany",
-            _translate_format_sql(sql),
-            [tuple(p) for p in seq_of_parameters],
-        )
-
-    def fetchall(self) -> List[Tuple]:
-        return self._cursor.fetchall() if self._cursor is not None else []
-
-    def fetchone(self) -> Optional[Tuple]:
-        return self._cursor.fetchone() if self._cursor is not None else None
-
-    @property
-    def description(self):
-        return self._cursor.description if self._cursor is not None else None
-
-    @property
-    def rowcount(self) -> int:
-        return self._cursor.rowcount if self._cursor is not None else -1
-
-    def copy_expert(self, sql: str, payload) -> None:
-        """The psycopg2 COPY entry point, emulated over executemany.
-
-        Parses the column list out of the generated ``COPY`` statement and
-        decodes the tab-separated text payload with the inverse of
-        :func:`repro.relational.sql.copy_literal`.
-        """
-        table, columns = _parse_copy_statement(sql)
-        placeholders = ", ".join("?" for _ in columns)
-        column_list = ", ".join(quote_identifier(c) for c in columns)
-        insert = (
-            f"INSERT INTO {quote_identifier(table)} ({column_list}) "
-            f"VALUES ({placeholders})"
-        )
-        rows = [
-            tuple(_decode_copy_field(field) for field in line.split("\t"))
-            for line in payload.read().splitlines()
-            if line
-        ]
-        try:
-            self._connection._sqlite.executemany(insert, rows)
-        except Exception as error:
-            raise self._connection._translate(error) from error
-
-    def close(self) -> None:
-        if self._cursor is not None:
-            self._cursor.close()
-
-
-def _parse_copy_statement(sql: str) -> Tuple[str, List[str]]:
-    """Recover ``(table, columns)`` from a generated ``COPY`` statement.
-
-    Only the statements :meth:`PostgresBackend.copy_rows` builds are
-    accepted — quoted identifiers, one ``(…)`` column list, ``FROM
-    STDIN`` — which is all the fake ever needs to understand.
-    """
-    text = sql.strip()
-    if not text.upper().startswith("COPY "):
-        raise FakeError(f"fake COPY cannot parse: {sql!r}")
-    rest = text[5:]
-    table, rest = _read_quoted_identifier(rest)
-    rest = rest.lstrip()
-    if not rest.startswith("("):
-        raise FakeError(f"fake COPY needs an explicit column list: {sql!r}")
-    rest = rest[1:]
-    columns: List[str] = []
-    while True:
-        rest = rest.lstrip()
-        column, rest = _read_quoted_identifier(rest)
-        columns.append(column)
-        rest = rest.lstrip()
-        if rest.startswith(","):
-            rest = rest[1:]
-            continue
-        if rest.startswith(")"):
-            break
-        raise FakeError(f"fake COPY cannot parse column list: {sql!r}")
-    return table, columns
-
-
-def _read_quoted_identifier(text: str) -> Tuple[str, str]:
-    text = text.lstrip()
-    if not text.startswith('"'):
-        raise FakeError(f"expected a quoted identifier at: {text!r}")
-    out: List[str] = []
-    i = 1
-    while i < len(text):
-        ch = text[i]
-        if ch == '"':
-            if i + 1 < len(text) and text[i + 1] == '"':
-                out.append('"')
-                i += 2
-                continue
-            return "".join(out), text[i + 1 :]
-        out.append(ch)
-        i += 1
-    raise FakeError(f"unterminated identifier in: {text!r}")
-
-
-def _decode_copy_field(field: str) -> Optional[str]:
-    if field == "\\N":
-        return None
-    return (
-        field.replace("\\r", "\r")
-        .replace("\\n", "\n")
-        .replace("\\t", "\t")
-        .replace("\\\\", "\\")
-    )
-
-
-class FakePostgresConnection:
-    """A psycopg-shaped connection over stdlib sqlite3.
-
-    Everything above the driver — placeholder style, savepoint discipline,
-    error translation, the COPY loader path — runs against this double
-    byte-for-byte as it would against a server, which keeps the tier-1
-    suite hermetic.  Deliberate divergences from a real server, documented
-    rather than papered over:
-
-    * ``repro_ordinal_column`` is ``None`` — sqlite's genuine ``rowid``
-      provides insertion order, so the DDL needs no ``BIGSERIAL`` column;
-    * sqlite's SQL dialect accepts the generated DDL/DML verbatim (all
-      ``TEXT`` columns; the ``BIGSERIAL`` type never appears for the
-      reason above).
-    """
-
-    repro_flavor = "fake"
-    repro_errors = _FAKE_ERRORS
-    repro_ordinal_column: Optional[str] = None
-
-    def __init__(self, database: str = ":memory:") -> None:
-        import sqlite3
-
-        # Cross-thread use mirrors a server connection: the service plane
-        # acquires pooled connections from worker threads.
-        self._sqlite = sqlite3.connect(
-            database, isolation_level=None, check_same_thread=False
-        )
-        self._sqlite3 = sqlite3
-        self.autocommit = True
-        self.closed = False
-
-    def _translate(self, error: Exception) -> FakeError:
-        if isinstance(error, self._sqlite3.IntegrityError):
-            return FakeIntegrityError(str(error))
-        if isinstance(error, self._sqlite3.OperationalError) and "locked" in str(
-            error
-        ):
-            # Lock contention is the one genuinely transient failure the
-            # in-process engine produces; psycopg reserves
-            # OperationalError for exactly that class of trouble.
-            return FakeOperationalError(str(error))
-        # sqlite files everything else (missing table, syntax) under
-        # OperationalError; a real server raises ProgrammingError there —
-        # a plain Error, a fact about the statement, never retried.
-        return FakeError(str(error))
-
-    def cursor(self) -> _FakeCursor:
-        if self.closed:
-            raise FakeInterfaceError("connection is closed")
-        return _FakeCursor(self)
-
-    def close(self) -> None:
-        self.closed = True
-        self._sqlite.close()
-
-
-def fake_postgres_backend(database: str = ":memory:") -> PostgresBackend:
-    """A :class:`PostgresBackend` over a :class:`FakePostgresConnection`."""
-    return PostgresBackend(connection=FakePostgresConnection(database))

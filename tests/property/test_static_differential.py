@@ -26,9 +26,14 @@ actual tags on the wire and aborted on mismatch.
 
 * **Validate-while-shredding** — :func:`stream_dtd_violations` equals
   the DOM :meth:`DTD.validate` witness-for-witness (kind, node id and
-  detail) on arbitrary — mostly invalid — documents.
+  detail) on arbitrary — mostly invalid — documents;
+
+* **DTD keys** — :func:`keys_from_dtd`, which ``check-doc --dtd`` adds to
+  the stated keys, derives exactly one absolute key per ``ID`` attribute,
+  in declaration order, under a name that survives the key syntax.
 """
 
+import re
 from collections import Counter
 
 import pytest
@@ -36,10 +41,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.incremental import IncrementalEngine, insert, replace
+from repro.keys import parse_keys
 from repro.keys.stream import stream_violations
 from repro.parallel import run_sharded
 from repro.transform.stream import stream_evaluate_rule
-from repro.xmlmodel.dtd import parse_dtd, stream_dtd_violations
+from repro.xmlmodel.dtd import keys_from_dtd, parse_dtd, stream_dtd_violations
 from repro.xmlmodel.events import iter_events
 from repro.xmlmodel.parser import parse_document
 from repro.xmlmodel.serializer import serialize
@@ -65,7 +71,7 @@ pytestmark = pytest.mark.slow
 # declarations are drawn independently of what documents actually carry.
 # ----------------------------------------------------------------------
 @st.composite
-def random_dtds(draw):
+def random_dtd_texts(draw):
     declared = draw(
         st.lists(st.sampled_from(LABELS), min_size=1, max_size=len(LABELS), unique=True)
     )
@@ -90,7 +96,11 @@ def random_dtds(draw):
                 attr_type = draw(st.sampled_from(["CDATA", "ID", "IDREF"]))
                 default = draw(st.sampled_from(["#REQUIRED", "#IMPLIED"]))
                 lines.append(f"<!ATTLIST {label} {name} {attr_type} {default}>")
-    return parse_dtd("\n".join(lines))
+    return "\n".join(lines)
+
+
+def random_dtds():
+    return random_dtd_texts().map(parse_dtd)
 
 
 def witness(found):
@@ -248,3 +258,41 @@ class TestStreamingValidatorDifferential:
         compact = serialize(tree, indent=0)
         streamed = stream_dtd_violations(compact, dtd)
         assert bool(streamed) == (not dtd.is_valid(parse_document(compact)))
+
+
+#: ``(element, attribute)`` of every ``ID`` declaration in a DTD text.
+ID_DECLARATION = re.compile(r"<!ATTLIST (\S+) (\S+) ID ")
+
+
+class TestDTDKeyDerivation:
+    @differential_settings
+    @given(text=random_dtd_texts())
+    def test_keys_are_the_id_attributes_in_declaration_order(self, text):
+        keys = keys_from_dtd(parse_dtd(text))
+        assert [(key.target.text, key.attribute_list) for key in keys] == [
+            (f"//{element}", [attribute])
+            for element, attribute in ID_DECLARATION.findall(text)
+        ]
+
+    @differential_settings
+    @given(text=random_dtd_texts())
+    def test_every_key_is_absolute(self, text):
+        assert all(key.is_absolute for key in keys_from_dtd(parse_dtd(text)))
+
+    @differential_settings
+    @given(text=random_dtd_texts())
+    def test_names_are_preserved(self, text):
+        keys = keys_from_dtd(parse_dtd(text))
+        assert [key.name for key in keys] == [
+            f"dtd_id_{element}_{attribute}"
+            for element, attribute in ID_DECLARATION.findall(text)
+        ]
+        back = parse_keys("\n".join(key.text for key in keys))
+        assert back == keys
+        assert [key.name for key in back] == [key.name for key in keys]
+
+    @differential_settings
+    @given(text=random_dtd_texts())
+    def test_derivation_is_deterministic(self, text):
+        first, second = (keys_from_dtd(parse_dtd(text)) for _ in range(2))
+        assert [key.text for key in first] == [key.text for key in second]

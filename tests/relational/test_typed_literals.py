@@ -19,7 +19,9 @@ from repro.relational.sql import (
     quote_literal,
 )
 from repro.relational.schema import RelationSchema
-from repro.storage import SQLiteBackend, fake_postgres_backend
+from repro.storage import SQLiteBackend
+
+from tests.storage.fake_postgres import fake_postgres_backend
 
 # Values with a history of engine-specific renderings, with the one
 # canonical text each must produce everywhere.

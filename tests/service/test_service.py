@@ -13,9 +13,11 @@ import pytest
 from repro.relational.schema import RelationSchema
 from repro.service import IngestionService
 from repro.service.registry import rule_to_wire, schema_to_wire
-from repro.storage import FaultInjectingBackend, FaultPlan, LoadError, SQLiteBackend
+from repro.storage import LoadError, SQLiteBackend
 from repro.storage.backend import TransientError
 from repro.transform.rule import TableRule
+
+from tests.storage.faults import FaultInjectingBackend, FaultPlan
 
 RULES = [
     TableRule(

@@ -1,7 +1,7 @@
 """The backend conformance suite: one contract, every engine.
 
-Each test runs against SQLite, the in-process fake-PostgreSQL backend,
-and — when ``REPRO_PG_DSN`` points at a live server — real PostgreSQL.
+Each test runs against SQLite, the PostgreSQL backend over the
+in-process driver double (``tests/storage/fake_postgres.py``), and — when ``REPRO_PG_DSN`` points at a live server — real PostgreSQL.
 The contract is what :class:`~repro.storage.loader.BulkLoader` and
 :class:`~repro.storage.verify.SQLVerifier` rely on: placeholder-shaped
 parameter binding, savepoint atomicity, error translation into the
@@ -17,8 +17,9 @@ from repro.storage import (
     PostgresBackend,
     SQLiteBackend,
     StorageError,
-    fake_postgres_backend,
 )
+
+from tests.storage.fake_postgres import fake_postgres_backend
 
 PG_DSN = os.environ.get("REPRO_PG_DSN")
 

@@ -9,17 +9,12 @@ cleanly afterwards.
 import pytest
 
 from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.storage import (
-    BulkLoader,
-    FaultInjectingBackend,
-    FaultPlan,
-    SQLiteBackend,
-    StorageError,
-    compile_ddl,
-    fake_postgres_backend,
-)
+from repro.storage import BulkLoader, SQLiteBackend, StorageError, compile_ddl
 from repro.storage.backend import TransientError
 from repro.transform.rule import TableRule
+
+from tests.storage.fake_postgres import fake_postgres_backend
+from tests.storage.faults import FaultInjectingBackend, FaultPlan
 
 RULES = [
     TableRule(

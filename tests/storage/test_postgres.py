@@ -1,6 +1,7 @@
-"""Tests for the PostgreSQL backend and its in-process fake.
+"""Tests for the PostgreSQL backend over its in-process driver double.
 
-Everything here runs without a server: the fake reproduces the driver's
+Everything here runs without a server: the fake
+(``tests/storage/fake_postgres.py``) reproduces the driver's
 observable surface (``%s`` placeholders, COPY, savepoint-in-transaction
 rules, error taxonomy) over stdlib sqlite.  The same contract runs
 against a live server via ``REPRO_PG_DSN`` in
@@ -18,11 +19,12 @@ from repro.storage import (
     SQLiteBackend,
     StorageError,
     compile_ddl,
-    fake_postgres_backend,
 )
 from repro.storage.backend import TransientError
-from repro.storage.postgres import ORDINAL_COLUMN, _translate_format_sql
+from repro.storage.postgres import ORDINAL_COLUMN
 from repro.transform.rule import TableRule
+
+from tests.storage.fake_postgres import _translate_format_sql, fake_postgres_backend
 
 RULES = [
     TableRule(
@@ -109,6 +111,7 @@ class TestCopy:
         backend.execute('CREATE TABLE "c" ("a" TEXT, "b" TEXT)')
         n = backend.copy_rows("c", ["a", "b"], [("1", "x\ty"), ("2", None)])
         assert n == 2
+        assert backend.table_names() == ["c"]
         assert sorted(backend.query('SELECT "a", "b" FROM "c"')) == [
             ("1", "x\ty"),
             ("2", None),

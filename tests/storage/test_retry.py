@@ -11,7 +11,8 @@ from repro.storage import (
     call_with_retries,
 )
 from repro.storage.backend import TransientError
-from repro.storage.faults import FaultInjectingBackend, FaultPlan
+
+from tests.storage.faults import FaultInjectingBackend, FaultPlan
 
 
 class TestRetryPolicy:

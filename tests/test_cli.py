@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -8,6 +10,8 @@ from repro.transform import parse_transformation
 from repro.experiments import paper_example as pe
 from repro.xmlmodel import accel
 from repro.xmlmodel.serializer import serialize
+
+from tests.storage.fake_postgres import connect_fake_postgres
 
 
 KEYS_TEXT = """
@@ -754,35 +758,56 @@ class TestExitCodes:
 class TestBackendSelection:
     """--backend / REPRO_BACKEND route load and query to an engine."""
 
-    def test_fake_postgres_load_and_verify(self, violating_workspace, capsys):
+    #: Never dialed: ``connect_postgres`` is patched to the driver double.
+    DSN = "postgresql://localhost/repro"
+
+    @pytest.fixture()
+    def fake_driver(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.storage.postgres.connect_postgres", connect_fake_postgres
+        )
+
+    def test_postgres_load_and_verify(self, violating_workspace, fake_driver, capsys):
         ws = violating_workspace
         code = main(
             ["load", "--transform", ws["transform"], "--xml", ws["xml"],
-             "--db", ":memory:", "--backend", "fake-postgres",
+             "--db", self.DSN, "--backend", "postgres",
              "--keys", ws["keys"], "--verify"]
         )
         assert code == 0
         assert "satisfies all propagated keys" in capsys.readouterr().out
 
-    def test_fake_postgres_rejects_violations_like_sqlite(
-        self, violating_workspace, capsys
+    def test_postgres_rejects_violations_like_sqlite(
+        self, violating_workspace, fake_driver, capsys
     ):
         ws = violating_workspace
         argv = ["load", "--transform", ws["transform"], "--xml", ws["bad_xml"],
                 "--keys", ws["keys"]]
         assert main(argv + ["--db", ws["db"]]) == 1
         sqlite_out = capsys.readouterr().out
-        assert main(argv + ["--db", ":memory:", "--backend", "fake-postgres"]) == 1
+        assert main(argv + ["--db", self.DSN, "--backend", "postgres"]) == 1
         assert capsys.readouterr().out == sqlite_out
 
-    def test_unknown_backend_flag_exit_two(self, violating_workspace, capsys):
+    @pytest.mark.parametrize("command", ["load", "query", "serve"])
+    @pytest.mark.parametrize("route", ["flag", "env"])
+    @pytest.mark.parametrize("name", ["oracle", "fake-postgres", "postgres-fake"])
+    def test_unknown_backend_flag_exit_two(
+        self, violating_workspace, capsys, monkeypatch, command, route, name
+    ):
         ws = violating_workspace
-        code = main(
-            ["load", "--transform", ws["transform"], "--xml", ws["xml"],
-             "--db", ws["db"], "--backend", "oracle"]
-        )
-        assert code == 2
-        assert "unknown storage backend" in capsys.readouterr().err
+        argv = {
+            "load": ["load", "--transform", ws["transform"], "--xml", ws["xml"]],
+            "query": ["query"],
+            "serve": ["serve"],
+        }[command] + ["--db", ws["db"]]
+        if route == "flag":
+            argv += ["--backend", name]
+        else:
+            monkeypatch.setenv("REPRO_BACKEND", name)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unknown storage backend" in err
 
     def test_query_backend_flag(self, violating_workspace, capsys):
         ws = violating_workspace
@@ -792,9 +817,17 @@ class TestBackendSelection:
         assert main(["query", "--db", ws["db"]]) == 0
         assert "book" in capsys.readouterr().out
 
-    def test_serve_rejects_unknown_backend_before_binding(self, capsys):
-        assert main(["serve", "--backend", "oracle"]) == 2
-        assert "unknown storage backend" in capsys.readouterr().err
+    def test_serve_prints_no_banner_when_the_backend_fails(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # No driver importable: the service's pool probe fails fast.
+        monkeypatch.setitem(sys.modules, "psycopg", None)
+        monkeypatch.setitem(sys.modules, "psycopg2", None)
+        db = str(tmp_path / "x.db")
+        assert main(["serve", "--db", db, "--backend", "postgres"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "no PostgreSQL driver is installed" in err
 
 
 class TestEnvironmentErrors:
@@ -809,16 +842,6 @@ class TestEnvironmentErrors:
                      "--xml", ws["xml"], "--stream"])
         assert code == 2
         assert "REPRO_JOBS" in capsys.readouterr().err
-
-    def test_malformed_repro_backend_exit_two(
-        self, violating_workspace, capsys, monkeypatch
-    ):
-        ws = violating_workspace
-        monkeypatch.setenv("REPRO_BACKEND", "oracle")
-        code = main(["load", "--transform", ws["transform"], "--xml", ws["xml"],
-                     "--db", ws["db"]])
-        assert code == 2
-        assert "unknown storage backend" in capsys.readouterr().err
 
 
 class TestCrashPaths:

@@ -13,8 +13,13 @@ imports each command's plane inside its handler, so the algorithm layer
 (core, design, implication) and the cover/design/check commands never
 load the data planes.  Those probes run in a fresh interpreter, because
 this process has imported everything already.
+
+The package ships only what a command runs: test doubles (the in-process
+PostgreSQL driver, the fault injector) live under ``tests/``, and no
+``--backend`` name selects one.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -22,6 +27,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +294,44 @@ def test_public_surface_resolves(package):
         "mismatched": [],
         "unknown": "AttributeError",
     }
+
+
+def _src_trees():
+    """``(path, syntax tree)`` of every module under ``src/repro``."""
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        yield path.relative_to(root), ast.parse(path.read_text(), filename=str(path))
+
+
+def test_src_defines_no_fakes():
+    fakes = [
+        f"{path}:{node.name}"
+        for path, tree in _src_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name.startswith("Fake")
+    ]
+    assert fakes == []
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_src_imports_nothing_from_tests():
+    offenders = [
+        f"{path}:{module}"
+        for path, tree in _src_trees()
+        for module in _imported_modules(tree)
+        if module == "tests" or module.startswith("tests.")
+    ]
+    assert offenders == []
+
+
+def test_only_real_engines_are_backend_names():
+    from repro.storage import BACKEND_NAMES
+
+    assert BACKEND_NAMES == ("sqlite", "postgres", "postgresql", "pg")

@@ -335,3 +335,18 @@ def test_only_real_engines_are_backend_names():
     from repro.storage import BACKEND_NAMES
 
     assert BACKEND_NAMES == ("sqlite", "postgres", "postgresql", "pg")
+
+
+def test_setup_declares_the_package():
+    root = Path(repro.__file__).parents[2]
+    out = subprocess.run(
+        [sys.executable, "setup.py", "--name"],
+        capture_output=True, text=True, cwd=root, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "repro"
+    from setuptools import find_packages
+
+    packages = find_packages(str(root / "src"))
+    assert set(PACKAGES) <= set(packages)
+    assert [name for name in packages if not name.startswith("repro")] == []

@@ -1,5 +1,7 @@
 """Unit tests for table-rule validation (well-formedness of Definition 2.2)."""
 
+import re
+
 import pytest
 
 from repro.transform.rule import TableRule, Transformation
@@ -113,6 +115,19 @@ class TestDecidabilityFrontier:
         with pytest.raises(UnsupportedFeature) as excinfo:
             reject_unsupported(feature)
         assert "undecidable" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "feature, theorem",
+        [
+            ("selection", "Theorem 3.1"),
+            ("difference", "Theorem 3.1"),
+            ("foreign-key", "Theorem 3.2"),
+        ],
+    )
+    def test_refusal_cites_the_theorem(self, feature, theorem):
+        with pytest.raises(UnsupportedFeature, match=re.escape(theorem)) as excinfo:
+            reject_unsupported(feature)
+        assert excinfo.value.feature == feature
 
     def test_unknown_feature_refused_generically(self):
         with pytest.raises(UnsupportedFeature):

@@ -3,7 +3,7 @@
 The parallel execution plane (:mod:`repro.parallel`) cuts a document at
 top-level anchor boundaries, maps the shards onto worker processes (one
 pass per shard feeds both the rule shredder and the key checker) and
-merges the per-shard states.  Two claims are pinned here, in the style of
+merges the per-shard states.  Three claims are pinned here, in the style of
 the PR 1–3 gates (plain ``perf_counter`` timing under
 ``--benchmark-disable``):
 
@@ -11,6 +11,11 @@ the PR 1–3 gates (plain ``perf_counter`` timing under
   merged output must equal the serial streaming plane *byte-for-byte*:
   same rows in the same order, same violations with the same node ids and
   detail strings.  This runs everywhere, single-core boxes included.
+
+* ``test_split_share_report`` — cutting the document
+  (:func:`~repro.xmlmodel.shards.split_document`, serial by nature) must
+  take ≤ 5% of one serial shred+check pass on the same text.  This runs
+  everywhere too.
 
 * ``test_parallel_speedup_report`` — end-to-end (split + map + merge,
   shred and key check together) must beat the serial single pass ≥ 2× at
@@ -133,6 +138,37 @@ def test_parallel_speedup_report(gate_document):
         f"parallel speedup {speedup:.2f}x below the {REQUIRED_SPEEDUP:.0f}x gate "
         f"(serial {serial_time * 1000:.0f} ms vs parallel "
         f"{parallel_time * 1000:.0f} ms at {GATE_JOBS} workers)"
+    )
+
+
+# ----------------------------------------------------------------------
+# Gate 3 (runs everywhere): splitting is a small share of the serial pass
+# ----------------------------------------------------------------------
+REQUIRED_SPLIT_SHARE = 0.05
+
+
+def test_split_share_report(gate_document):
+    """The coordinator cuts the document before any worker starts, so the
+    split is serial time the pool can never win back.  It must stay
+    within 5% of one serial shred+check pass over the same text; no
+    parallel hardware is needed to measure that."""
+    from repro.xmlmodel.shards import split_document
+
+    workload, text, nodes = gate_document
+    split_time, shards = _best_of(lambda: split_document(text, GATE_JOBS * 2))
+    serial_time, _ = _best_of(lambda: _pipeline(workload, text, jobs=1))
+    assert shards is not None and len(shards) == GATE_JOBS * 2
+    share = split_time / serial_time
+    print(
+        f"\n[bench_parallel] split into {len(shards)} shards on {nodes} nodes: "
+        f"{split_time * 1000:.1f} ms vs serial shred+check "
+        f"{serial_time * 1000:.0f} ms -> {share:.1%} "
+        f"(gate <= {REQUIRED_SPLIT_SHARE:.0%})"
+    )
+    assert share <= REQUIRED_SPLIT_SHARE, (
+        f"split_document takes {share:.1%} of the serial pass "
+        f"({split_time * 1000:.1f} ms of {serial_time * 1000:.0f} ms), "
+        f"above the {REQUIRED_SPLIT_SHARE:.0%} gate"
     )
 
 

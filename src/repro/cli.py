@@ -50,8 +50,8 @@ front and loads nothing when one violates the schema.
 ``check-doc``, ``load`` and ``shred --stream``) runs the driver's sharded
 arm: the document is cut at top-level anchor boundaries and the shards
 run on ``N`` worker processes, with byte-identical output (``--jobs 0``
-uses one worker per CPU; the serial arm runs when the document cannot be
-sharded).  Validation is single-pass, so ``--dtd`` without ``--prune``
+uses one worker per CPU this process may run on; the serial arm runs when
+the document cannot be sharded).  Validation is single-pass, so ``--dtd`` without ``--prune``
 rejects ``--jobs`` > 1.
 
 ``apply-delta`` runs the incremental constraint plane: the document is

@@ -630,6 +630,7 @@ def merge_shard_results(
     for result in results:
         merged.merge(result, prologue_ids)
     flushed = merged.flushed
+    in_shards = len(flushed)
     if merged.open_groups or merged.open_missing:
         for bucket_index in sorted(
             set(merged.open_groups) | set(merged.open_missing)
@@ -638,6 +639,10 @@ def merge_shard_results(
             record.groups = merged.open_groups.get(bucket_index, {})
             record.missing = merged.open_missing.get(bucket_index, [])
             flushed.extend(record.flush())
+    if obs.enabled():
+        # The root's context records close here, in no shard: their
+        # flushes complete the serial pass's ``check.flushed_contexts``.
+        obs.metrics().gauge_add("check.flushed_contexts", len(flushed) - in_shards)
     return checker._materialize_all(flushed)
 
 

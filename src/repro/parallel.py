@@ -73,8 +73,8 @@ from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.shards import (
     DocumentShards,
     MappedDocumentShards,
+    cut_document,
     map_document_shards,
-    split_document,
 )
 
 #: Environment variable consulted when ``jobs`` is not given explicitly.
@@ -87,11 +87,27 @@ SHARD_FACTOR = 2
 #: A row consumer: called once per shredded row, in serial row order.
 RowSink = Callable[[Dict], object]
 
+#: Metrics whose values depend on how a run was cut: one tokenizer call
+#: per shard, automaton memo tables grown separately in every shard, and
+#: the number of shards itself.  Every other counter and gauge a run
+#: records is identical on the serial and the sharded arm
+#: (``tests/test_parallel.py::TestMetricParity`` reads this tuple).
+SHARD_DEPENDENT_METRICS = ("tokenizer.calls", "check.nfa_memo_entries", "shard.count")
+
+#: ``reason`` labels of ``shard.fallback``, counted each time a run asked
+#: for ``jobs > 1`` executes on the serial arm: the source is neither text
+#: nor a path, a rule's anchor binds the document root, or the splitter
+#: declined (:data:`~repro.xmlmodel.shards.UNSLICEABLE`,
+#: :data:`~repro.xmlmodel.shards.ONE_SLICE`).
+FALLBACK_SOURCE = "source"
+FALLBACK_ROOT_ANCHOR = "root-anchor"
+
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Resolve the worker count: explicit ``jobs``, else ``REPRO_JOBS``, else 1.
 
-    ``0`` means "one worker per CPU"; negative values are rejected.
+    ``0`` means "one worker per CPU this process may run on"; negative
+    values are rejected.
     """
     if jobs is None:
         env = os.environ.get(JOBS_ENV, "").strip()
@@ -106,6 +122,10 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     if jobs == 0:
+        # The CPUs this process may run on (a container or ``taskset``
+        # limit shows in the affinity mask, not in ``os.cpu_count()``).
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     return jobs
 
@@ -278,31 +298,40 @@ class ShardedRun:
 
 
 def _split(source, num_shards: int, rules: Sequence[TableRule]):
-    """Cut ``source`` into shards: ``(source, shards or None)``.
+    """Cut ``source`` into shards: ``(source, shards or None, size)``.
 
     A path is read once here and the text returned, so a serial fallback
     does not read it again.  ASCII files stay mapped (byte offset ≡
-    character offset); others ship text slices.
+    character offset); others ship text slices.  ``size`` is what the
+    serial arm would count as ``tokenizer.bytes`` for ``source``.  Each
+    refusal counts one ``shard.fallback`` with its reason.
     """
     path: Optional[str] = None
+    size = None
     if hasattr(source, "__fspath__"):
         path = os.fspath(source)
         with open(path, "rb") as handle:
             raw = handle.read()
         source = raw.decode("utf-8")
+        size = len(raw)
         if not raw.isascii():
             path = None
         del raw
-    if not isinstance(source, str) or any(
-        RuleStreamer(rule, shard_mode=True).anchors_root_bound for rule in rules
-    ):
+    if not isinstance(source, str):
+        reason = FALLBACK_SOURCE
+    elif any(RuleStreamer(rule, shard_mode=True).anchors_root_bound for rule in rules):
         # An anchor binding the document root needs the whole document as
         # one subtree; semantics before parallelism.
-        return source, None
-    shards = split_document(source, num_shards)
-    if shards is not None and path is not None:
-        shards = map_document_shards(shards, path)
-    return source, shards
+        reason = FALLBACK_ROOT_ANCHOR
+    else:
+        shards, reason = cut_document(source, num_shards)
+        if shards is not None:
+            if path is not None:
+                shards = map_document_shards(shards, path)
+            return source, shards, len(source) if size is None else size
+    if obs.enabled():
+        obs.metrics().inc("shard.fallback", reason=reason)
+    return source, None, size
 
 
 def run_pipeline(
@@ -353,7 +382,7 @@ def run_pipeline(
                 "streaming DTD validation is a single-pass check and cannot "
                 "be sharded; run it with one job or without the DTD"
             )
-        source, shards = _split(source, worker_count * SHARD_FACTOR, rules)
+        source, shards, size = _split(source, worker_count * SHARD_FACTOR, rules)
     instances: Optional[Dict[str, RelationInstance]] = None
     if sinks is None and rules:
         instances = {
@@ -380,6 +409,8 @@ def run_pipeline(
             feeds.append(validator.feed)
         events = as_events(source, skip=skip)
         skipped = _pump(events, feeds, skip is not None)
+        if obs.enabled():
+            obs.metrics().gauge_add("shard.count", 1)
         for streamer in streamers:
             streamer.finish()
         if instances is not None:
@@ -412,6 +443,12 @@ def run_pipeline(
         for output in outputs:
             if output.metrics is not None:
                 registry.merge_snapshot(output.metrics)
+        registry.gauge_add("shard.count", len(shards))
+        # The shards counted their slices; the document's bytes outside
+        # them (prolog, root start tag, root end tag, epilog) count here.
+        registry.inc(
+            "tokenizer.bytes", size - (shards.content_end - shards.content_start)
+        )
     # The closing root END never reaches a worker (the merge closes the
     # root logically): count it here, event-for-event with the serial arm.
     _record_events(1)

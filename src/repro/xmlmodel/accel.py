@@ -58,7 +58,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.xmlmodel.events import ATTR, END, SKIP, START, TEXT, Event
+from repro.xmlmodel.events import ATTR, END, SKIP, START, TEXT, Event, record_tokenizer_call
 from repro.xmlmodel.parser import XMLSyntaxError
 
 #: ``tokenizer.calls`` label of the default, source-routed backend choice.
@@ -667,11 +667,9 @@ def fragment_byte_events(
         f"</{root_tag}>".encode("utf-8"),
     )
     if obs.enabled():
-        # One tokenizer call over the wrapped slice, as the text twin of
-        # this path (``fragment_events`` → ``iter_events``) records it.
-        registry = obs.metrics()
-        registry.inc("tokenizer.calls", engine=resolve_engine(engine))
-        registry.inc("tokenizer.bytes", sum(len(piece) for piece in pieces))
+        # One tokenizer call over the slice's own bytes, as the text twin
+        # of this path (``fragment_events``) records it.
+        record_tokenizer_call(resolve_engine(engine), pieces[1].nbytes)
     events = _stream(pieces, strip_whitespace, replay_text, skip)
     next(events)  # the synthetic root START (present even on replay)
     pending = next(events, None)

@@ -192,21 +192,42 @@ def iter_events(
 
     resolved = accel.resolve_engine(engine)
     if obs.enabled():
-        # One registry touch per *call*, never per event: per-event
-        # counters live in the consumer loops as local integers.
-        registry = obs.metrics()
-        registry.inc("tokenizer.calls", engine=resolved)
-        if isinstance(source, str):
-            registry.inc("tokenizer.bytes", len(source))
-        elif isinstance(source, _BUFFER_TYPES):
-            registry.inc("tokenizer.bytes", len(source))
-        elif hasattr(source, "__fspath__"):
-            try:
-                registry.inc(
-                    "tokenizer.bytes", os.path.getsize(os.fspath(source))
-                )
-            except OSError:
-                pass
+        record_tokenizer_call(resolved, _source_size(source))
+    return _route_events(source, strip_whitespace, resolved, skip, chunk_size)
+
+
+def record_tokenizer_call(engine: str, size: Optional[int]) -> None:
+    """Count one tokenizer call over ``size`` document bytes.
+
+    One registry touch per *call*, never per event: per-event counters
+    live in the consumer loops as local integers.  A shard or delta
+    fragment counts only its own bytes, not the synthetic root wrapper it
+    is tokenized in, so a sharded run's ``tokenizer.bytes`` adds up to
+    the document's.
+    """
+    registry = obs.metrics()
+    registry.inc("tokenizer.calls", engine=engine)
+    if size is not None:
+        registry.inc("tokenizer.bytes", size)
+
+
+def _source_size(source) -> Optional[int]:
+    if isinstance(source, (str,) + _BUFFER_TYPES):
+        return len(source)
+    if hasattr(source, "__fspath__"):
+        try:
+            return os.path.getsize(os.fspath(source))
+        except OSError:
+            return None
+    return None
+
+
+def _route_events(
+    source, strip_whitespace: bool, resolved: str, skip, chunk_size: int = _DEFAULT_CHUNK
+) -> Iterator[Event]:
+    """:func:`iter_events` after the backend is resolved, uncounted."""
+    from repro.xmlmodel import accel
+
     if resolved == accel.AUTO and skip and isinstance(source, str):
         # Under a selective plan the pure scanner is the fastest backend:
         # its bulk fast-forward settles skippable regions with a few

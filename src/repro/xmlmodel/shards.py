@@ -9,10 +9,19 @@ anchor-subtree granularity — provided the document can be cut into
 self-contained pieces whose merged results are indistinguishable from one
 serial pass.
 
-:func:`split_document` performs that cut.  A single structural scan over
-the text (reusing the tokenizer's regexes and prolog dialect, so the two
-can never disagree about where a construct starts) finds the root element,
-its attributes, and the character offset of every top-level child element.
+:func:`split_document` performs that cut.  A structural scan over the
+text (reusing the tokenizer's regexes and prolog dialect, so the two can
+never disagree about where a construct starts) finds the root element,
+its attributes, and the character offset of every top-level child
+element.  The scan costs one C-level regular-expression match per
+*top-level child*, not a Python step per tag: :func:`_child_pattern`
+spells the per-tag walk's grammar for a whole child subtree (text, start
+tags with quoted attributes, ``</…>`` close tags) up to
+:data:`_CHILD_NESTING` element levels, so wherever it matches it ends
+exactly where the walk would.  A child it cannot match — a comment,
+CDATA section or processing instruction inside it, deeper nesting, any
+malformed tag — takes the per-tag walk (:func:`_walk_child`), which
+remains the authority, so the scan's answer is the walk's on every input.
 The children are then grouped into contiguous, size-balanced slices.  A
 :class:`DocumentShards` value describes the result:
 
@@ -43,12 +52,14 @@ error messages remain canonical.
 
 from __future__ import annotations
 
+import functools
 import mmap
 import re
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from repro.xmlmodel.accel import fragment_byte_events
+from repro import obs
+from repro.xmlmodel.accel import fragment_byte_events, resolve_engine
 from repro.xmlmodel.events import (
     ATTR,
     END,
@@ -56,10 +67,11 @@ from repro.xmlmodel.events import (
     _ATTR_RE,
     _END_TAG_RE,
     _NAME_RE,
+    _route_events,
     _skip_string_misc,
     _skip_string_prolog,
     Event,
-    iter_events,
+    record_tokenizer_call,
 )
 from repro.xmlmodel.parser import XMLSyntaxError, expand_entities
 
@@ -72,6 +84,40 @@ _START_TAG_RE = re.compile(
     r"(?:\s*[^\s=<>/?\"']+\s*=\s*(?:\"[^\"]*\"|'[^']*'))*"  # attributes
     r"\s*(/?)>"
 )
+
+#: Element levels below a top-level child that :func:`_child_pattern`
+#: spells out; a deeper child takes the per-tag walk.
+_CHILD_NESTING = 12
+
+
+@functools.lru_cache(maxsize=None)
+def _child_pattern() -> "re.Pattern[str]":
+    """One top-level child subtree, from its ``<`` past its closing ``>``.
+
+    The per-tag walk of :func:`_walk_child` as a regular expression over a
+    comment-free subtree of bounded depth: text runs to the next ``<``; a
+    start tag is :data:`_START_TAG_RE`; a non-empty element's content
+    nests one level deeper and ends at ``</`` plus everything up to the
+    next ``>`` (the walk does not compare close names either).  Every
+    quantifier is possessive, so a match commits to the greedy reading —
+    the one :data:`_START_TAG_RE` returns first — and a match ends exactly
+    where the walk would end the child.  Anything outside this grammar
+    (``<!``, ``<?``, deeper nesting, a malformed tag, no close) fails the
+    match and the caller walks the child instead.  Compiled on first use:
+    commands that never split a document do not pay for it.
+    """
+    name = r"[^\s=<>/?\"']++"
+    head = (
+        name
+        + r"(?:\s*+" + name + r"\s*+=\s*+(?:\"[^\"]*+\"|'[^']*+'))*+"
+        + r"\s*+"
+    )
+    content = r"(?:[^<]++|<(?!!)" + head + r"/>)*+"
+    for _ in range(_CHILD_NESTING):
+        content = (
+            r"(?:[^<]++|<(?!!)" + head + r"(?:/>|>" + content + r"</[^>]*+>))*+"
+        )
+    return re.compile(r"<(?!!)" + head + r"(?:/>|>" + content + r"</[^>]*+>)")
 
 
 @dataclass(frozen=True)
@@ -156,11 +202,11 @@ def fragment_events(
     committing any state (as the incremental engine does).  ``engine``
     pins the tokenizer backend, as in :func:`iter_events`.
     """
-    events = iter_events(
-        f"<{root_tag}>{fragment}</{root_tag}>",
-        strip_whitespace=strip_whitespace,
-        engine=engine,
-        skip=skip,
+    resolved = resolve_engine(engine)
+    if obs.enabled():
+        record_tokenizer_call(resolved, len(fragment))
+    events = _route_events(
+        f"<{root_tag}>{fragment}</{root_tag}>", strip_whitespace, resolved, skip
     )
     next(events)  # the synthetic root START
     pending = next(events, None)
@@ -341,22 +387,15 @@ def _scan_structure(
 
     # --- the content: find every top-level child element --------------
     child_offsets: List[int] = []
-    depth = 0
+    child_match = _child_pattern().match
     while True:
         lt = find("<", pos)
         if lt < 0 or lt + 1 >= length:
             return None  # unterminated root element
         pos = lt
         if startswith("</", pos):
-            if depth == 0:
-                content_end = pos
-                break
-            gt = find(">", pos)
-            if gt < 0:
-                return None
-            depth -= 1
-            pos = gt + 1
-            continue
+            content_end = pos
+            break
         if startswith("<!--", pos):
             end = find("-->", pos)
             if end < 0:
@@ -375,23 +414,21 @@ def _scan_structure(
                 return None
             pos = end + 2
             continue
-        # An element start tag.  ``<!`` constructs other than the
-        # comment/CDATA handled above parse as elements whose name starts
-        # with ``!`` in the tokenizer — structurally too surprising to
-        # slice through, so bail to the serial plane for those.  The whole
-        # tag (name, quoted attributes, ``>`` / ``/>``) matches in one
-        # regex pass; anything it rejects falls back to the serial plane,
-        # whose error messages stay canonical.
+        # ``<!`` constructs other than the comment/CDATA handled above
+        # parse as elements whose name starts with ``!`` in the tokenizer
+        # — structurally too surprising to slice through, so bail to the
+        # serial plane for those.
         if text[pos + 1] == "!":
             return None
-        match = _START_TAG_RE.match(text, pos + 1)
-        if match is None:
+        child_offsets.append(pos)
+        match = child_match(text, pos)
+        if match is not None:
+            pos = match.end()
+            continue
+        child_end = _walk_child(text, pos)
+        if child_end is None:
             return None
-        if depth == 0:
-            child_offsets.append(pos)
-        pos = match.end()
-        if match.group(1) != "/":
-            depth += 1
+        pos = child_end
 
     # --- the root end tag and the epilog ------------------------------
     match = _END_TAG_RE.match(text, content_end + 2)
@@ -404,6 +441,64 @@ def _scan_structure(
     if pos < length:
         return None  # content after the root element
     return root_tag, tuple(events), content_start, content_end, child_offsets
+
+
+def _walk_child(text: str, pos: int) -> Optional[int]:
+    """The per-tag walk over one top-level child starting at its ``<``.
+
+    Returns the offset just past the close tag that brings the nesting
+    depth back to zero (or past a self-closing child's ``/>``), or
+    ``None`` when the child cannot be sliced with confidence.  Start tags
+    match :data:`_START_TAG_RE` in one pass; a close tag runs from ``</``
+    to the next ``>`` whatever its name (the serial tokenizer reports a
+    mismatch canonically); comments, CDATA sections and processing
+    instructions are skipped whole.  This is the authority
+    :func:`_child_pattern` reproduces, and the fallback for every child it
+    does not match.
+    """
+    length = len(text)
+    find = text.find
+    startswith = text.startswith
+    depth = 0
+    while True:
+        if startswith("</", pos):
+            gt = find(">", pos)
+            if gt < 0:
+                return None
+            pos = gt + 1
+            depth -= 1
+            if depth == 0:
+                return pos
+        elif startswith("<!--", pos):
+            end = find("-->", pos)
+            if end < 0:
+                return None
+            pos = end + 3
+        elif startswith("<![CDATA[", pos):
+            end = find("]]>", pos)
+            if end < 0:
+                return None
+            pos = end + 3
+        elif startswith("<?", pos):
+            end = find("?>", pos)
+            if end < 0:
+                return None
+            pos = end + 2
+        elif text[pos + 1] == "!":
+            return None
+        else:
+            match = _START_TAG_RE.match(text, pos + 1)
+            if match is None:
+                return None
+            pos = match.end()
+            if match.group(1) != "/":
+                depth += 1
+            elif depth == 0:
+                return pos
+        lt = find("<", pos)
+        if lt < 0 or lt + 1 >= length:
+            return None
+        pos = lt
 
 
 def _balanced_slices(
@@ -438,6 +533,34 @@ def _balanced_slices(
     return slices
 
 
+#: Why :func:`cut_document` declined to cut a document (the ``reason``
+#: label of the ``shard.fallback`` counter of :mod:`repro.parallel`).
+UNSLICEABLE = "unsliceable"  # the structural scan answered ``None``
+ONE_SLICE = "one-slice"  # fewer than two top-level subtrees or slices
+
+
+def cut_document(
+    text: str, num_shards: int
+) -> Tuple[Optional[DocumentShards], Optional[str]]:
+    """:func:`split_document`, also saying why it declined.
+
+    Returns ``(shards, None)``, or ``(None, reason)`` with ``reason``
+    :data:`UNSLICEABLE` or :data:`ONE_SLICE`.
+    """
+    if num_shards < 2:
+        return None, ONE_SLICE
+    scan = _scan_structure(text)
+    if scan is None:
+        return None, UNSLICEABLE
+    _, _, content_start, content_end, child_offsets = scan
+    if len(child_offsets) < 2:
+        return None, ONE_SLICE
+    slices = _balanced_slices(child_offsets, content_start, content_end, num_shards)
+    if len(slices) < 2:
+        return None, ONE_SLICE
+    return _document_shards(text, scan, slices), None
+
+
 def split_document(text: str, num_shards: int) -> Optional[DocumentShards]:
     """Cut a document into at most ``num_shards`` replayable shards.
 
@@ -446,17 +569,11 @@ def split_document(text: str, num_shards: int) -> Optional[DocumentShards]:
     scan cannot slice it with confidence — callers then run the serial
     plane unchanged.
     """
-    if num_shards < 2:
-        return None
-    scan = _scan_structure(text)
-    if scan is None:
-        return None
-    root_tag, prologue_events, content_start, content_end, child_offsets = scan
-    if len(child_offsets) < 2:
-        return None
-    slices = _balanced_slices(child_offsets, content_start, content_end, num_shards)
-    if len(slices) < 2:
-        return None
+    return cut_document(text, num_shards)[0]
+
+
+def _document_shards(text: str, scan, slices: List[ShardSlice]) -> DocumentShards:
+    root_tag, prologue_events, content_start, content_end, _ = scan
     # XML allows one attribute per name; a duplicated name replays as two
     # ``attr`` events (tokenizer fidelity) but occupies a single node id
     # (the DOM keeps one node, last value wins), so ids count *distinct*
@@ -497,7 +614,7 @@ def split_subtrees(text: str) -> Optional[DocumentShards]:
     scan = _scan_structure(text)
     if scan is None:
         return None
-    root_tag, prologue_events, content_start, content_end, child_offsets = scan
+    _, _, content_start, content_end, child_offsets = scan
     if not child_offsets:
         return None
     slices: List[ShardSlice] = []
@@ -510,13 +627,4 @@ def split_subtrees(text: str) -> Optional[DocumentShards]:
         )
         slices.append(ShardSlice(start, end, 1))
         start = end
-    distinct_attrs = {event.name for event in prologue_events if event.kind == ATTR}
-    return DocumentShards(
-        text=text,
-        root_tag=root_tag,
-        prologue_events=prologue_events,
-        prologue_ids=1 + len(distinct_attrs),
-        slices=tuple(slices),
-        content_start=content_start,
-        content_end=content_end,
-    )
+    return _document_shards(text, scan, slices)

@@ -69,10 +69,24 @@ class TestResolveJobs:
         monkeypatch.setenv(JOBS_ENV, "5")
         assert resolve_jobs() == 5
 
-    def test_zero_means_cpu_count(self):
+    def test_zero_means_cpu_count(self, monkeypatch):
         import os
 
-        assert resolve_jobs(0) == (os.cpu_count() or 1)
+        # Without an affinity call, the machine's CPU count.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert resolve_jobs(0) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_jobs(0) == 1
+
+    def test_zero_means_usable_cpus(self, monkeypatch):
+        import os
+
+        # A container or taskset limit shows in the affinity mask, not in
+        # the machine's CPU count.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert resolve_jobs(0) == 2
 
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "lots")
@@ -368,15 +382,7 @@ class TestSyntaxErrorsCrossThePool:
 
 class TestMetricParity:
     """Serial and sharded runs record the same metric names, and the same
-    values for every deterministic counter."""
-
-    EQUAL = (
-        "pipeline.events",
-        "pipeline.skips",
-        "pipeline.elided_ids",
-        "check.violations",
-        "shred.rows",
-    )
+    value for every counter and gauge outside ``SHARD_DEPENDENT_METRICS``."""
 
     @staticmethod
     def _snapshot(source, jobs, **kwargs):
@@ -388,6 +394,8 @@ class TestMetricParity:
         return registry.snapshot()
 
     def _assert_parity(self, source, **kwargs):
+        from repro.parallel import SHARD_DEPENDENT_METRICS
+
         serial = self._snapshot(source, 1, **kwargs)
         sharded = self._snapshot(source, 2, **kwargs)
 
@@ -397,9 +405,14 @@ class TestMetricParity:
             ) for key in series}
 
         assert names(sharded) == names(serial)
-        for key, value in serial.counters.items():
-            if key[0] in self.EQUAL:
-                assert sharded.counters.get(key) == value, key
+        for kind in ("counters", "gauges"):
+            mine, theirs = getattr(serial, kind), getattr(sharded, kind)
+            assert set(mine) == set(theirs), kind
+            for key, value in mine.items():
+                if key[0] not in SHARD_DEPENDENT_METRICS:
+                    assert theirs[key] == value, key
+        assert serial.gauge("shard.count") == 1
+        assert sharded.gauge("shard.count") == 4
         return serial
 
     @pytest.fixture()
@@ -422,6 +435,18 @@ class TestMetricParity:
         assert serial.counter("check.violations") > 0
         assert serial.counter("shred.rows", relation="city") > 0
 
+    def test_root_context_flushes_count_once(self, mondial):
+        from repro.keys import parse_keys
+
+        # Duplicate car codes: the root's context records flush with
+        # violations, which the sharded arm sees only at the merge.
+        text = mondial.read_text()
+        mondial.write_text(text.replace('car_code="C7"', 'car_code="C3"'))
+        keys = parse_keys("K1 = (., (//country, {@car_code}))\n")
+        serial = self._assert_parity(mondial, keys=keys)
+        assert serial.gauge("check.flushed_contexts") == 1
+        assert serial.counter("tokenizer.bytes") == mondial.stat().st_size
+
     def test_pruned_check(self, mondial):
         from repro.experiments.scenarios import MONDIAL_DTD
         from repro.keys import parse_keys
@@ -432,3 +457,64 @@ class TestMetricParity:
         plan = compile_plan(parse_dtd(MONDIAL_DTD), keys=keys)
         serial = self._assert_parity(mondial, keys=keys, plan=plan)
         assert serial.counter("pipeline.skips") > 0
+
+
+class TestShardRouteCounters:
+    """``shard.fallback{reason}`` counts every ``jobs > 1`` run that
+    executed on the serial arm, with why."""
+
+    @staticmethod
+    def _fallbacks(source, **kwargs):
+        from repro import obs
+
+        with obs.collect() as registry:
+            run = run_sharded(source, jobs=2, **kwargs)
+        snapshot = registry.snapshot()
+        assert run.shards == snapshot.gauge("shard.count")
+        return run, {
+            dict(labels)["reason"]: value
+            for (name, labels), value in snapshot.counters.items()
+            if name == "shard.fallback"
+        }
+
+    def test_a_sharded_run_counts_no_fallback(self):
+        run, fallbacks = self._fallbacks(DOC, keys=KEYS)
+        assert run.shards > 1
+        assert fallbacks == {}
+
+    def test_unsliceable_scan(self):
+        # A self-closing root has no content range to cut.
+        run, fallbacks = self._fallbacks('<lib year="2003"/>', keys=KEYS)
+        assert run.shards == 1
+        assert fallbacks == {"unsliceable": 1}
+
+    def test_fewer_than_two_slices(self):
+        doc = '<lib><book isbn="1"><title>A</title></book></lib>'
+        run, fallbacks = self._fallbacks(doc, keys=KEYS)
+        assert run.shards == 1
+        assert fallbacks == {"one-slice": 1}
+
+    def test_root_bound_anchor(self):
+        rules = parse_transformation(
+            "table whole\n  var xa <- xr : //\n  var x1 <- xa : title\n"
+            "  field title = value(x1)\n"
+        )
+        run, fallbacks = self._fallbacks(DOC, transformation=rules)
+        assert run.shards == 1
+        assert fallbacks == {"root-anchor": 1}
+
+    def test_source_that_is_not_text_or_a_path(self):
+        from repro.xmlmodel.events import iter_events
+
+        run, fallbacks = self._fallbacks(iter_events(DOC), keys=KEYS)
+        assert run.shards == 1
+        assert fallbacks == {"source": 1}
+
+    def test_serial_arm_counts_no_fallback(self):
+        from repro import obs
+
+        with obs.collect() as registry:
+            run_sharded(DOC, keys=KEYS, jobs=1)
+        snapshot = registry.snapshot()
+        assert snapshot.gauge("shard.count") == 1
+        assert not any(name == "shard.fallback" for name, _ in snapshot.counters)

@@ -150,3 +150,77 @@ class TestIdAccounting:
         for event in iter_events(text):
             serial_checker.feed(event)
         assert shards.prologue_ids + total == serial_checker._next_id
+
+
+class TestStructuralScan:
+    """The scan settles each top-level child with one pattern match and
+    walks only what the match fails on; offsets are the per-tag walk's
+    (``tests/xmlmodel/shards_reference.py``) either way."""
+
+    @staticmethod
+    def offsets(text):
+        from repro.xmlmodel.shards import _scan_structure
+        from tests.xmlmodel.shards_reference import walk_structure
+
+        scan = _scan_structure(text)
+        assert scan == walk_structure(text)
+        return scan[4] if scan is not None else None
+
+    @staticmethod
+    def matched(text, offset):
+        from repro.xmlmodel.shards import _child_pattern
+
+        return _child_pattern().match(text, offset) is not None
+
+    @pytest.mark.parametrize(
+        "text, offsets",
+        [
+            ("<r><a><a>x</a></a><a/></r>", [3, 18]),  # nested same-name child
+            ('<r><a>x/><b y="</a>"/></a><c/></r>', [3, 26]),  # </a> in a value
+            ('<r><a><b y="<c>"/></a><d/></r>', [3, 22]),  # a tag in a value
+            ("<r><a>x/>y>z</a><c/></r>", [3, 16]),  # '/>' and '>' in text
+            ('<r><a/><b x="1"/></r>', [3, 7]),  # self-closing children
+            ("<r><a></x><y></a></r>", [3, 10]),  # close names are not compared
+        ],
+    )
+    def test_the_pattern_reads_each_child_like_the_walk(self, text, offsets):
+        assert self.offsets(text) == offsets
+        assert all(self.matched(text, offset) for offset in offsets)
+
+    @pytest.mark.parametrize(
+        "text, offsets",
+        [
+            ("<r><a><!--</a>--></a><c/></r>", [3, 21]),
+            ("<r><a><![CDATA[</a>]]></a><c/></r>", [3, 26]),
+            ("<r><a><?p </a>?></a><c/></r>", [3, 20]),
+            ("<r><a>" + "<b>" * 14 + "</b>" * 14 + "</a><c/></r>", [3, 108]),
+        ],
+        ids=["comment", "cdata", "pi", "deeper-than-the-pattern"],
+    )
+    def test_the_walk_settles_what_the_pattern_cannot(self, text, offsets):
+        assert self.offsets(text) == offsets
+        assert not self.matched(text, offsets[0])
+        assert self.matched(text, offsets[1])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "<r><a><b y=1></b></a><c/></r>",  # unquoted value inside a child
+            "<r><a><!X></a><c/></r>",  # a '<!' element inside a child
+            "<r><a><b></a></r>",  # the root never closes
+        ],
+    )
+    def test_a_child_the_walk_rejects_is_rejected(self, text):
+        assert self.offsets(text) is None
+
+    def test_mondial_shaped_documents_never_take_the_walk(self, monkeypatch):
+        from repro.experiments.scenarios import mondial_shaped_chunks
+        from repro.xmlmodel import shards
+
+        def walk(text, pos):
+            raise AssertionError(f"child at {pos} took the per-tag walk")
+
+        text = "".join(mondial_shaped_chunks(countries=30, organizations=5))
+        expected = self.offsets(text)
+        monkeypatch.setattr(shards, "_walk_child", walk)
+        assert shards._scan_structure(text)[4] == expected

@@ -228,8 +228,8 @@ def cmd_shred(args: argparse.Namespace) -> int:
     if args.stream or args.jobs is not None:
         # One pass over the event stream feeds the shredder, the key checker
         # and the streaming DTD validator together; no DOM is ever built.
-        # The path source lets an accelerated tokenizer mmap the file (and
-        # sharded workers map their byte ranges of it).
+        # The path source lets the serial tokenizer map the file; a sharded
+        # run reads it once and hands its workers text slices.
         from repro.parallel import run_pipeline
 
         run = run_pipeline(

@@ -44,7 +44,9 @@ the pre-delta document.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Counter as CounterType, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Counter as CounterType, Dict, List, Optional, Sequence, Tuple, Union
+)
 
 from collections import Counter
 
@@ -130,19 +132,46 @@ class DeltaReport:
 
 
 class _SubtreeState:
-    """One top-level piece: its text plus its mergeable per-consumer states."""
+    """One top-level piece: its text, its mergeable per-consumer states and
+    the gauge levels building it recorded."""
 
-    __slots__ = ("fragment", "rules", "checker")
+    __slots__ = ("fragment", "rules", "checker", "levels")
 
     def __init__(
         self,
         fragment: str,
         rules: List[RuleShardResult],
         checker: Optional[CheckerShardResult],
+        levels: Optional[obs.MetricsSnapshot] = None,
     ) -> None:
         self.fragment = fragment
         self.rules = rules
         self.checker = checker
+        self.levels = levels
+
+
+def _recording_levels(build: Callable) -> Tuple[object, Optional[obs.MetricsSnapshot]]:
+    """Run ``build()``; return its result and the gauges it recorded.
+
+    Gauges are index sizes: the engine takes a piece's levels back
+    (:func:`_take_back`) when the piece goes, so they describe the indexed
+    document, not the history of its deltas.
+    """
+    if not obs.enabled():
+        return build(), None
+    ambient = obs.metrics()
+    with obs.collect() as registry:
+        try:
+            result = build()
+        finally:
+            recorded = registry.snapshot()
+            ambient.merge_snapshot(recorded)
+    return result, obs.MetricsSnapshot(gauges=recorded.gauges)
+
+
+def _take_back(levels: Optional[obs.MetricsSnapshot]) -> None:
+    if levels is not None:
+        obs.metrics().merge_snapshot(obs.MetricsSnapshot().subtract(levels))
 
 
 def _violation_key(violation: KeyViolation) -> Tuple:
@@ -226,6 +255,9 @@ class IncrementalEngine:
         self._root_rules: List[RuleShardResult] = []
         self._root_checker: Optional[CheckerShardResult] = None
         self._states: List[_SubtreeState] = []
+        # Gauges recorded by the root state and by the last checker merge.
+        self._root_levels: Optional[obs.MetricsSnapshot] = None
+        self._merge_levels: Optional[obs.MetricsSnapshot] = None
         # Query caches, invalidated per delta.
         self._violations_cache: Optional[List[KeyViolation]] = None
         self._instances_cache: Optional[Dict[str, RelationInstance]] = None
@@ -260,12 +292,21 @@ class IncrementalEngine:
         # with an empty slice: the rule streamers see the root ``attr``
         # events, the checker keeps its prologue effects, and its id
         # consumption equals the prologue — the fold's left identity.
-        root = feed_shard(self._prologue_events, (), self.rules, self.keys, first=True)
-        self._root_rules, self._root_checker = root.rules, root.checker
-        self._states = [
+        root, root_levels = _recording_levels(
+            lambda: feed_shard(self._prologue_events, (), self.rules, self.keys, first=True)
+        )
+        states = [
             self._process_fragment(shards.slice_text(index))
             for index in range(len(shards))
         ]
+        # A re-load replaces the whole index, gauge levels included.
+        for levels in [self._root_levels, self._merge_levels] + [
+            state.levels for state in self._states
+        ]:
+            _take_back(levels)
+        self._root_rules, self._root_checker = root.rules, root.checker
+        self._root_levels, self._merge_levels = root_levels, None
+        self._states = states
         self._loaded = True
         self._invalidate()
         return len(self._states)
@@ -278,15 +319,17 @@ class IncrementalEngine:
         stay with the root state exactly once.  Fresh consumers each time:
         a tokenizer error raises here, before any engine state is spliced.
         """
-        output = feed_shard(
-            self._prologue_events,
-            fragment_events(self._root_tag, fragment, skip=self._skip),
-            self.rules,
-            self.keys,
-            first=False,
-            skipping=self._skip is not None,
+        output, levels = _recording_levels(
+            lambda: feed_shard(
+                self._prologue_events,
+                fragment_events(self._root_tag, fragment, skip=self._skip),
+                self.rules,
+                self.keys,
+                first=False,
+                skipping=self._skip is not None,
+            )
         )
-        return _SubtreeState(fragment, output.rules, output.checker)
+        return _SubtreeState(fragment, output.rules, output.checker, levels)
 
     def _validate_fragment(self, fragment: str) -> None:
         """Reject a delta fragment that is not one clean subtree.
@@ -346,8 +389,11 @@ class IncrementalEngine:
         if not self.keys:
             return []
         if self._violations_cache is None:
-            self._violations_cache = merge_shard_results(
-                self.keys, self._checker_results(), self._prologue_ids
+            _take_back(self._merge_levels)
+            self._violations_cache, self._merge_levels = _recording_levels(
+                lambda: merge_shard_results(
+                    self.keys, self._checker_results(), self._prologue_ids
+                )
             )
         return list(self._violations_cache)
 
@@ -519,6 +565,8 @@ class IncrementalEngine:
             rows_inserted, rows_deleted = self._store.apply(changes)
 
         # The point of no return: everything fallible has succeeded.
+        if old_state is not None:
+            _take_back(old_state.levels)
         self._states = candidate
         self._invalidate()
         after = self.violations()

@@ -34,20 +34,20 @@ effects belong to the document once: the rule streamers of shards
 its prologue effects in :meth:`KeyStreamChecker.begin_shard`.  The
 incremental engine (:mod:`repro.incremental.engine`) builds its
 per-subtree states with the same :func:`feed_shard`.  Workers are
-initialized once per process with the pickled payload; when the
-coordinator is handed a path to an ASCII document the payload carries the
-path and slice table, not the text
-(:class:`~repro.xmlmodel.shards.MappedDocumentShards`), and each worker
-``mmap``-s its byte range.  A slice that is not well-formed raises the
-tokenizer's :exc:`~repro.xmlmodel.parser.XMLSyntaxError`, rebased from the
-slice to the document offset.
+initialized once per process with the payload, the document text and its
+slice table (:class:`~repro.xmlmodel.shards.DocumentShards`) whatever the
+source's encoding; under the ``fork`` start method they inherit it
+without pickling.  Each worker replays its slice as text.  A slice that is
+not well-formed raises the tokenizer's
+:exc:`~repro.xmlmodel.parser.XMLSyntaxError`, rebased from the slice to
+the document offset.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.keys.key import XMLKey
@@ -70,12 +70,7 @@ from repro.transform.stream import (
 )
 from repro.xmlmodel.events import ATTR, SKIP, Event, as_events
 from repro.xmlmodel.parser import XMLSyntaxError
-from repro.xmlmodel.shards import (
-    DocumentShards,
-    MappedDocumentShards,
-    cut_document,
-    map_document_shards,
-)
+from repro.xmlmodel.shards import DocumentShards, cut_document
 
 #: Environment variable consulted when ``jobs`` is not given explicitly.
 JOBS_ENV = "REPRO_JOBS"
@@ -236,7 +231,7 @@ class _ShardWorker:
     environment: a worker spawned without ``REPRO_METRICS`` still collects
     when the coordinator had the plane enabled."""
 
-    shards: Union[DocumentShards, MappedDocumentShards]
+    shards: DocumentShards
     rules: Sequence[TableRule]
     keys: Sequence[XMLKey]
     skip: object = None  # an optional, picklable SkipSet
@@ -301,21 +296,16 @@ def _split(source, num_shards: int, rules: Sequence[TableRule]):
     """Cut ``source`` into shards: ``(source, shards or None, size)``.
 
     A path is read once here and the text returned, so a serial fallback
-    does not read it again.  ASCII files stay mapped (byte offset ≡
-    character offset); others ship text slices.  ``size`` is what the
-    serial arm would count as ``tokenizer.bytes`` for ``source``.  Each
-    refusal counts one ``shard.fallback`` with its reason.
+    does not read it again.  ``size`` is what the serial arm would count
+    as ``tokenizer.bytes`` for ``source``.  Each refusal counts one
+    ``shard.fallback`` with its reason.
     """
-    path: Optional[str] = None
     size = None
     if hasattr(source, "__fspath__"):
-        path = os.fspath(source)
-        with open(path, "rb") as handle:
+        with open(source, "rb") as handle:
             raw = handle.read()
         source = raw.decode("utf-8")
         size = len(raw)
-        if not raw.isascii():
-            path = None
         del raw
     if not isinstance(source, str):
         reason = FALLBACK_SOURCE
@@ -326,8 +316,6 @@ def _split(source, num_shards: int, rules: Sequence[TableRule]):
     else:
         shards, reason = cut_document(source, num_shards)
         if shards is not None:
-            if path is not None:
-                shards = map_document_shards(shards, path)
             return source, shards, len(source) if size is None else size
     if obs.enabled():
         obs.metrics().inc("shard.fallback", reason=reason)
@@ -345,7 +333,6 @@ def run_pipeline(
     jobs: Optional[int] = None,
     plan=None,
     use_processes: bool = True,
-    executor=None,
 ) -> ShardedRun:
     """Shred, key-check and/or DTD-validate a document in one pass.
 
@@ -358,8 +345,7 @@ def run_pipeline(
     same order — and into fresh relation instances (``schema``'s relations
     where it has them) otherwise.  ``jobs`` picks the arm;
     ``use_processes=False`` runs the shard tasks in-process (the same
-    shard/map/merge path, as the differential suites exercise it) and
-    ``executor`` reuses an existing :class:`concurrent.futures.Executor`.
+    shard/map/merge path, as the differential suites exercise it).
     Which tokenizer backend turns text into events is
     :mod:`repro.xmlmodel`'s decision alone; a caller that needs a
     particular one passes its :class:`~repro.xmlmodel.events.Event`
@@ -424,9 +410,7 @@ def run_pipeline(
 
     worker = _ShardWorker(shards, rules, keys or (), skip, obs.enabled())
     indices = range(len(shards))
-    if executor is not None:
-        outputs = list(executor.map(worker.run, indices))
-    elif use_processes:
+    if use_processes:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
@@ -488,7 +472,6 @@ def run_sharded(
     deduplicate: bool = True,
     jobs: Optional[int] = None,
     use_processes: Optional[bool] = None,
-    executor=None,
     plan=None,
 ) -> ShardedRun:
     """:func:`run_pipeline` under its original name and argument order
@@ -502,5 +485,4 @@ def run_sharded(
         jobs=jobs,
         plan=plan,
         use_processes=use_processes is not False,
-        executor=executor,
     )

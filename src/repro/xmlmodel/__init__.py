@@ -45,9 +45,7 @@ __getattr__, __dir__ = lazy_exports(
         "serializer": ("serialize",),
         "shards": (
             "DocumentShards",
-            "MappedDocumentShards",
             "ShardSlice",
-            "map_document_shards",
             "split_document",
         ),
         "paths": (
@@ -93,9 +91,7 @@ __all__ = [
     "serialize",
     "available_backends",
     "DocumentShards",
-    "MappedDocumentShards",
     "ShardSlice",
-    "map_document_shards",
     "split_document",
     "PathExpression",
     "PathStep",

@@ -36,15 +36,15 @@ accelerated backend for in-memory strings, byte buffers and file paths,
 and leaves file-like objects and chunk iterables on the pure incremental
 tokenizer, whose peak memory is bounded by the longest token rather than
 the document.  Only the tokenizer entry points of :mod:`repro.xmlmodel`
-(:func:`~repro.xmlmodel.events.iter_events` and the fragment functions)
-take an ``engine=`` keyword, so tests and benchmarks can pin each
-backend; every plane above consumes :class:`~repro.xmlmodel.events.Event`
-streams and never names one.
+(:func:`~repro.xmlmodel.events.iter_events` and
+:func:`~repro.xmlmodel.shards.fragment_events`) take an ``engine=``
+keyword, so tests and benchmarks can pin each backend; every plane above
+consumes :class:`~repro.xmlmodel.events.Event` streams and never names
+one.
 
-The byte-oriented entry points (:func:`fragment_byte_events`, path
-sources) are the zero-copy half of the design: an ``mmap``-ed document is
-sliced with :class:`memoryview` and fed straight into the C parser, so
-sharded workers never materialize their slice as a Python string.
+A file given by path is ``mmap``-ed and its body fed to the C parser as a
+:class:`memoryview`, without a copy into a Python string.  Shard slices
+are text: a sharded run has read and decoded the document already.
 """
 
 from __future__ import annotations
@@ -55,10 +55,9 @@ import mmap
 import os
 import re
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro import obs
-from repro.xmlmodel.events import ATTR, END, SKIP, START, TEXT, Event, record_tokenizer_call
+from repro.xmlmodel.events import ATTR, END, SKIP, START, TEXT, Event
 from repro.xmlmodel.parser import XMLSyntaxError
 
 #: ``tokenizer.calls`` label of the default, source-routed backend choice.
@@ -251,11 +250,11 @@ def _gc_paused():
 # The expat event stream
 # ----------------------------------------------------------------------
 def _expat_segments(
-    pieces: Sequence[Union[str, bytes, memoryview]],
+    data: Union[str, bytes, memoryview],
     strip_whitespace: bool,
     skip=None,
 ) -> Iterator[List[Event]]:
-    """Parse ``pieces`` with expat, yielding batches of pure-dialect events.
+    """Parse ``data`` with expat, yielding batches of pure-dialect events.
 
     Raises :exc:`_Fallback` on any parse error — the caller owns the
     replay.  The handler bodies are the throughput floor of the whole
@@ -440,7 +439,7 @@ def _expat_segments(
     parser.StartCdataSectionHandler = lambda: parts_append("")
     parser.EndCdataSectionHandler = lambda: None
 
-    final = b"" if pieces and not isinstance(pieces[0], str) else ""
+    final = "" if isinstance(data, str) else b""
     parse = parser.Parse
     try:
         # One pause for the whole parse, not one per segment: every
@@ -449,66 +448,17 @@ def _expat_segments(
         # pause spans the batch yields; if the stream is abandoned the
         # suspended ``with`` unwinds on generator close and re-enables.
         with _gc_paused():
-            for piece in pieces:
-                limit = len(piece)
-                for cursor in range(0, limit, _SEGMENT):
-                    parse(piece[cursor : cursor + _SEGMENT], False)
-                    if out:
-                        yield out
-                        out = []
-                        append = out.append
+            for cursor in range(0, len(data), _SEGMENT):
+                parse(data[cursor : cursor + _SEGMENT], False)
+                if out:
+                    yield out
+                    out = []
+                    append = out.append
             parse(final, True)
     except expat_mod.ExpatError:
         raise _Fallback from None
     if out:
         yield out
-
-
-def _stream(
-    pieces: Sequence[Union[str, bytes, memoryview]],
-    strip_whitespace: bool,
-    replay_text: Callable[[], str],
-    skip=None,
-) -> Iterator[Event]:
-    """Run expat over ``pieces``; replay pure on any parse error.
-
-    ``replay_text`` materializes the *whole* document text (prolog
-    included) so the replayed pure tokenizer reports its canonical events
-    and errors; the events already delivered by the C backend are skipped
-    by count — the two streams are identical up to the failure point, or
-    the probe would have fallen back before parsing.
-
-    The flattening runs through :func:`itertools.chain.from_iterable`
-    rather than a per-event ``yield``: the consumer iterates event lists
-    at C speed instead of resuming a generator frame 100k+ times per
-    megabyte.  Only the batch producer below is a generator, so the
-    ``except _Fallback`` still catches errors raised mid-parse, and a
-    batch is counted as emitted only after the consumer has drained it
-    and pulled the next one.
-    """
-
-    def batches() -> Iterator[Iterable[Event]]:
-        from repro.xmlmodel import events as events_mod
-
-        emitted = 0
-        try:
-            for batch in _expat_segments(pieces, strip_whitespace, skip):
-                yield batch
-                emitted += len(batch)
-        except _Fallback:
-            # The replay runs with the *same* skip set: skip decisions are
-            # a deterministic function of (document, skip set), so the
-            # pure stream reproduces the delivered prefix event-for-event
-            # and the count-based resume stays exact.
-            pure = events_mod.iter_events(
-                replay_text(), strip_whitespace=strip_whitespace, engine=PURE,
-                skip=skip,
-            )
-            if emitted:
-                next(itertools.islice(pure, emitted, emitted), None)
-            yield pure
-
-    return itertools.chain.from_iterable(batches())
 
 
 # ----------------------------------------------------------------------
@@ -519,18 +469,30 @@ def _buffer_events(
     strip_whitespace: bool,
     skip=None,
 ) -> Iterator[Event]:
-    """Tokenize one fully materialized document with expat."""
+    """Tokenize one fully materialized document with expat.
+
+    On any parse error the pure tokenizer replays the *whole* document
+    (prolog included), so the consumer sees its canonical events and
+    errors; the events already delivered by the C backend are skipped by
+    count — the two streams are identical up to the failure point, or
+    the probe would have fallen back before parsing.
+
+    The flattening runs through :func:`itertools.chain.from_iterable`
+    rather than a per-event ``yield``: the consumer iterates event lists
+    at C speed instead of resuming a generator frame 100k+ times per
+    megabyte.  Only the batch producer below is a generator, so the
+    ``except _Fallback`` still catches errors raised mid-parse, and a
+    batch is counted as emitted only after the consumer has drained it
+    and pulled the next one.
+    """
     from repro.xmlmodel import events as events_mod
 
     is_str = isinstance(data, str)
 
-    def replay_text() -> str:
-        return data if is_str else decode_buffer(data)
-
     def pure() -> Iterator[Event]:
         return events_mod.iter_events(
-            replay_text(), strip_whitespace=strip_whitespace, engine=PURE,
-            skip=skip,
+            data if is_str else decode_buffer(data),
+            strip_whitespace=strip_whitespace, engine=PURE, skip=skip,
         )
 
     if _diverges(data):
@@ -548,7 +510,24 @@ def _buffer_events(
         body: Union[str, memoryview] = data if root == 0 else data[root:]
     else:
         body = memoryview(data)[root:]
-    return _stream((body,), strip_whitespace, replay_text, skip)
+
+    def batches() -> Iterator[Iterable[Event]]:
+        emitted = 0
+        try:
+            for batch in _expat_segments(body, strip_whitespace, skip):
+                yield batch
+                emitted += len(batch)
+        except _Fallback:
+            # The replay runs with the *same* skip set: skip decisions are
+            # a deterministic function of (document, skip set), so the
+            # pure stream reproduces the delivered prefix event-for-event
+            # and the count-based resume stays exact.
+            replay = pure()
+            if emitted:
+                next(itertools.islice(replay, emitted, emitted), None)
+            yield replay
+
+    return itertools.chain.from_iterable(batches())
 
 
 def _mapped_events(path: str, strip_whitespace: bool, skip=None) -> Iterator[Event]:
@@ -628,52 +607,3 @@ def accelerated_events(
     if hasattr(source, "__fspath__"):
         return _mapped_events(os.fspath(source), strip_whitespace, skip)
     return _buffer_events(_materialize(source), strip_whitespace, skip)
-
-
-# ----------------------------------------------------------------------
-# Zero-copy shard fragments
-# ----------------------------------------------------------------------
-def fragment_byte_events(
-    root_tag: str,
-    fragment: Union[bytes, bytearray, memoryview],
-    strip_whitespace: bool = True,
-    engine: Optional[str] = None,
-    skip=None,
-) -> Iterator[Event]:
-    """Byte-buffer counterpart of :func:`repro.xmlmodel.shards.fragment_events`.
-
-    The fragment (typically a :class:`memoryview` over an ``mmap``-ed
-    document region) is parsed between synthetic ``<root_tag>`` …
-    ``</root_tag>`` wrapper tags fed to the C parser as separate buffers,
-    so the slice itself is never copied.  The wrapper's START/END events
-    are dropped; errors and fallbacks replay the pure tokenizer over the
-    decoded, wrapped fragment — exactly what the string path raises.
-    """
-    if resolve_engine(engine) == PURE or _expat_module() is None or _diverges(fragment):
-        from repro.xmlmodel import shards
-
-        yield from shards.fragment_events(
-            root_tag, decode_buffer(fragment), strip_whitespace=strip_whitespace,
-            engine=PURE, skip=skip,
-        )
-        return
-
-    def replay_text() -> str:
-        return f"<{root_tag}>{decode_buffer(fragment)}</{root_tag}>"
-
-    pieces = (
-        f"<{root_tag}>".encode("utf-8"),
-        memoryview(fragment),
-        f"</{root_tag}>".encode("utf-8"),
-    )
-    if obs.enabled():
-        # One tokenizer call over the slice's own bytes, as the text twin
-        # of this path (``fragment_events``) records it.
-        record_tokenizer_call(resolve_engine(engine), pieces[1].nbytes)
-    events = _stream(pieces, strip_whitespace, replay_text, skip)
-    next(events)  # the synthetic root START (present even on replay)
-    pending = next(events, None)
-    for event in events:
-        yield pending  # type: ignore[misc]
-        pending = event
-    # ``pending`` is now the synthetic root END — dropped.

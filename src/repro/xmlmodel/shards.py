@@ -23,7 +23,8 @@ CDATA section or processing instruction inside it, deeper nesting, any
 malformed tag — takes the per-tag walk (:func:`_walk_child`), which
 remains the authority, so the scan's answer is the walk's on every input.
 The children are then grouped into contiguous, size-balanced slices.  A
-:class:`DocumentShards` value describes the result:
+:class:`DocumentShards` value describes the result; it is the one shard
+form, holding the decoded text whatever the source's encoding:
 
 * ``prologue_events`` — the root's ``start`` event plus one ``attr`` event
   per root attribute.  Every shard consumer replays these first so its NFA
@@ -53,13 +54,12 @@ error messages remain canonical.
 from __future__ import annotations
 
 import functools
-import mmap
 import re
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro import obs
-from repro.xmlmodel.accel import fragment_byte_events, resolve_engine
+from repro.xmlmodel.accel import resolve_engine
 from repro.xmlmodel.events import (
     ATTR,
     END,
@@ -214,124 +214,6 @@ def fragment_events(
         yield pending  # type: ignore[misc]
         pending = event
     # ``pending`` is now the synthetic root END — dropped.
-
-
-class MappedDocumentShards:
-    """Zero-copy :class:`DocumentShards`: slices live in an ``mmap``-ed file.
-
-    Produced by :func:`map_document_shards` when the parallel coordinator
-    is handed a *path* to an ASCII document (byte offset ≡ character
-    offset, so the structural scan's slice boundaries address the file
-    directly).  The pickled payload shipped to each worker process is just
-    the path, the slice table and the prologue — not the document text;
-    every worker maps the file itself and feeds its slice to the
-    tokenizer as a :class:`memoryview`, so slicing never copies document
-    bytes into worker memory.
-
-    The interface mirrors the parts of :class:`DocumentShards` the worker
-    protocol uses (``prologue_events``, ``prologue_ids``, ``len()``,
-    :meth:`shard_events`); the map is opened lazily per process and is
-    dropped from the pickled state.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        root_tag: str,
-        prologue_events: Tuple[Event, ...],
-        prologue_ids: int,
-        slices: Tuple[ShardSlice, ...],
-        content_start: int,
-        content_end: int,
-    ) -> None:
-        self.path = path
-        self.root_tag = root_tag
-        self.prologue_events = prologue_events
-        self.prologue_ids = prologue_ids
-        self.slices = slices
-        self.content_start = content_start
-        self.content_end = content_end
-        self._mapped: Optional[mmap.mmap] = None
-        self._handle = None
-
-    def __len__(self) -> int:
-        return len(self.slices)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_mapped"] = None
-        state["_handle"] = None
-        return state
-
-    def _view(self) -> memoryview:
-        if self._mapped is None:
-            self._handle = open(self.path, "rb")
-            self._mapped = mmap.mmap(
-                self._handle.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        return memoryview(self._mapped)
-
-    def slice_bytes(self, index: int) -> memoryview:
-        """The raw byte range of one slice (no copy, no synthetic wrapper)."""
-        piece = self.slices[index]
-        return self._view()[piece.start : piece.end]
-
-    def slice_text(self, index: int) -> str:
-        return bytes(self.slice_bytes(index)).decode("ascii")
-
-    def shard_events(
-        self, index: int, strip_whitespace: bool = True, skip=None
-    ) -> Iterator[Event]:
-        """Replay one mapped slice as events, zero-copy into the C backend.
-
-        When the capability probe declines (or expat is missing) the slice
-        decodes once in the worker — still never pickled or shipped.
-        """
-        return fragment_byte_events(
-            self.root_tag,
-            self.slice_bytes(index),
-            strip_whitespace=strip_whitespace,
-            skip=skip,
-        )
-
-    def replay_events(self, strip_whitespace: bool = True) -> Iterator[Event]:
-        yield from self.prologue_events
-        for index in range(len(self.slices)):
-            yield from self.shard_events(index, strip_whitespace=strip_whitespace)
-        yield Event(END, self.root_tag)
-
-    def close(self) -> None:
-        """Release the map (safe to call on an unopened/pickled instance)."""
-        if self._mapped is not None:
-            try:
-                self._mapped.close()
-            except BufferError:  # pragma: no cover - a live exported view
-                pass
-            self._mapped = None
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-def map_document_shards(
-    shards: DocumentShards, path: str
-) -> MappedDocumentShards:
-    """Rebind a :class:`DocumentShards` split to the file it was read from.
-
-    The caller guarantees the file's bytes decode to ``shards.text`` with
-    byte offset ≡ character offset (in practice: the coordinator checks
-    ``bytes.isascii()`` before scanning); the slice table then addresses
-    the file directly and workers read it via ``mmap``.
-    """
-    return MappedDocumentShards(
-        path=path,
-        root_tag=shards.root_tag,
-        prologue_events=shards.prologue_events,
-        prologue_ids=shards.prologue_ids,
-        slices=shards.slices,
-        content_start=shards.content_start,
-        content_end=shards.content_end,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -338,3 +338,54 @@ class TestDeltaStore:
             eng.apply(delete(1))
         assert eng.text() == before_text
         backend.close()
+
+
+
+def _replace_three_times(engine):
+    for _ in range(3):
+        engine.apply(replace(2, engine.fragment(2)))
+        engine.violations()
+
+
+def _delete_and_reinsert(engine):
+    fragment = engine.fragment(2)
+    engine.apply(delete(2))
+    engine.violations()
+    engine.apply(insert(2, fragment))
+    engine.violations()
+
+
+def _reload(engine):
+    engine.load(engine.text())
+    engine.violations()
+
+
+class TestIndexGauges:
+    """``check.nfa_memo_entries`` and ``check.flushed_contexts`` describe
+    the indexed document: a piece that leaves takes its levels back, and
+    recomputing the violations does not count the root's flushes again."""
+
+    DOC = (
+        '<lib><book isbn="1"><title>A</title></book>'
+        '<book isbn="1"><title>B</title></book>'
+        '<book isbn="2"><title>C</title></book></lib>'
+    )
+
+    @pytest.mark.parametrize(
+        "edit", [_replace_three_times, _delete_and_reinsert, _reload],
+        ids=["replace", "delete-insert", "reload"],
+    )
+    def test_gauges_equal_their_values_after_load(self, edit):
+        from repro import obs
+
+        with obs.collect() as registry:
+            engine = IncrementalEngine(keys=parse_keys("K = (., (//book, {@isbn}))\n"))
+            engine.load(self.DOC)
+            engine.violations()
+            loaded = registry.snapshot()
+            edit(engine)
+            edited = registry.snapshot()
+        assert loaded.gauge("check.flushed_contexts") == 1
+        assert loaded.gauge("check.nfa_memo_entries") > 0
+        for name in ("check.nfa_memo_entries", "check.flushed_contexts"):
+            assert edited.gauge(name) == loaded.gauge(name), name

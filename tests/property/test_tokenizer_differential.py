@@ -12,10 +12,10 @@ plane to be observationally identical on random documents:
   same event stream, when the cut happens to leave a well-formed prefix).
 * **Consumers** — node-id-bearing results (key violations with context
   and witness ids, shredded rows) must not depend on the engine, and
-  :func:`repro.parallel.run_sharded` over an ``mmap``-sliced file must be
-  byte-identical to the serial pure run.  The planes take no backend
-  setting, so each consumer is fed ``iter_events(text, engine=...)``
-  directly.
+  :func:`repro.parallel.run_sharded` over a file given by path, cut into
+  text slices, must be byte-identical to the serial pure run.  The planes
+  take no backend setting, so each consumer is fed
+  ``iter_events(text, engine=...)`` directly.
 """
 
 import os
@@ -148,6 +148,8 @@ def fingerprint(run):
 
 
 class TestShardedMmapDifferential:
+    """A sharded run from a path equals the serial pure run."""
+
     @differential_settings
     @given(rule=table_rules(), tree=xml_documents(), keys=st.lists(xml_keys(), max_size=2))
     def test_mmap_sliced_run_matches_serial_pure(self, rule, tree, keys):

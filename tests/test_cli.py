@@ -1014,10 +1014,24 @@ class TestStatsFlags:
         from repro import obs
 
         ws = workspace
-        assert not obs.enabled()
-        main(["check-doc", "--keys", ws["keys"], "--xml", ws["xml"],
-              "--stats"])
-        assert not obs.enabled()
+        argv = ["check-doc", "--keys", ws["keys"], "--xml", ws["xml"], "--stats"]
+        was_enabled = obs.enabled()
+        installed = obs.enable()  # the process-wide registry, restored below
+        try:
+            # From each starting state (``REPRO_METRICS`` may have set one),
+            # ``--stats`` leaves the switch and the registry as it found them.
+            for enabled in (False, True):
+                if enabled:
+                    obs.enable(installed)
+                else:
+                    obs.disable()
+                main(argv)
+                assert obs.enabled() is enabled
+                assert obs.metrics() is (installed if enabled else obs.NULL_REGISTRY)
+        finally:
+            obs.enable(installed)
+            if not was_enabled:
+                obs.disable()
 
     def test_stats_with_violations_keeps_exit_code(
         self, violating_workspace, capsys

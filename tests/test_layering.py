@@ -45,7 +45,7 @@ from repro.transform.stream import (
 )
 from repro.xmlmodel.dtd import stream_dtd_violations
 from repro.xmlmodel.events import as_events, iter_events
-from repro.xmlmodel.shards import DocumentShards, MappedDocumentShards
+from repro.xmlmodel.shards import DocumentShards
 
 #: Entry points of the planes: neither setting is a parameter of these.
 PLANE_ENTRY_POINTS = [
@@ -70,8 +70,6 @@ PLANE_ENTRY_POINTS = [
 SHARD_REPLAYS = [
     DocumentShards.shard_events,
     DocumentShards.replay_events,
-    MappedDocumentShards.shard_events,
-    MappedDocumentShards.replay_events,
 ]
 
 
@@ -89,6 +87,36 @@ def test_planes_take_no_tokenizer_settings(entry):
 @pytest.mark.parametrize("entry", SHARD_REPLAYS, ids=_name)
 def test_shard_replays_take_no_engine(entry):
     assert "engine" not in inspect.signature(entry).parameters
+
+
+def test_one_shard_form():
+    """Every sharded run replays text slices, whatever the source's
+    encoding: the shard module defines one shard form, the tokenizer has
+    no byte-fragment entry point, and the worker payload holds text."""
+    from repro import xmlmodel
+    from repro.xmlmodel import accel, shards
+
+    def defined(module, kind):
+        return {
+            name
+            for name, member in inspect.getmembers(module, kind)
+            if member.__module__ == module.__name__
+        }
+
+    assert defined(shards, inspect.isclass) == {"DocumentShards", "ShardSlice"}
+    assert "mmap" not in vars(shards)
+    functions = defined(accel, inspect.isfunction)
+    assert {name for name in functions if "fragment" in name} == set()
+    assert {name for name in xmlmodel.__all__ if "shard" in name.lower()} == {
+        "DocumentShards",
+        "ShardSlice",
+    }
+    assert _ShardWorker.__dataclass_fields__["shards"].type == "DocumentShards"
+
+
+@pytest.mark.parametrize("entry", [run_pipeline, run_sharded], ids=_name)
+def test_pipeline_takes_no_executor(entry):
+    assert "executor" not in inspect.signature(entry).parameters
 
 
 def _functions_outside_xmlmodel():

@@ -277,12 +277,9 @@ class TestScenarioScale:
 
 
 class TestZeroCopyMmapPath:
-    """PathLike sources ship a slice table, not the text (PR 7).
-
-    Workers ``mmap`` the file themselves and feed their byte range to the
-    tokenizer; the pickled payload must therefore stay slice-table-sized,
-    and every result must stay byte-identical to the in-memory text run.
-    """
+    """A PathLike source is read once by the coordinator and cut into text
+    slices, whatever its encoding; every result of the sharded run stays
+    byte-identical to the serial run over the in-memory text."""
 
     def _write(self, tmp_path, text, encoding="ascii"):
         target = tmp_path / "doc.xml"
@@ -304,39 +301,14 @@ class TestZeroCopyMmapPath:
         )
 
     def test_non_ascii_file_degrades_to_text_plane(self, tmp_path, transformation):
-        # Byte offsets and character offsets disagree: the coordinator
-        # must ship text slices instead of mmap ranges — same answer.
+        # Byte offsets and character offsets disagree; the slices are
+        # character ranges of the decoded text — same answer.
         doc = DOC.replace("<title>A</title>", "<title>É</title>")
         target = self._write(tmp_path, doc, encoding="utf-8")
         serial = run_sharded(doc, transformation=transformation, jobs=1)
         run = run_sharded(target, transformation=transformation, jobs=2)
         for name, instance in serial.instances.items():
             assert run.instances[name].rows == instance.rows
-
-    def test_mapped_payload_is_small_and_roundtrips(self, tmp_path):
-        import pickle
-
-        from repro.xmlmodel.shards import map_document_shards, split_document
-
-        text = (
-            "<lib>"
-            + "".join(
-                f"<book isbn='{i}'><title>T{i}</title></book>" for i in range(4000)
-            )
-            + "</lib>"
-        )
-        target = self._write(tmp_path, text)
-        shards = split_document(text, 8)
-        mapped = map_document_shards(shards, str(target))
-        payload = pickle.dumps(mapped)
-        assert len(payload) < len(text) // 50, "payload must not carry the text"
-        restored = pickle.loads(payload)
-        assert len(restored) == len(shards)
-        assert list(restored.prologue_events) == list(shards.prologue_events)
-        for index in range(len(shards)):
-            assert list(restored.shard_events(index)) == list(
-                shards.shard_events(index)
-            )
 
 
 class TestSyntaxErrorsCrossThePool:
@@ -457,6 +429,22 @@ class TestMetricParity:
         plan = compile_plan(parse_dtd(MONDIAL_DTD), keys=keys)
         serial = self._assert_parity(mondial, keys=keys, plan=plan)
         assert serial.counter("pipeline.skips") > 0
+
+    def test_non_ascii_document_counts_bytes(self, mondial):
+        from repro.keys import parse_keys
+
+        # Multi-byte characters in the prolog, a root attribute and every
+        # shard: character and byte offsets disagree everywhere.
+        text = mondial.read_text(encoding="utf-8")
+        text = text.replace("<mondial>", "<!-- Ümlaut -->\n<mondial name='Größe'>")
+        mondial.write_text(text.replace("<name>City", "<name>Città"), encoding="utf-8")
+        size = mondial.stat().st_size
+        assert len(mondial.read_text(encoding="utf-8")) < size
+        keys = parse_keys(
+            "K1 = (., (//country, {@car_code}))\nK2 = (//province, (city, {}))\n"
+        )
+        serial = self._assert_parity(mondial, keys=keys)
+        assert serial.counter("tokenizer.bytes") == size
 
 
 class TestShardRouteCounters:

@@ -28,11 +28,7 @@ import pytest
 from test_chunk_boundaries import ADVERSARIAL_DOCUMENTS
 
 from repro.xmlmodel import accel
-from repro.xmlmodel.accel import (
-    available_backends,
-    fragment_byte_events,
-    resolve_engine,
-)
+from repro.xmlmodel.accel import available_backends, resolve_engine
 from repro.xmlmodel.events import iter_events
 from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.shards import fragment_events
@@ -256,26 +252,3 @@ class TestSegmentsAndAuto:
     def test_explicit_backend_accepts_file_likes(self):
         stream = accel.accelerated_events(io.StringIO("<a>x</a>"), True, "expat")
         assert list(stream) == list(iter_events("<a>x</a>", engine="pure"))
-
-
-# ----------------------------------------------------------------------
-# Zero-copy shard fragments
-# ----------------------------------------------------------------------
-class TestFragmentByteEvents:
-    FRAGMENT = "<a n='1'>first</a><a n='2'><b/>second</a>"
-
-    def test_matches_string_fragment_events(self):
-        raw = memoryview(self.FRAGMENT.encode("utf-8"))
-        expected = list(fragment_events("r", self.FRAGMENT, engine="pure"))
-        assert list(fragment_byte_events("r", raw, engine="expat")) == expected
-
-    def test_divergent_fragment_falls_back(self):
-        fragment = "<a>one\rtwo</a>"
-        raw = memoryview(fragment.encode("utf-8"))
-        expected = list(fragment_events("r", fragment, engine="pure"))
-        assert list(fragment_byte_events("r", raw, engine="expat")) == expected
-
-    def test_pure_engine_accepts_bytes(self):
-        raw = self.FRAGMENT.encode("utf-8")
-        expected = list(fragment_events("r", self.FRAGMENT, engine="pure"))
-        assert list(fragment_byte_events("r", raw, engine="pure")) == expected

@@ -14,8 +14,8 @@ the PR 1-6 gates (plain ``perf_counter`` timing under
   same order.
 
 * ``test_accel_tokenizer_speedup_report`` — tokenizing the gate document
-  from its file must be ≥ 5× faster on the accelerated path (mmap +
-  C parser) than on the pure chunked-reader path.  This is the front-end
+  from its file must be ≥ 5× faster on the accelerated path (read as
+  text + C parser) than on the pure chunked-reader path.  This is the front-end
   the parallel and storage planes consume; the end-to-end pipeline
   numbers (tokenize + shred + check, where Amdahl caps the win at the
   consumer's share) are recorded un-gated below and in

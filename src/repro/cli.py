@@ -249,8 +249,9 @@ def cmd_shred(args: argparse.Namespace) -> int:
         from repro.transform import evaluate_transformation
         from repro.transform.stream import record_shred_rows
         from repro.xmlmodel import parse_document
+        from repro.xmlmodel.events import read_document
 
-        tree = parse_document(_read(args.xml))
+        tree = parse_document(read_document(args.xml))
         if keys:
             found = [violation for key in keys for violation in violations(tree, key)]
             exit_code = _print_violation_report(keys, found)
@@ -298,8 +299,9 @@ def cmd_check_doc(args: argparse.Namespace) -> int:
     if args.dom:
         from repro.keys import violations
         from repro.xmlmodel import parse_document
+        from repro.xmlmodel.events import read_document
 
-        tree = parse_document(_read(args.xml))
+        tree = parse_document(read_document(args.xml))
         if dtd is not None:
             dtd_exit = _print_dtd_report(dtd.validate(tree))
         found = [violation for key in keys for violation in violations(tree, key)]
@@ -529,6 +531,7 @@ def _parse_delta_op(text: str):
     document text; anything else is read as a file path.
     """
     from repro.incremental import Delta
+    from repro.xmlmodel.events import read_document
 
     parts = text.split(None, 2)
     if not parts:
@@ -544,7 +547,7 @@ def _parse_delta_op(text: str):
                 f"{kind} takes a position and a fragment (or fragment file): {text!r}"
             )
         operand = parts[2].strip()
-        fragment = operand if operand.startswith("<") else _read(operand)
+        fragment = operand if operand.startswith("<") else read_document(operand)
         return Delta(kind, int(parts[1]), fragment)
     raise ValueError(f"unknown delta operation {kind!r} (insert/delete/replace)")
 
@@ -577,6 +580,7 @@ def cmd_apply_delta(args: argparse.Namespace) -> int:
         StorageDDL,
         compile_table_ddl,
     )
+    from repro.xmlmodel.events import read_document
 
     transformation = _load_transformation(args.transform) if args.transform else None
     keys = _load_keys(args.keys) if args.keys else []
@@ -591,7 +595,7 @@ def cmd_apply_delta(args: argparse.Namespace) -> int:
         return 2
 
     engine = IncrementalEngine(transformation, keys)
-    subtrees = engine.load(_read(args.xml))
+    subtrees = engine.load(read_document(args.xml))
     print(f"indexed {args.xml}: {subtrees} top-level subtree(s)")
 
     backend = None

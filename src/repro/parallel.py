@@ -68,7 +68,7 @@ from repro.transform.stream import (
     relation_schema,
     root_attr_parts,
 )
-from repro.xmlmodel.events import ATTR, SKIP, Event, as_events
+from repro.xmlmodel.events import ATTR, SKIP, Event, as_events, read_document
 from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.shards import DocumentShards, cut_document
 
@@ -302,11 +302,9 @@ def _split(source, num_shards: int, rules: Sequence[TableRule]):
     """
     size = None
     if hasattr(source, "__fspath__"):
-        with open(source, "rb") as handle:
-            raw = handle.read()
-        source = raw.decode("utf-8")
-        size = len(raw)
-        del raw
+        text = read_document(source)
+        size = os.path.getsize(source)
+        source = text
     if not isinstance(source, str):
         reason = FALLBACK_SOURCE
     elif any(RuleStreamer(rule, shard_mode=True).anchors_root_bound for rule in rules):

@@ -32,32 +32,32 @@ Identity is engineered, not assumed, through two mechanisms:
 Backend selection follows the libearth ``compat.etree`` model: one
 façade over an ordered list of backends — expat, then the pure fallback —
 chosen from what it can observe, with no user switch.  ``auto`` uses the
-accelerated backend for in-memory strings, byte buffers and file paths,
-and leaves file-like objects and chunk iterables on the pure incremental
-tokenizer, whose peak memory is bounded by the longest token rather than
-the document.  Only the tokenizer entry points of :mod:`repro.xmlmodel`
+accelerated backend for in-memory strings and file paths, and leaves
+file-like objects and chunk iterables on the pure incremental tokenizer,
+whose peak memory is bounded by the longest token rather than the
+document.  Only the tokenizer entry points of :mod:`repro.xmlmodel`
 (:func:`~repro.xmlmodel.events.iter_events` and
 :func:`~repro.xmlmodel.shards.fragment_events`) take an ``engine=``
 keyword, so tests and benchmarks can pin each backend; every plane above
 consumes :class:`~repro.xmlmodel.events.Event` streams and never names
 one.
 
-A file given by path is ``mmap``-ed and its body fed to the C parser as a
-:class:`memoryview`, without a copy into a Python string.  Shard slices
-are text: a sharded run has read and decoded the document already.
+Expat is only ever given text.  A file given by path is read whole and
+decoded as UTF-8 by :func:`~repro.xmlmodel.events.read_document`, the
+reader every plane shares, so the probe, the prolog skip and the replay
+all see the one string the other planes see; byte buffers were decoded
+by :func:`~repro.xmlmodel.events.iter_events` before they get here.
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
-import mmap
-import os
 import re
 from contextlib import contextmanager
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple
 
-from repro.xmlmodel.events import ATTR, END, SKIP, START, TEXT, Event
+from repro.xmlmodel.events import ATTR, END, SKIP, START, TEXT, Event, read_document
 from repro.xmlmodel.parser import XMLSyntaxError
 
 #: ``tokenizer.calls`` label of the default, source-routed backend choice.
@@ -65,10 +65,10 @@ AUTO = "auto"
 PURE = "pure"
 EXPAT = "expat"
 
-#: Bytes fed to the C parser per ``Parse`` call.  Events are handed to the
-#: consumer between segments, so peak accelerated memory is one segment's
-#: events, not the whole document's.
-_SEGMENT = 1 << 20
+#: Characters fed to the C parser per ``Parse`` call.  Events are handed to
+#: the consumer between segments, so peak accelerated memory is one
+#: segment's events (and its slice), not the whole document's.
+_SEGMENT = 1 << 18
 
 #: ``auto`` leaves sources smaller than this on the pure tokenizer: the
 #: fixed cost of parser construction and the divergence probe only pays
@@ -135,94 +135,17 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 # The BOM/\r/\t prechecks are C-speed substring scans; the attribute
 # regex — the only character-class walk — runs just when a tab or newline
 # exists at all, and anchors on the literal ``=`` so the engine skips
-# between attributes instead of walking every byte.
-_DIVERGENCE_STR = re.compile("=[ \t\n]*(?:\"[^\"]*[\t\n]|'[^']*[\t\n])")
-_DIVERGENCE_BYTES = re.compile(b"=[ \t\n]*(?:\"[^\"]*[\t\n]|'[^']*[\t\n])")
+# between attributes instead of walking every character.
+_DIVERGENCE = re.compile("=[ \t\n]*(?:\"[^\"]*[\t\n]|'[^']*[\t\n])")
 
 
-def _diverges(data: Union[str, bytes, bytearray, memoryview, "mmap.mmap"]) -> bool:
+def _diverges(data: str) -> bool:
     """Whether expat could normalize ``data`` away from pure."""
-    if isinstance(data, str):
-        if data.startswith("\ufeff") or "\r" in data:
-            return True
-        if "\t" not in data and "\n" not in data:
-            return False
-        return _DIVERGENCE_STR.search(data) is not None
-    if data[:3] == b"\xef\xbb\xbf" or _contains(data, b"\r"):
+    if data.startswith("\ufeff") or "\r" in data:
         return True
-    if not _contains(data, b"\t") and not _contains(data, b"\n"):
+    if "\t" not in data and "\n" not in data:
         return False
-    return _DIVERGENCE_BYTES.search(data) is not None
-
-
-def _contains(
-    data: Union[bytes, bytearray, memoryview, "mmap.mmap"], needle: bytes
-) -> bool:
-    find = getattr(data, "find", None)  # bytes/bytearray/mmap: a memchr scan
-    if find is not None:
-        return find(needle) >= 0
-    # memoryview has no ``find``; a literal regex search is still a C scan.
-    return re.search(re.escape(needle), data) is not None
-
-
-def decode_buffer(data: Union[bytes, bytearray, memoryview, "mmap.mmap"]) -> str:
-    """Decode a byte buffer the way the pure tokenizer would read a file."""
-    if not isinstance(data, (bytes, bytearray)):
-        data = bytes(data)
-    return data.decode("utf-8")
-
-
-# ----------------------------------------------------------------------
-# Prolog skipping over byte buffers
-# ----------------------------------------------------------------------
-# Expat is fed the document *body*: the prolog dialect (skipped
-# DOCTYPE with internal subset, any number of comments/PIs) is the pure
-# tokenizer's, and handing it to a validating parser would change both
-# behavior and errors.  This is the byte-buffer port of
-# ``events._skip_string_prolog``; anything doubtful (exotic whitespace,
-# malformed constructs) raises and the caller replays the pure tokenizer,
-# which owns the canonical answer.
-_BYTE_SPACE = frozenset(b" \t\r\n\x0b\x0c")
-_PI_END_B = re.compile(b"\\?>")
-_COMMENT_END_B = re.compile(b"-->")
-
-
-def _skip_bytes_prolog(data, length: int) -> int:
-    pos = 0
-    while True:
-        while pos < length and data[pos] in _BYTE_SPACE:
-            pos += 1
-        if pos + 1 >= length:
-            return pos
-        if data[pos] != 0x3C:  # ord('<')
-            return pos
-        nxt = data[pos + 1]
-        if nxt == 0x3F:  # '?'
-            match = _PI_END_B.search(data, pos)
-            if match is None:
-                raise XMLSyntaxError("unterminated construct (missing '?>')", pos)
-            pos = match.end()
-        elif nxt == 0x21 and bytes(data[pos : pos + 4]) == b"<!--":
-            match = _COMMENT_END_B.search(data, pos)
-            if match is None:
-                raise XMLSyntaxError("unterminated construct (missing '-->')", pos)
-            pos = match.end()
-        elif nxt == 0x21 and bytes(data[pos : pos + 9]) == b"<!DOCTYPE":
-            depth = 0
-            while True:
-                if pos >= length:
-                    raise XMLSyntaxError("unterminated DOCTYPE declaration", pos)
-                char = data[pos]
-                if char == 0x5B:  # '['
-                    depth += 1
-                elif char == 0x5D:  # ']'
-                    depth -= 1
-                elif char == 0x3E and depth <= 0:  # '>'
-                    pos += 1
-                    break
-                pos += 1
-        else:
-            return pos
+    return _DIVERGENCE.search(data) is not None
 
 
 @contextmanager
@@ -250,11 +173,14 @@ def _gc_paused():
 # The expat event stream
 # ----------------------------------------------------------------------
 def _expat_segments(
-    data: Union[str, bytes, memoryview],
-    strip_whitespace: bool,
-    skip=None,
+    data: str, root: int, strip_whitespace: bool, skip=None
 ) -> Iterator[List[Event]]:
-    """Parse ``data`` with expat, yielding batches of pure-dialect events.
+    """Parse ``data`` from ``root`` with expat, yielding batches of
+    pure-dialect events.
+
+    ``root`` is the offset of the root element's ``<``: the prolog is the
+    pure tokenizer's dialect and is never handed to expat.  Each segment
+    is sliced from there, so a prolog does not cost a copy of the body.
 
     Raises :exc:`_Fallback` on any parse error — the caller owns the
     replay.  The handler bodies are the throughput floor of the whole
@@ -439,7 +365,6 @@ def _expat_segments(
     parser.StartCdataSectionHandler = lambda: parts_append("")
     parser.EndCdataSectionHandler = lambda: None
 
-    final = "" if isinstance(data, str) else b""
     parse = parser.Parse
     try:
         # One pause for the whole parse, not one per segment: every
@@ -448,13 +373,13 @@ def _expat_segments(
         # pause spans the batch yields; if the stream is abandoned the
         # suspended ``with`` unwinds on generator close and re-enables.
         with _gc_paused():
-            for cursor in range(0, len(data), _SEGMENT):
+            for cursor in range(root, len(data), _SEGMENT):
                 parse(data[cursor : cursor + _SEGMENT], False)
                 if out:
                     yield out
                     out = []
                     append = out.append
-            parse(final, True)
+            parse("", True)
     except expat_mod.ExpatError:
         raise _Fallback from None
     if out:
@@ -464,11 +389,7 @@ def _expat_segments(
 # ----------------------------------------------------------------------
 # Source coercion + the public accelerated entry point
 # ----------------------------------------------------------------------
-def _buffer_events(
-    data: Union[str, bytes, bytearray, memoryview, "mmap.mmap"],
-    strip_whitespace: bool,
-    skip=None,
-) -> Iterator[Event]:
+def _expat_events(data: str, strip_whitespace: bool, skip=None) -> Iterator[Event]:
     """Tokenize one fully materialized document with expat.
 
     On any parse error the pure tokenizer replays the *whole* document
@@ -487,34 +408,24 @@ def _buffer_events(
     """
     from repro.xmlmodel import events as events_mod
 
-    is_str = isinstance(data, str)
-
     def pure() -> Iterator[Event]:
         return events_mod.iter_events(
-            data if is_str else decode_buffer(data),
-            strip_whitespace=strip_whitespace, engine=PURE, skip=skip,
+            data, strip_whitespace=strip_whitespace, engine=PURE, skip=skip
         )
 
     if _diverges(data):
         return pure()
     try:
-        if is_str:
-            root = events_mod._skip_string_prolog(data)
-        else:
-            root = _skip_bytes_prolog(data, len(data))
+        root = events_mod._skip_string_prolog(data)
     except XMLSyntaxError:
         return pure()
-    if root >= len(data) or data[root] not in ("<", 0x3C):
+    if root >= len(data) or data[root] != "<":
         return pure()
-    if is_str:
-        body: Union[str, memoryview] = data if root == 0 else data[root:]
-    else:
-        body = memoryview(data)[root:]
 
     def batches() -> Iterator[Iterable[Event]]:
         emitted = 0
         try:
-            for batch in _expat_segments(body, strip_whitespace, skip):
+            for batch in _expat_segments(data, root, strip_whitespace, skip):
                 yield batch
                 emitted += len(batch)
         except _Fallback:
@@ -530,54 +441,10 @@ def _buffer_events(
     return itertools.chain.from_iterable(batches())
 
 
-def _mapped_events(path: str, strip_whitespace: bool, skip=None) -> Iterator[Event]:
-    """Tokenize a file by path: ``mmap`` it and feed the map zero-copy.
-
-    The mapping is released by a terminal link in the returned chain
-    rather than a wrapping generator: a ``yield from`` wrapper would put
-    one Python frame resume on *every* event, which is exactly the
-    per-event overhead this module exists to remove.  A stream abandoned
-    mid-iteration drops its references and CPython closes the map and
-    handle at dealloc.
-    """
-    handle = open(path, "rb")
-    try:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    except ValueError:  # zero-length file cannot be mapped
-        try:
-            data = handle.read()
-        finally:
-            handle.close()
-        return _buffer_events(data, strip_whitespace, skip)
-    except BaseException:
-        handle.close()
-        raise
-    inner = _buffer_events(mapped, strip_whitespace, skip)
-    return itertools.chain(inner, _release_mapping(mapped, handle))
-
-
-def _release_mapping(mapped: "mmap.mmap", handle) -> Iterator[Event]:
-    """An empty tail iterator that closes the map once the stream ends."""
-    try:
-        mapped.close()
-    except BufferError:  # pragma: no cover - a leaked exported view
-        pass
-    handle.close()
-    return
-    yield  # pragma: no cover - unreachable; makes this a generator
-
-
-def _materialize(source) -> Union[str, bytes]:
+def _materialize(source) -> str:
     """Buffer a file-like object or chunk iterable for expat."""
     read = getattr(source, "read", None)
-    if read is not None:
-        return read()
-    pieces = list(source)
-    if not pieces:
-        return ""
-    if isinstance(pieces[0], str):
-        return "".join(pieces)
-    return b"".join(pieces)
+    return read() if read is not None else "".join(source)
 
 
 def accelerated_events(
@@ -585,25 +452,24 @@ def accelerated_events(
 ) -> Optional[Iterator[Event]]:
     """The accelerated side of :func:`repro.xmlmodel.events.iter_events`.
 
-    ``resolved`` is the output of :func:`resolve_engine` (never ``pure``).
-    Returns ``None`` when ``auto`` decides the source belongs on the pure
-    tokenizer: small strings (fixed costs dominate), and file-like objects
-    or chunk iterables (whose bounded-memory contract buffering would
-    break).  An *explicit* backend request accepts every source and
-    buffers when it must.
+    ``source`` is text, a path, a file-like object or a chunk iterable
+    (byte buffers arrive decoded).  ``resolved`` is the output of
+    :func:`resolve_engine` (never ``pure``).  Returns ``None`` when
+    ``auto`` decides the source belongs on the pure tokenizer: small
+    strings (fixed costs dominate), and file-like objects or chunk
+    iterables (whose bounded-memory contract buffering would break).  A
+    path is read here, past the size rule for text, so it reaches expat
+    at any size and with any skip set.  An *explicit* backend request
+    accepts every source and buffers when it must.
     """
-    if resolved == AUTO:
-        if _expat_module() is None:  # pragma: no cover - expat ships with CPython
+    if resolved == AUTO and _expat_module() is None:  # pragma: no cover
+        return None  # expat ships with CPython
+    if isinstance(source, str):
+        if resolved == AUTO and len(source) < _AUTO_THRESHOLD:
             return None
-        if isinstance(source, (str, bytes, bytearray, memoryview, mmap.mmap)):
-            if len(source) < _AUTO_THRESHOLD:
-                return None
-            return _buffer_events(source, strip_whitespace, skip)
-        if hasattr(source, "__fspath__"):
-            return _mapped_events(os.fspath(source), strip_whitespace, skip)
-        return None
-    if isinstance(source, (str, bytes, bytearray, memoryview, mmap.mmap)):
-        return _buffer_events(source, strip_whitespace, skip)
+        return _expat_events(source, strip_whitespace, skip)
     if hasattr(source, "__fspath__"):
-        return _mapped_events(os.fspath(source), strip_whitespace, skip)
-    return _buffer_events(_materialize(source), strip_whitespace, skip)
+        return _expat_events(read_document(source), strip_whitespace, skip)
+    if resolved == AUTO:
+        return None
+    return _expat_events(_materialize(source), strip_whitespace, skip)

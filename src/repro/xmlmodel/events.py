@@ -95,8 +95,8 @@ EventSource = Union[
     ElementNode,
 ]
 
-#: Byte-buffer source types (decoded for the pure tokenizer, fed zero-copy
-#: to the accelerated backends of :mod:`repro.xmlmodel.accel`).
+#: Byte-buffer source types: UTF-8, decoded once on entry to
+#: :func:`iter_events`, so every backend tokenizes text.
 _BUFFER_TYPES = (bytes, bytearray, memoryview, mmap.mmap)
 
 _DEFAULT_CHUNK = 1 << 16
@@ -161,7 +161,10 @@ def iter_events(
       When a non-empty ``skip`` set accompanies an in-memory string,
       ``auto`` prefers the pure scanner: its bulk fast-forward elides
       skippable regions at C speed, which beats a C parser that must
-      still visit every node;
+      still visit every node.  That preference is for strings only: a
+      byte buffer, decoded on entry, otherwise routes like a string, and
+      a path, read with :func:`read_document`, goes to expat at any size
+      and with any ``skip`` set;
     * ``"pure"`` — the in-tree reference tokenizer below;
     * ``"expat"`` — the expat front-end of :mod:`repro.xmlmodel.accel`,
       which emits the identical event stream and errors (falling back to
@@ -235,6 +238,8 @@ def _route_events(
         # per element it visits.  An explicit ``engine`` is honored
         # unchanged.
         return _string_events(source, strip_whitespace, skip)
+    if isinstance(source, _BUFFER_TYPES):
+        source = str(source, "utf-8")
     if resolved != accel.PURE:
         accelerated = accel.accelerated_events(source, strip_whitespace, resolved, skip)
         if accelerated is not None:
@@ -243,11 +248,20 @@ def _route_events(
         return _Tokenizer(
             _path_chunks(os.fspath(source), chunk_size), strip_whitespace
         ).events()
-    if isinstance(source, _BUFFER_TYPES):
-        source = accel.decode_buffer(source)
     if isinstance(source, str):
         return _string_events(source, strip_whitespace, skip)
     return _Tokenizer(_chunks_of(source, chunk_size), strip_whitespace).events()
+
+
+def read_document(path: Union[str, "os.PathLike[str]"]) -> str:
+    """Read an XML document file as text: the whole file, decoded as UTF-8.
+
+    Newlines stay as they are in the file: the dialect keeps carriage
+    returns, so a reader that translated them would change the document.
+    Every plane that takes a document by path reads it here.
+    """
+    with open(path, "rb") as handle:
+        return str(handle.read(), "utf-8")
 
 
 def _skip_string_prolog(source: str, pos: int = 0) -> int:
@@ -825,8 +839,11 @@ def _chunks_of(
 
 
 def _path_chunks(path: str, chunk_size: int) -> Iterator[str]:
-    """Chunk a file by path for the pure tokenizer, closing it when done."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Chunk a file by path for the pure tokenizer, closing it when done.
+
+    ``newline=""`` keeps carriage returns, as :func:`read_document` does.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         while True:
             chunk = handle.read(chunk_size)
             if not chunk:

@@ -5,13 +5,17 @@ planes — the DOM, the serial streaming pass, the sharded pass on worker
 processes, the DTD-pruned pass.  All of them are promised to print
 byte-identical reports and exit codes.  This suite holds them to it on
 the schema-shaped stress corpora of :mod:`repro.experiments.scenarios`
-(entity-dense text, a DBLP-shaped bibliography, deep recursive nesting)
-and on an ill-formed document, whose syntax error must read the same on
-every plane.  The pure tokenizer is not a CLI plane (the backend is the
+(entity-dense text, a DBLP-shaped bibliography, deep recursive nesting),
+on an ill-formed document, whose syntax error must read the same on
+every plane, on carriage returns, which every plane keeps, and on a file
+that is not UTF-8, whose decode error must read the same on every plane.
+The pure tokenizer is not a CLI plane (the backend is the
 tokenizer's own choice), so its events are fed to the pipeline driver
 in-process and compared with the default plane's answer.
 """
 
+import io
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -237,3 +241,129 @@ class TestIllFormedDocument:
         serial = _run(argv + ["--jobs", "1"], capsys)
         assert serial == expected
         assert _run(argv + ["--jobs", "2"], capsys) == serial
+
+
+# ----------------------------------------------------------------------
+# Carriage returns: every plane reads the file's bytes as they are
+# ----------------------------------------------------------------------
+#: Two ``<i>`` whose ``@k`` differ only in ``\r\n`` against ``\n``.  The
+#: in-tree dialect keeps carriage returns, so the values differ and the
+#: key holds; a plane that translates newlines reports a duplicate.
+CRLF_DOC = '<r><i k="x\r\ny"/><i k="x\ny"/></r>'
+CRLF_KEYS = "K = (., (//i, {@k}))\n"
+CRLF_RULES = "table i\n  var a <- xr : //i\n  var k <- a : @k\n  field k = value(k)\n"
+
+
+@pytest.fixture()
+def crlf(tmp_path):
+    paths = {}
+    for name, text in (
+        ("doc", CRLF_DOC), ("keys", CRLF_KEYS), ("rules", CRLF_RULES),
+        ("frag", '<i k="x\r\ny"/>'), ("one", '<r><i k="x\ny"/></r>'),
+    ):
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+        paths[name] = str(tmp_path / name)
+    return paths
+
+
+class TestCarriageReturns:
+    def test_check_doc_planes_keep_carriage_returns(self, crlf, capsys):
+        base = ["check-doc", "--keys", crlf["keys"], "--xml", crlf["doc"]]
+        serial = _run(base, capsys)
+        assert serial[0] == 0 and serial[2] == ""
+        assert _run(base + ["--dom"], capsys) == serial
+        assert _run(base + ["--jobs", "2"], capsys) == serial
+
+    def test_shred_planes_keep_carriage_returns(self, crlf, capsys):
+        base = ["shred", "--transform", crlf["rules"], "--xml", crlf["doc"], "--sql"]
+        dom = _run(base, capsys)
+        assert dom[0] == 0 and "'x\r\ny'" in dom[1]
+        assert _run(base + ["--stream"], capsys) == dom
+        assert _run(base + ["--jobs", "2"], capsys) == dom
+
+    def test_apply_delta_keeps_carriage_returns(self, crlf, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("violations\n"))
+        argv = ["apply-delta", "--keys", crlf["keys"], "--xml", crlf["doc"], "--repl"]
+        code, out, _ = _run(argv, capsys)
+        assert (code, out.splitlines()[-1]) == (0, "0 violation(s)")
+
+    def test_delta_fragment_file_keeps_carriage_returns(self, crlf, capsys):
+        argv = [
+            "apply-delta", "--keys", crlf["keys"], "--xml", crlf["one"],
+            "--op", f"insert 1 {crlf['frag']}",
+        ]
+        code, out, _ = _run(argv, capsys)
+        assert code == 0 and "(total 0)" in out
+
+    @pytest.mark.parametrize(
+        "text", [CRLF_DOC, "<r><a>one\rtwo</a><b k='\r'/></r>"], ids=["crlf", "lone-cr"]
+    )
+    def test_pure_and_expat_path_events_agree(self, tmp_path, text):
+        target = tmp_path / "doc.xml"
+        target.write_bytes(text.encode("utf-8"))
+        pure = list(iter_events(target, engine="pure"))
+        assert pure == list(iter_events(target, engine="expat"))
+        assert pure == list(iter_events(text, engine="pure"))
+
+
+# ----------------------------------------------------------------------
+# A file that is not UTF-8: one decode error, the same on every plane
+# ----------------------------------------------------------------------
+UTF8_DTD = "<!ELEMENT r (a*)>\n<!ELEMENT a (#PCDATA)>\n"
+
+
+@pytest.fixture(scope="module")
+def not_utf8(tmp_path_factory):
+    """A 4 KiB+ document with a Latin-1 ``é`` (byte 0xe9) near its end."""
+    directory = tmp_path_factory.mktemp("not_utf8")
+    head = "<r>" + "<a>x</a>" * 600
+    raw = head.encode("utf-8") + b"<a>caf\xe9</a></r>"
+    paths = _write(
+        directory, dtd=UTF8_DTD, keys="K = (., (//a, {}))\n",
+        rules="table a\n  var a <- xr : //a\n  field v = value(a)\n",
+    )
+    (directory / "doc").write_bytes(raw)
+    paths["doc"] = str(directory / "doc")
+    position = len(head) + len("<a>caf")
+    message = (
+        f"error: 'utf-8' codec can't decode byte 0xe9 in position {position}: "
+        "invalid continuation byte\n"
+    )
+    return paths, message
+
+
+class TestNotUtf8Document:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check-doc", "--keys", "{keys}", "--xml", "{doc}"],
+            ["check-doc", "--keys", "{keys}", "--xml", "{doc}", "--jobs", "2"],
+            ["check-doc", "--keys", "{keys}", "--xml", "{doc}", "--dom"],
+            [
+                "check-doc", "--keys", "{keys}", "--xml", "{doc}",
+                "--dtd", "{dtd}", "--prune",
+            ],
+            ["shred", "--transform", "{rules}", "--xml", "{doc}", "--stream"],
+        ],
+        ids=["check-doc", "check-doc-jobs2", "check-doc-dom", "check-doc-prune", "shred-stream"],
+    )
+    def test_every_plane_reports_the_decode_error(self, not_utf8, command, capsys):
+        paths, message = not_utf8
+        assert _run(_argv(command, paths), capsys) == (2, "", message)
+
+    def test_load_reports_the_decode_error_and_loads_nothing(self, not_utf8, capsys):
+        paths, message = not_utf8
+        argv = _argv(["load", "--transform", "{rules}", "--xml", "{doc}", "--db", "{db}"], paths)
+        assert _run(argv, capsys) == (2, "", message)
+        connection = sqlite3.connect(paths["db"])
+        try:
+            tables = connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            ).fetchall()
+            rows = sum(
+                connection.execute(f'SELECT COUNT(*) FROM "{name}"').fetchone()[0]
+                for (name,) in tables
+            )
+        finally:
+            connection.close()
+        assert rows == 0

@@ -6,7 +6,7 @@ pure tokenizer is the reference; these properties force the accelerated
 plane to be observationally identical on random documents:
 
 * **Events** — same kinds, names and payloads in the same order, in both
-  whitespace modes, for text, bytes, chunked and file(``mmap``) sources.
+  whitespace modes, for text, bytes, chunked and file (by path) sources.
 * **Errors** — truncating a document at a random offset must produce the
   same exception type, message and position from both engines (or the
   same event stream, when the cut happens to leave a well-formed prefix).
@@ -147,12 +147,12 @@ def fingerprint(run):
     return rows, violations
 
 
-class TestShardedMmapDifferential:
+class TestShardedPathDifferential:
     """A sharded run from a path equals the serial pure run."""
 
     @differential_settings
     @given(rule=table_rules(), tree=xml_documents(), keys=st.lists(xml_keys(), max_size=2))
-    def test_mmap_sliced_run_matches_serial_pure(self, rule, tree, keys):
+    def test_path_sliced_run_matches_serial_pure(self, rule, tree, keys):
         text = serialize(tree, indent=0)
         assert text.isascii(), "the strategy vocabulary is ASCII"
         serial = run_sharded(

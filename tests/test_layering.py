@@ -114,6 +114,16 @@ def test_one_shard_form():
     assert _ShardWorker.__dataclass_fields__["shards"].type == "DocumentShards"
 
 
+def test_expat_is_fed_text_only():
+    """The accelerated tokenizer reads paths as text through the shared
+    reader: it maps no file and keeps no byte-level prolog skipper."""
+    from repro.xmlmodel import accel
+
+    assert "mmap" not in vars(accel)
+    for name in ("_mapped_events", "_release_mapping", "_skip_bytes_prolog"):
+        assert not hasattr(accel, name), name
+
+
 @pytest.mark.parametrize("entry", [run_pipeline, run_sharded], ids=_name)
 def test_pipeline_takes_no_executor(entry):
     assert "executor" not in inspect.signature(entry).parameters

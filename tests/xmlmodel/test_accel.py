@@ -16,6 +16,7 @@ source kind it accepts.  These tests pin
   replay fallback takes over;
 * source plumbing: str, bytes, bytearray, memoryview, mmap, paths
   (including empty files), file-likes and chunk iterables;
+* routing: which backend each source kind, size and skip set takes;
 * the segmented parse loop (tiny ``_SEGMENT``) and the ``auto``
   small-input heuristic.
 """
@@ -28,10 +29,12 @@ import pytest
 from test_chunk_boundaries import ADVERSARIAL_DOCUMENTS
 
 from repro.xmlmodel import accel
+from repro.xmlmodel import events as events_mod
 from repro.xmlmodel.accel import available_backends, resolve_engine
 from repro.xmlmodel.events import iter_events
 from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.shards import fragment_events
+from repro.xmlmodel.static import SkipSet
 
 MALFORMED_DOCUMENTS = {
     "mismatched-close": "<a><b></a>",
@@ -162,14 +165,12 @@ class TestCapabilityProbe:
     @pytest.mark.parametrize("name", sorted(PROBE_DOCUMENTS))
     def test_probe_detects_divergent_constructs(self, name):
         assert accel._diverges(PROBE_DOCUMENTS[name])
-        assert accel._diverges(PROBE_DOCUMENTS[name].encode("utf-8"))
 
     def test_probe_accepts_benign_whitespace(self):
         # Tabs and newlines in *text* do not trip the probe — only inside
         # attribute values does expat normalize them.
         document = "<a>tab\there\nand a line</a>"
         assert not accel._diverges(document)
-        assert not accel._diverges(document.encode("utf-8"))
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +185,7 @@ class TestSources:
         for source in (raw, bytearray(raw), memoryview(raw)):
             assert outcome(source, engine="expat") == expected
 
-    def test_path_source_uses_mmap(self, tmp_path):
+    def test_path_source_matches_text(self, tmp_path):
         target = tmp_path / "doc.xml"
         target.write_text(self.REFERENCE, encoding="utf-8")
         assert outcome(target, engine="expat") == outcome(
@@ -201,8 +202,8 @@ class TestSources:
                 )
 
     def test_empty_file_matches_pure_error(self, tmp_path):
-        # Zero-length files cannot be mmap-ed; the fallback read must
-        # still produce the pure tokenizer's error.
+        # A zero-length file reads as the empty document and must
+        # produce the pure tokenizer's error.
         target = tmp_path / "empty.xml"
         target.write_bytes(b"")
         assert outcome(target, engine="expat") == outcome("", engine="pure")
@@ -218,7 +219,7 @@ class TestSources:
         target.write_text("<r>" + "<a>x</a>" * 200 + "</r>", encoding="ascii")
         stream = iter_events(target, engine="expat")
         next(stream)
-        del stream  # CPython refcounting must close the map and handle
+        del stream
         # The file stays usable (re-tokenized) after the abandoned stream.
         assert outcome(target, engine="expat")[0] == "events"
 
@@ -252,3 +253,91 @@ class TestSegmentsAndAuto:
     def test_explicit_backend_accepts_file_likes(self):
         stream = accel.accelerated_events(io.StringIO("<a>x</a>"), True, "expat")
         assert list(stream) == list(iter_events("<a>x</a>", engine="pure"))
+
+
+# ----------------------------------------------------------------------
+# Routing: which backend each source takes
+# ----------------------------------------------------------------------
+def _routing_document(size):
+    """A clean document (no probe trigger) of at least ``size`` characters
+    holding one skippable ``<s>`` subtree."""
+    body = "<s><t>gone</t></s>"
+    while len(body) < size:
+        body += "<a>x</a>"
+    return f"<r>{body}</r>"
+
+
+SMALL = _routing_document(64)
+LARGE = _routing_document(2 * accel._AUTO_THRESHOLD)
+
+#: (source kind, document, skip?, engine) → the backend that tokenizes it.
+#: ``string`` is the pure in-memory scanner, ``chunked`` the pure
+#: incremental tokenizer, ``expat`` the C parser.
+ROUTES = [
+    ("path", SMALL, False, None, "expat"),
+    ("path", LARGE, False, None, "expat"),
+    ("path", SMALL, True, None, "expat"),
+    ("path", LARGE, True, None, "expat"),
+    ("text", SMALL, False, None, "string"),
+    ("text", LARGE, False, None, "expat"),
+    ("text", SMALL, True, None, "string"),
+    ("text", LARGE, True, None, "string"),
+    ("bytes", SMALL, False, None, "string"),
+    ("bytes", LARGE, False, None, "expat"),
+    ("bytes", SMALL, True, None, "string"),
+    ("bytes", LARGE, True, None, "expat"),
+    ("file-like", LARGE, False, None, "chunked"),
+    ("chunks", LARGE, False, None, "chunked"),
+    ("path", SMALL, False, "pure", "chunked"),
+    ("path", LARGE, True, "pure", "chunked"),
+]
+
+
+def _route_id(route):
+    kind, document, skip, engine, _ = route
+    size = "small" if document is SMALL else "large"
+    return "-".join(
+        [kind, size] + (["skip"] if skip else []) + ([engine] if engine else [])
+    )
+
+
+class TestRouting:
+    @pytest.mark.parametrize("route", ROUTES, ids=[_route_id(r) for r in ROUTES])
+    def test_source_takes_its_backend(self, route, tmp_path, monkeypatch):
+        kind, document, use_skip, engine, backend = route
+        taken = []
+
+        def spy(name, function):
+            def wrapper(*args, **kwargs):
+                taken.append(name)
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            accel, "_expat_segments", spy("expat", accel._expat_segments)
+        )
+        monkeypatch.setattr(
+            events_mod, "_string_events", spy("string", events_mod._string_events)
+        )
+        monkeypatch.setattr(
+            events_mod._Tokenizer,
+            "events",
+            spy("chunked", events_mod._Tokenizer.events),
+        )
+        if kind == "path":
+            source = tmp_path / "doc.xml"
+            source.write_bytes(document.encode("utf-8"))
+        elif kind == "bytes":
+            source = document.encode("utf-8")
+        elif kind == "file-like":
+            source = io.StringIO(document)
+        elif kind == "chunks":
+            source = iter([document[i : i + 100] for i in range(0, len(document), 100)])
+        else:
+            source = document
+        skip = SkipSet({"s"}, {"t": True}, other_safe=False) if use_skip else None
+        stream = list(iter_events(source, engine=engine, skip=skip))
+        assert taken == [backend]
+        elided = [event for event in stream if event.kind == "skip"]
+        assert len(elided) == (1 if use_skip and backend != "chunked" else 0)

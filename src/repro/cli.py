@@ -10,7 +10,7 @@ consumer can run the analysis on files without writing Python::
     python -m repro shred     --transform rules.dsl --xml data.xml [--keys keys.txt] \
                               [--sql] [--stream] [--jobs N] [--batch-size N | --copy] \
                               [--dtd schema.dtd]
-    python -m repro check-doc --keys keys.txt --xml data.xml [--dom | --jobs N] \
+    python -m repro check-doc --keys keys.txt --xml data.xml [--jobs N] \
                               [--dtd schema.dtd [--prune]]
     python -m repro load      --transform rules.dsl --xml data.xml [--xml more.xml ...] \
                               --db out.db [--backend sqlite|postgres] \
@@ -25,9 +25,13 @@ consumer can run the analysis on files without writing Python::
                               [--repl] [--write-back]
     python -m repro bench     [--paper]
 
-``shred --stream``, ``check-doc`` and ``load`` are calls to the pipeline
-driver :func:`repro.parallel.run_pipeline`: the document is tokenized once
-and shredded / checked / validated in a single pass, without a DOM.
+``shred``, ``check-doc`` and ``load`` are calls to the pipeline driver
+:func:`repro.parallel.run_pipeline`: the document is tokenized once and
+shredded / checked / validated in a single pass, without a DOM
+(``shred --stream`` is accepted and means the same).  The DOM plane
+(``parse_document`` with ``keys.violations``, ``DTD.validate`` and
+``evaluate_transformation``) is a library API and the reference the
+differential tests compare these commands against; no flag selects it.
 ``check-doc`` keeps only the open-context hash indexes, so its memory does
 not grow with the document; ``shred`` materializes the relation instances
 before printing them, so its memory is proportional to the *output* (the
@@ -38,21 +42,20 @@ pure tokenizer from what it can observe, with the same events either way.
 
 ``--dtd schema.dtd`` on its own *validates while shredding/checking*: the
 streaming DTD validator is one more consumer of the same pass, with the
-DOM validator's violations (``check-doc --dom --dtd`` runs that reference
-validator instead).  ``check-doc --dtd --prune`` compiles the DTD into a
-:class:`~repro.xmlmodel.static.StaticPlan` instead, whose skip set lets
-the tokenizer fast-forward subtrees no key path can reach — identical
+DOM validator's violations.  ``check-doc --dtd --prune`` compiles the DTD
+into a :class:`~repro.xmlmodel.static.StaticPlan` instead, whose skip set
+lets the tokenizer fast-forward subtrees no key path can reach — identical
 violations, also on documents that do not conform to the DTD (every
 skipped tag is verified).  ``load --dtd`` validates every document up
 front and loads nothing when one violates the schema.
 
 ``--jobs N`` (else the ``REPRO_JOBS`` environment variable, for
-``check-doc``, ``load`` and ``shred --stream``) runs the driver's sharded
+``check-doc``, ``load`` and ``shred``) runs the driver's sharded
 arm: the document is cut at top-level anchor boundaries and the shards
 run on ``N`` worker processes, with byte-identical output (``--jobs 0``
 uses one worker per CPU this process may run on; the serial arm runs when
-the document cannot be sharded).  Validation is single-pass, so ``--dtd`` without ``--prune``
-rejects ``--jobs`` > 1.
+the document cannot be sharded).  Validation is single-pass, so ``--dtd``
+without ``--prune`` rejects more than one job.
 
 ``apply-delta`` runs the incremental constraint plane: the document is
 indexed once at top-level subtree granularity, then each ``--op`` (or each
@@ -219,46 +222,26 @@ def _load_dtd(args: argparse.Namespace):
 
 
 def cmd_shred(args: argparse.Namespace) -> int:
+    from repro.parallel import run_pipeline
     from repro.relational import sql as sql_module
 
     transformation = _load_transformation(args.transform)
     keys = _load_keys(args.keys) if args.keys else []
-    dtd = _load_dtd(args)
+    # One pass over the event stream feeds the shredder, the key checker
+    # and the streaming DTD validator together; no DOM is ever built.
+    run = run_pipeline(
+        Path(args.xml),
+        rules=transformation,
+        keys=keys or None,
+        dtd=_load_dtd(args),
+        jobs=args.jobs,
+    )
+    instances = run.instances or {}
     exit_code = 0
-    if args.stream or args.jobs is not None:
-        # One pass over the event stream feeds the shredder, the key checker
-        # and the streaming DTD validator together; no DOM is ever built.
-        # The path source lets the serial tokenizer map the file; a sharded
-        # run reads it once and hands its workers text slices.
-        from repro.parallel import run_pipeline
-
-        run = run_pipeline(
-            Path(args.xml),
-            rules=transformation,
-            keys=keys or None,
-            dtd=dtd,
-            jobs=args.jobs,
-        )
-        instances = run.instances or {}
-        if run.violations is not None:
-            exit_code = _print_violation_report(keys, run.violations)
-        if run.dtd_violations is not None:
-            exit_code = max(exit_code, _print_dtd_report(run.dtd_violations))
-    else:
-        from repro.keys import violations
-        from repro.transform import evaluate_transformation
-        from repro.transform.stream import record_shred_rows
-        from repro.xmlmodel import parse_document
-        from repro.xmlmodel.events import read_document
-
-        tree = parse_document(read_document(args.xml))
-        if keys:
-            found = [violation for key in keys for violation in violations(tree, key)]
-            exit_code = _print_violation_report(keys, found)
-        if dtd is not None:
-            exit_code = max(exit_code, _print_dtd_report(dtd.validate(tree)))
-        instances = evaluate_transformation(transformation, tree)
-        record_shred_rows(instances)
+    if run.violations is not None:
+        exit_code = _print_violation_report(keys, run.violations)
+    if run.dtd_violations is not None:
+        exit_code = max(exit_code, _print_dtd_report(run.dtd_violations))
     log.info(
         "shredded %d relation(s) from %s",
         len(instances),
@@ -287,46 +270,33 @@ def cmd_shred(args: argparse.Namespace) -> int:
 
 def cmd_check_doc(args: argparse.Namespace) -> int:
     """Validate a document against a key set (the Figure 2(a) workflow)."""
+    from repro.parallel import run_pipeline
+
     keys = _load_keys(args.keys)
     dtd = _load_dtd(args)
     if args.prune and dtd is None:
         log.error("error: --prune needs --dtd (the skip set is compiled from it)")
         return 2
-    if args.prune and args.dom:
-        log.error("error: --prune is a streaming-plane optimization; drop --dom")
-        return 2
+    # One pass feeds the key checker and the streaming DTD validator.
+    # With --prune the DTD is not validated but compiled into a skip set
+    # instead: a skipped subtree elides exactly the events a validator
+    # would need, so the two are exclusive by construction.
+    plan = None
+    if args.prune:
+        from repro.xmlmodel.static import compile_plan
+
+        plan = compile_plan(dtd, keys=keys)
+    run = run_pipeline(
+        Path(args.xml),
+        keys=keys,
+        dtd=None if args.prune else dtd,
+        jobs=args.jobs,
+        plan=plan,
+    )
+    found = run.violations
     dtd_exit = 0
-    if args.dom:
-        from repro.keys import violations
-        from repro.xmlmodel import parse_document
-        from repro.xmlmodel.events import read_document
-
-        tree = parse_document(read_document(args.xml))
-        if dtd is not None:
-            dtd_exit = _print_dtd_report(dtd.validate(tree))
-        found = [violation for key in keys for violation in violations(tree, key)]
-    else:
-        # One pass feeds the key checker and the streaming DTD validator.
-        # With --prune the DTD is not validated but compiled into a skip
-        # set instead: a skipped subtree elides exactly the events a
-        # validator would need, so the two are exclusive by construction.
-        from repro.parallel import run_pipeline
-
-        plan = None
-        if args.prune:
-            from repro.xmlmodel.static import compile_plan
-
-            plan = compile_plan(dtd, keys=keys)
-        run = run_pipeline(
-            Path(args.xml),
-            keys=keys,
-            dtd=None if args.prune else dtd,
-            jobs=args.jobs,
-            plan=plan,
-        )
-        found = run.violations
-        if run.dtd_violations is not None:
-            dtd_exit = _print_dtd_report(run.dtd_violations)
+    if run.dtd_violations is not None:
+        dtd_exit = _print_dtd_report(run.dtd_violations)
     log.info(
         "checked %s against %d key(s): %d violation(s)",
         args.xml,
@@ -797,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
     shred.add_argument(
         "--stream",
         action="store_true",
-        help="use the streaming data plane (single event pass, no DOM)",
+        help="accepted and ignored: every shred is one streaming event pass, no DOM",
     )
     shred.add_argument(
         "--jobs",
@@ -806,8 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "shred/check on N worker processes over document shards "
-            "(implies --stream; 0 = one worker per CPU; default: REPRO_JOBS "
-            "when --stream is given, else serial)"
+            "(0 = one worker per CPU; default: REPRO_JOBS, else serial)"
         ),
     )
     dml_shape = shred.add_mutually_exclusive_group()
@@ -826,9 +795,9 @@ def build_parser() -> argparse.ArgumentParser:
     shred.add_argument(
         "--dtd",
         help=(
-            "DTD file; with --stream the document is validated while it is "
-            "shredded (one pass), otherwise the DOM validator runs — "
-            "violations print after the key report, exit 1"
+            "DTD file; the document is validated in the shredding pass — "
+            "violations print after the key report, exit 1 (single-pass: "
+            "not with more than one job)"
         ),
     )
     _add_stats_flags(shred)
@@ -839,13 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_doc.add_argument("--keys", required=True, help="file with XML keys (one per line)")
     check_doc.add_argument("--xml", required=True, help="XML document to validate")
-    check_doc_mode = check_doc.add_mutually_exclusive_group()
-    check_doc_mode.add_argument(
-        "--dom",
-        action="store_true",
-        help="use the DOM reference checker instead of the streaming one",
-    )
-    check_doc_mode.add_argument(
+    check_doc.add_argument(
         "--jobs",
         type=_jobs_count,
         default=None,
@@ -859,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dtd",
         help=(
             "DTD file; validates the document in the same streaming pass as "
-            "the key check (--dom uses the DOM reference validator instead)"
+            "the key check (single-pass: not with more than one job)"
         ),
     )
     check_doc.add_argument(

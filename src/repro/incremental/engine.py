@@ -67,6 +67,7 @@ from repro.transform.stream import (
     root_attr_parts,
 )
 from repro.xmlmodel.events import Event
+from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.shards import _scan_structure, fragment_events, split_subtrees
 
 from repro.incremental.storage import Change, DeltaStore, Params
@@ -295,10 +296,13 @@ class IncrementalEngine:
         root, root_levels = _recording_levels(
             lambda: feed_shard(self._prologue_events, (), self.rules, self.keys, first=True)
         )
-        states = [
-            self._process_fragment(shards.slice_text(index))
-            for index in range(len(shards))
-        ]
+        states = []
+        for index, piece in enumerate(shards.slices):
+            try:
+                states.append(self._process_fragment(shards.slice_text(index)))
+            except XMLSyntaxError as error:
+                # Report the offset in the document, as the batch planes do.
+                raise error.shifted(piece.start) from None
         # A re-load replaces the whole index, gauge levels included.
         for levels in [self._root_levels, self._merge_levels] + [
             state.levels for state in self._states
@@ -317,7 +321,8 @@ class IncrementalEngine:
         A non-first shard of the parallel worker protocol
         (:func:`repro.parallel.feed_shard`), so the root's contributions
         stay with the root state exactly once.  Fresh consumers each time:
-        a tokenizer error raises here, before any engine state is spliced.
+        a tokenizer error raises here, before any engine state is spliced,
+        at its offset in ``fragment``.
         """
         output, levels = _recording_levels(
             lambda: feed_shard(

@@ -39,8 +39,8 @@ slice table (:class:`~repro.xmlmodel.shards.DocumentShards`) whatever the
 source's encoding; under the ``fork`` start method they inherit it
 without pickling.  Each worker replays its slice as text.  A slice that is
 not well-formed raises the tokenizer's
-:exc:`~repro.xmlmodel.parser.XMLSyntaxError`, rebased from the slice to
-the document offset.
+:exc:`~repro.xmlmodel.parser.XMLSyntaxError` at its document offset
+(:meth:`~repro.xmlmodel.shards.DocumentShards.shard_events` rebases it).
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from repro.transform.stream import (
     root_attr_parts,
 )
 from repro.xmlmodel.events import ATTR, SKIP, Event, as_events, read_document
-from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.shards import DocumentShards, cut_document
 
 #: Environment variable consulted when ``jobs`` is not given explicitly.
@@ -247,16 +246,14 @@ class _ShardWorker:
 
     def _run(self, index: int) -> ShardOutput:
         shards = self.shards
-        slice_events = shards.shard_events(index, skip=self.skip)
-        try:
-            return feed_shard(
-                shards.prologue_events, slice_events, self.rules, self.keys,
-                first=index == 0, skipping=self.skip is not None,
-            )
-        except XMLSyntaxError as error:
-            # The slice was tokenized inside a synthetic ``<root>`` wrapper.
-            wrapper = len(shards.root_tag) + 2
-            raise error.shifted(shards.slices[index].start - wrapper) from None
+        return feed_shard(
+            shards.prologue_events,
+            shards.shard_events(index, skip=self.skip),
+            self.rules,
+            self.keys,
+            first=index == 0,
+            skipping=self.skip is not None,
+        )
 
 
 _WORKER: Optional[_ShardWorker] = None

@@ -813,7 +813,7 @@ def relation_schema(
 def record_shred_rows(instances: Dict[str, RelationInstance]) -> None:
     """Count each relation's shredded rows as ``shred.rows`` (telemetry).
 
-    Every shredding plane — DOM, streaming, sharded — reports its final
+    Every shredding route — serial, sharded, push-fed — reports its final
     instances through here, so their metrics agree name for name.
     """
     if obs.enabled():

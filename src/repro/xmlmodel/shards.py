@@ -73,6 +73,7 @@ from repro.xmlmodel.events import (
     Event,
     record_tokenizer_call,
 )
+from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.parser import XMLSyntaxError, expand_entities
 
 #: One complete start tag (after its ``<``): name, any number of quoted
@@ -159,16 +160,20 @@ class DocumentShards:
 
         The yielded stream is exactly the sub-sequence of the serial event
         stream between this slice's boundaries: the synthetic wrapper only
-        provides the tokenizer with a well-formed document.  ``skip``
-        threads a :class:`~repro.xmlmodel.static.SkipSet` to the
-        tokenizer, as in :func:`~repro.xmlmodel.events.iter_events`.
+        provides the tokenizer with a well-formed document.  A syntax
+        error reads at its offset in the document.  ``skip`` threads a
+        :class:`~repro.xmlmodel.static.SkipSet` to the tokenizer, as in
+        :func:`~repro.xmlmodel.events.iter_events`.
         """
-        return fragment_events(
-            self.root_tag,
-            self.slice_text(index),
-            strip_whitespace=strip_whitespace,
-            skip=skip,
-        )
+        try:
+            yield from fragment_events(
+                self.root_tag,
+                self.slice_text(index),
+                strip_whitespace=strip_whitespace,
+                skip=skip,
+            )
+        except XMLSyntaxError as error:
+            raise error.shifted(self.slices[index].start) from None
 
     def replay_events(self, strip_whitespace: bool = True) -> Iterator[Event]:
         """The whole document as events, reassembled from the shards.
@@ -197,10 +202,11 @@ def fragment_events(
     every consumer of a shard slice, and the incremental engine's delta
     fragments, turn raw characters back into the serial event
     sub-sequence.  A malformed fragment raises the tokenizer's own
-    :exc:`~repro.xmlmodel.parser.XMLSyntaxError` lazily, mid-iteration —
-    consumers that must stay consistent drain the whole stream before
-    committing any state (as the incremental engine does).  ``engine``
-    pins the tokenizer backend, as in :func:`iter_events`.
+    :exc:`~repro.xmlmodel.parser.XMLSyntaxError`, at its offset in
+    ``fragment``, lazily, mid-iteration — consumers that must stay
+    consistent drain the whole stream before committing any state (as the
+    incremental engine does).  ``engine`` pins the tokenizer backend, as
+    in :func:`iter_events`.
     """
     resolved = resolve_engine(engine)
     if obs.enabled():
@@ -208,11 +214,14 @@ def fragment_events(
     events = _route_events(
         f"<{root_tag}>{fragment}</{root_tag}>", strip_whitespace, resolved, skip
     )
-    next(events)  # the synthetic root START
-    pending = next(events, None)
-    for event in events:
-        yield pending  # type: ignore[misc]
-        pending = event
+    try:
+        next(events)  # the synthetic root START
+        pending = next(events, None)
+        for event in events:
+            yield pending  # type: ignore[misc]
+            pending = event
+    except XMLSyntaxError as error:
+        raise error.shifted(-len(f"<{root_tag}>")) from None
     # ``pending`` is now the synthetic root END — dropped.
 
 

@@ -60,6 +60,20 @@ class TestNaiveBlowup:
         # minimumCover; shapes (not constants) are asserted here.
         assert naive_growth > 5 * cover_growth
 
+    def test_naive_asks_far_more_queries_as_fields_grow(self):
+        # The same shape as counted work: implication queries do not jitter.
+        series = naive_blowup_series(fields_grid=(5, 9), depth=3, num_keys=6)
+        first, last = series.points
+        counts = {
+            name: (first.extra[f"{name}_queries"], last.extra[f"{name}_queries"])
+            for name in ("minimumCover", "naive")
+        }
+        assert counts == {"minimumCover": (22, 33), "naive": (224, 6912)}
+        cover_growth = counts["minimumCover"][1] / counts["minimumCover"][0]
+        naive_growth = counts["naive"][1] / counts["naive"][0]
+        assert cover_growth <= 2  # "at most doubles"
+        assert naive_growth > 5 * cover_growth
+
 
 class TestRunAll:
     def test_fast_mode_produces_four_series(self):

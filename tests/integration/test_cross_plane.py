@@ -1,20 +1,24 @@
-"""Cross-plane robustness: every CLI plane gives the same answer.
+"""Cross-plane robustness: every plane gives the same answer.
 
 ``check-doc`` and ``shred`` reach the same document through several
-planes — the DOM, the serial streaming pass, the sharded pass on worker
-processes, the DTD-pruned pass.  All of them are promised to print
-byte-identical reports and exit codes.  This suite holds them to it on
-the schema-shaped stress corpora of :mod:`repro.experiments.scenarios`
-(entity-dense text, a DBLP-shaped bibliography, deep recursive nesting),
-on an ill-formed document, whose syntax error must read the same on
-every plane, on carriage returns, which every plane keeps, and on a file
-that is not UTF-8, whose decode error must read the same on every plane.
-The pure tokenizer is not a CLI plane (the backend is the
+routes of the pipeline driver — the serial streaming pass, the sharded
+pass on worker processes, the DTD-pruned pass.  All of them are promised
+to print byte-identical reports and exit codes, equal to the report the
+DOM reference renders in-process (:mod:`tests.dom_reference`).  This
+suite holds them to it on the schema-shaped stress corpora of
+:mod:`repro.experiments.scenarios` (entity-dense text, a DBLP-shaped
+bibliography, deep recursive nesting), on an ill-formed document, whose
+syntax error must read the same on every plane (``apply-delta`` and a
+service upload included), on carriage returns, which every plane keeps,
+and on a file that is not UTF-8, whose decode error must read the same on
+every plane.  The pure tokenizer is not a CLI plane (the backend is the
 tokenizer's own choice), so its events are fed to the pipeline driver
 in-process and compared with the default plane's answer.
 """
 
+import asyncio
 import io
+import json
 import sqlite3
 from pathlib import Path
 
@@ -36,6 +40,8 @@ from repro.parallel import run_pipeline
 from repro.transform import parse_transformation
 from repro.xmlmodel import iter_events, parse_document
 from repro.xmlmodel.parser import XMLSyntaxError
+
+from tests import dom_reference
 
 #: name → (document chunks, DTD, keys, transformation).  The keys are
 #: chosen to be violated, so the reports carry witnesses.
@@ -70,10 +76,10 @@ CORPORA = {
     ),
 }
 
-#: The ``check-doc`` planes that must agree byte for byte.
+#: The ``check-doc`` planes that must agree byte for byte with the DOM
+#: reference.
 CHECK_PLANES = {
     "default": [],
-    "dom": ["--dom"],
     "jobs2": ["--jobs", "2"],
     "prune": ["--dtd", "{dtd}", "--prune"],
 }
@@ -116,14 +122,11 @@ def _argv(args, ws):
 class TestCheckDocPlanesAgree:
     def test_reports_and_exit_codes_are_identical(self, corpus, capsys):
         base = ["check-doc", "--keys", corpus["keys"], "--xml", corpus["doc"]]
-        results = {
-            name: _run(base + _argv(args, corpus), capsys)
-            for name, args in CHECK_PLANES.items()
-        }
-        code, out, err = results["dom"]
+        dom = dom_reference.check_doc(corpus["keys"], corpus["doc"])
+        code, out, err = dom
         assert code == 1 and "key violated" in out and err == ""
-        for name, result in results.items():
-            assert result == (code, out, err), name
+        for name, args in CHECK_PLANES.items():
+            assert _run(base + _argv(args, corpus), capsys) == dom, name
 
 
 def _answer(run):
@@ -147,15 +150,15 @@ class TestPureTokenizerPlane:
 
 
 class TestShredPlanesAgree:
-    def test_streaming_sharded_and_dom_rows_are_identical(self, corpus, capsys):
+    def test_serial_and_sharded_rows_match_the_dom_reference(self, corpus, capsys):
+        dom = dom_reference.shred(corpus["rules"], corpus["doc"], sql_form=True, copy=True)
+        assert dom[0] == 0 and "COPY" in dom[1] and dom[2] == ""
         base = [
             "shred", "--transform", corpus["rules"], "--xml", corpus["doc"],
             "--sql", "--copy",
         ]
-        dom = _run(base, capsys)
-        assert dom[0] == 0 and "COPY" in dom[1] and dom[2] == ""
-        assert _run(base + ["--stream"], capsys) == dom
-        assert _run(base + ["--jobs", "2"], capsys) == dom
+        for plane in ([], ["--stream"], ["--jobs", "2"]):
+            assert _run(base + plane, capsys) == dom, plane
 
 
 # ----------------------------------------------------------------------
@@ -188,16 +191,81 @@ class TestIllFormedDocument:
         with pytest.raises(XMLSyntaxError) as caught:
             parse_document(open(ill_formed["doc"]).read())
         assert caught.value.message == "mismatched end tag </name> for <population>"
-        return 2, "", f"error: {caught.value}\n"
+        expected = 2, "", f"error: {caught.value}\n"
+        assert dom_reference.check_doc(ill_formed["keys"], ill_formed["doc"]) == expected
+        assert dom_reference.shred(ill_formed["rules"], ill_formed["doc"]) == expected
+        return expected
 
     @pytest.mark.parametrize(
         "plane",
-        [[], ["--dom"], ["--jobs", "2"]],
-        ids=["default", "dom", "jobs2"],
+        [[], ["--jobs", "2"]],
+        ids=["default", "jobs2"],
     )
     def test_check_doc_reports_the_serial_error(self, ill_formed, expected, plane, capsys):
         argv = ["check-doc", "--keys", ill_formed["keys"], "--xml", ill_formed["doc"]]
         assert _run(argv + _argv(plane, ill_formed), capsys) == expected
+
+    def test_apply_delta_reports_the_document_offset(
+        self, ill_formed, expected, capsys, monkeypatch
+    ):
+        # Slices are indexed inside a synthetic root wrapper; the error
+        # still reads at its offset in the document.
+        monkeypatch.setattr("sys.stdin", io.StringIO("violations\n"))
+        argv = ["apply-delta", "--keys", ill_formed["keys"], "--xml", ill_formed["doc"],
+                "--repl"]
+        assert _run(argv, capsys) == expected
+
+    def test_malformed_delta_reports_the_fragment_offset(self, ill_formed, capsys):
+        fragment = '<country car_code="Z"><name>x</province></country>'
+        with pytest.raises(XMLSyntaxError) as caught:
+            list(iter_events(fragment))
+        one = Path(ill_formed["doc"]).parent / "one_country.xml"
+        one.write_text('<mondial><country car_code="A"/></mondial>')
+        argv = ["apply-delta", "--keys", ill_formed["keys"], "--xml", str(one),
+                "--op", f"insert 0 {fragment}"]
+        code, out, err = _run(argv, capsys)
+        assert (code, err) == (2, f"error: {caught.value}\n")
+        assert caught.value.position == 39
+        assert out == f"indexed {one}: 1 top-level subtree(s)\n"
+
+    def test_strict_upload_answers_the_error_and_serves_on(self, ill_formed, expected):
+        from repro.service import IngestionService
+        from repro.service.registry import rule_to_wire
+
+        rules = parse_transformation(Path(ill_formed["rules"]).read_text())
+        register = {
+            "op": "register", "tenant": "geo", "mode": "strict",
+            "rules": [rule_to_wire(rule) for rule in rules],
+        }
+        upload = {"op": "upload", "tenant": "geo", "text": Path(ill_formed["doc"]).read_text()}
+
+        async def exchange():
+            service = IngestionService()
+            await service.start()
+            server = await service.serve_ndjson("127.0.0.1", 0)
+            try:
+                port = server.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+                async def ask(request):
+                    writer.write(json.dumps(request).encode() + b"\n")
+                    await writer.drain()
+                    return json.loads(await asyncio.wait_for(reader.readline(), 30))
+
+                replies = [await ask(request) for request in (register, upload, {"op": "ping"})]
+                writer.close()
+                return replies
+            finally:
+                server.close()
+                await server.wait_closed()
+                await service.stop()
+                service.close()
+
+        registered, uploaded, ping = asyncio.run(exchange())
+        assert registered["ok"]
+        error_line = expected[2][len("error: "):-1]
+        assert uploaded == {"ok": False, "error": f"XMLSyntaxError: {error_line}"}
+        assert ping == {"ok": True, "op": "ping"}
 
     def test_pure_events_raise_the_serial_error(self, ill_formed, expected):
         keys = parse_keys(Path(ill_formed["keys"]).read_text())
@@ -208,8 +276,9 @@ class TestIllFormedDocument:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 5: a skipped subtree is not checked for "
-        "well-formedness, so --prune accepts the ill-formed document",
+        reason="ROADMAP item 1: the pure bulk skip accepts balanced but "
+        "interleaved tags, and the path route's ExpatError falls back to "
+        "that same skip, so --prune accepts the ill-formed document",
     )
     @pytest.mark.parametrize(
         "plane",
@@ -268,18 +337,18 @@ def crlf(tmp_path):
 
 class TestCarriageReturns:
     def test_check_doc_planes_keep_carriage_returns(self, crlf, capsys):
+        dom = dom_reference.check_doc(crlf["keys"], crlf["doc"])
+        assert dom[0] == 0 and dom[2] == ""
         base = ["check-doc", "--keys", crlf["keys"], "--xml", crlf["doc"]]
-        serial = _run(base, capsys)
-        assert serial[0] == 0 and serial[2] == ""
-        assert _run(base + ["--dom"], capsys) == serial
-        assert _run(base + ["--jobs", "2"], capsys) == serial
+        assert _run(base, capsys) == dom
+        assert _run(base + ["--jobs", "2"], capsys) == dom
 
     def test_shred_planes_keep_carriage_returns(self, crlf, capsys):
-        base = ["shred", "--transform", crlf["rules"], "--xml", crlf["doc"], "--sql"]
-        dom = _run(base, capsys)
+        dom = dom_reference.shred(crlf["rules"], crlf["doc"], sql_form=True)
         assert dom[0] == 0 and "'x\r\ny'" in dom[1]
-        assert _run(base + ["--stream"], capsys) == dom
-        assert _run(base + ["--jobs", "2"], capsys) == dom
+        base = ["shred", "--transform", crlf["rules"], "--xml", crlf["doc"], "--sql"]
+        for plane in ([], ["--stream"], ["--jobs", "2"]):
+            assert _run(base + plane, capsys) == dom, plane
 
     def test_apply_delta_keeps_carriage_returns(self, crlf, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("violations\n"))
@@ -329,6 +398,8 @@ def not_utf8(tmp_path_factory):
         f"error: 'utf-8' codec can't decode byte 0xe9 in position {position}: "
         "invalid continuation byte\n"
     )
+    assert dom_reference.check_doc(paths["keys"], paths["doc"]) == (2, "", message)
+    assert dom_reference.shred(paths["rules"], paths["doc"]) == (2, "", message)
     return paths, message
 
 
@@ -338,14 +409,14 @@ class TestNotUtf8Document:
         [
             ["check-doc", "--keys", "{keys}", "--xml", "{doc}"],
             ["check-doc", "--keys", "{keys}", "--xml", "{doc}", "--jobs", "2"],
-            ["check-doc", "--keys", "{keys}", "--xml", "{doc}", "--dom"],
             [
                 "check-doc", "--keys", "{keys}", "--xml", "{doc}",
                 "--dtd", "{dtd}", "--prune",
             ],
+            ["shred", "--transform", "{rules}", "--xml", "{doc}"],
             ["shred", "--transform", "{rules}", "--xml", "{doc}", "--stream"],
         ],
-        ids=["check-doc", "check-doc-jobs2", "check-doc-dom", "check-doc-prune", "shred-stream"],
+        ids=["check-doc", "check-doc-jobs2", "check-doc-prune", "shred", "shred-stream"],
     )
     def test_every_plane_reports_the_decode_error(self, not_utf8, command, capsys):
         paths, message = not_utf8

@@ -26,6 +26,8 @@ from repro.transform.stream import iter_rule_rows, stream_evaluate_transformatio
 from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.serializer import serialize
 
+from tests import dom_reference
+
 
 @pytest.fixture(scope="module")
 def figure1_text():
@@ -76,16 +78,13 @@ class TestFigure2aStreaming:
             '<r><book isbn="1"><chapter number="1"/><chapter number="1"/></book></r>'
         )
         code = main(["check-doc", "--keys", str(keys_file), "--xml", str(bad)])
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
         assert code == 1
-        assert "key violated" in out and "duplicate-value" in out
+        assert "key violated" in captured.out and "duplicate-value" in captured.out
         # The DOM reference agrees verbatim.
-        code_dom = main(["check-doc", "--keys", str(keys_file), "--xml", str(bad), "--dom"])
-        out_dom = capsys.readouterr().out
-        assert code_dom == 1
-        assert out_dom == out
+        assert dom_reference.check_doc(keys_file, bad) == (code, captured.out, captured.err)
 
-    def test_cli_shred_stream_matches_dom_output(self, tmp_path, capsys, figure1_text):
+    def test_cli_shred_matches_the_dom_reference(self, tmp_path, capsys, figure1_text):
         transform_file = tmp_path / "rules.dsl"
         transform_file.write_text(
             "table Chapter\n"
@@ -100,12 +99,13 @@ class TestFigure2aStreaming:
         )
         xml_file = tmp_path / "figure1.xml"
         xml_file.write_text(figure1_text)
+        dom = dom_reference.shred(transform_file, xml_file)
+        assert dom[0] == 0
         argv = ["shred", "--transform", str(transform_file), "--xml", str(xml_file)]
-        assert main(argv) == 0
-        dom_out = capsys.readouterr().out
-        assert main(argv + ["--stream"]) == 0
-        stream_out = capsys.readouterr().out
-        assert sorted(stream_out.splitlines()) == sorted(dom_out.splitlines())
+        for plane in ([], ["--stream"]):
+            code = main(argv + plane)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == dom, plane
 
 
 class TestEmptyDocument:

@@ -11,6 +11,7 @@ from repro.experiments import paper_example as pe
 from repro.xmlmodel import accel
 from repro.xmlmodel.serializer import serialize
 
+from tests import dom_reference
 from tests.storage.fake_postgres import connect_fake_postgres
 
 
@@ -339,27 +340,19 @@ class TestShredCommand:
 
 
 class TestCheckDocCommand:
-    def test_streaming_and_dom_agree(self, workspace, capsys):
-        stream_code = main(["check-doc", "--keys", workspace["keys"], "--xml", workspace["xml"]])
-        stream_out = capsys.readouterr().out
-        dom_code = main(
-            ["check-doc", "--keys", workspace["keys"], "--xml", workspace["xml"], "--dom"]
+    def test_report_matches_the_dom_reference(self, workspace, capsys):
+        code = main(["check-doc", "--keys", workspace["keys"], "--xml", workspace["xml"]])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == dom_reference.check_doc(
+            workspace["keys"], workspace["xml"]
         )
-        dom_out = capsys.readouterr().out
-        assert stream_code == dom_code
-        assert stream_out == dom_out
 
-    def test_dom_and_jobs_are_mutually_exclusive(self, workspace):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "check-doc",
-                    "--keys", workspace["keys"],
-                    "--xml", workspace["xml"],
-                    "--dom",
-                    "--jobs", "2",
-                ]
-            )
+    def test_dom_is_no_option(self, workspace):
+        # The DOM plane is a library API and a test reference, not a plane
+        # a flag selects.
+        with pytest.raises(SystemExit) as info:
+            main(["check-doc", "--keys", workspace["keys"], "--xml", workspace["xml"], "--dom"])
+        assert info.value.code == 2
 
 
 class TestParallelPlane:
@@ -415,23 +408,18 @@ class TestParallelPlane:
 
 
 class TestShredPlanesAgree:
-    """The streaming shredder prints the DOM shredder's rows in the same
-    order: ``--sql --copy`` stdout is compared byte for byte, which a bag
+    """``shred`` prints the DOM reference's rows in the same order:
+    ``--sql --copy`` stdout is compared byte for byte, which a bag
     comparison of the rows would not catch."""
 
-    @staticmethod
-    def _stdout(argv, capsys):
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        return captured.out
-
-    def _assert_planes_agree(self, transform, xml, capsys, planes=(["--stream"],)):
+    def _assert_planes_agree(self, transform, xml, capsys, planes=([], ["--stream"])):
+        dom = dom_reference.shred(transform, xml, sql_form=True, copy=True)
+        assert dom[0] == 0 and "COPY" in dom[1] and dom[2] == ""
         base = ["shred", "--transform", transform, "--xml", xml, "--sql", "--copy"]
-        dom = self._stdout(base, capsys)
-        assert "COPY" in dom
         for plane in planes:
-            assert self._stdout(base + plane, capsys) == dom
+            code = main(base + plane)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == dom, plane
 
     def test_figure1_with_the_paper_rules(self, workspace, tmp_path, capsys):
         from repro.transform.dsl import render_transformation
@@ -465,7 +453,7 @@ class TestShredPlanesAgree:
         xml = tmp_path / "deep.xml"
         xml.write_text("".join(deep_nesting_chunks(depth=1500, repeat=2)))
         self._assert_planes_agree(
-            str(rules), str(xml), capsys, planes=(["--stream"], ["--jobs", "2"])
+            str(rules), str(xml), capsys, planes=([], ["--stream"], ["--jobs", "2"])
         )
 
 
@@ -833,13 +821,15 @@ class TestBackendSelection:
 class TestEnvironmentErrors:
     """Malformed environment variables are uniform usage errors (exit 2)."""
 
+    @pytest.mark.parametrize("plane", [[], ["--stream"]], ids=["shred", "shred-stream"])
     def test_malformed_repro_jobs_exit_two(
-        self, violating_workspace, capsys, monkeypatch
+        self, violating_workspace, capsys, monkeypatch, plane
     ):
+        # Every shred goes through the pipeline driver, which reads REPRO_JOBS.
         ws = violating_workspace
         monkeypatch.setenv("REPRO_JOBS", "abc")
         code = main(["shred", "--transform", ws["transform"],
-                     "--xml", ws["xml"], "--stream"])
+                     "--xml", ws["xml"]] + plane)
         assert code == 2
         assert "REPRO_JOBS" in capsys.readouterr().err
 
@@ -948,13 +938,23 @@ class TestStatsFlags:
                 rows[counter["labels"]["relation"]] = counter["value"]
         return totals, rows
 
-    def test_dom_shred_counts_rows_like_the_streaming_shred(self, workspace, capsys):
+    def test_shred_counts_the_dom_reference_rows(self, workspace, capsys):
+        from pathlib import Path
+
+        from repro.transform import evaluate_transformation
+        from repro.xmlmodel import parse_document
+
         ws = workspace
-        argv = ["shred", "--transform", ws["transform"], "--xml", ws["xml"]]
-        _, dom_rows = self._counters(argv, capsys)
-        _, stream_rows = self._counters(argv + ["--stream"], capsys)
-        assert dom_rows == stream_rows
+        dom = evaluate_transformation(
+            parse_transformation(Path(ws["transform"]).read_text()),
+            parse_document(Path(ws["xml"]).read_text()),
+        )
+        dom_rows = {name: len(instance.rows) for name, instance in dom.items()}
         assert set(dom_rows) == {"book", "chapter"} and all(dom_rows.values())
+        argv = ["shred", "--transform", ws["transform"], "--xml", ws["xml"]]
+        for plane in ([], ["--stream"]):
+            _, rows = self._counters(argv + plane, capsys)
+            assert rows == dom_rows, plane
 
     def test_load_counts_pipeline_events(self, violating_workspace, capsys):
         from pathlib import Path

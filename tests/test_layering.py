@@ -291,6 +291,85 @@ def test_schema_commands_load_no_dom_plane(design_workspace, argv):
     assert [name for name in DOM_PLANE if name in loaded] == []
 
 
+#: Runs the statements in ``sys.argv[1]`` in a fresh interpreter (serial
+#: unless they ask for jobs) and prints, as one JSON object, which DOM
+#: entry points ran and whether ``repro.transform.evaluate`` loaded.
+DOM_CALL_PROBE = """
+import contextlib, io, json, os, sys
+os.environ.pop("REPRO_JOBS", None)
+WATCHED = {"repro.xmlmodel.parser.parse_document", "repro.xmlmodel.dtd.DTD.validate"}
+calls = set()
+def profile(frame, event, arg):
+    if event == "call":
+        name = f"{frame.f_globals.get('__name__')}.{frame.f_code.co_qualname}"
+        if name in WATCHED:
+            calls.add(name)
+from repro.cli import main
+sys.setprofile(profile)
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(sys.argv[1])
+sys.setprofile(None)
+print(json.dumps({
+    "calls": sorted(calls),
+    "evaluate": "repro.transform.evaluate" in sys.modules,
+}))
+"""
+
+
+@pytest.fixture()
+def document_workspace(tmp_path):
+    files = {
+        "doc.xml": '<r><i k="1"/><i k="2"/></r>',
+        "keys.txt": "K = (., (//i, {@k}))\n",
+        "rules.dsl": "table i\n  var a <- xr : //i\n  var k <- a : @k\n  field k = value(k)\n",
+        "r.dtd": "<!ELEMENT r (i*)>\n<!ELEMENT i EMPTY>\n<!ATTLIST i k CDATA #REQUIRED>\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return tmp_path
+
+
+def _dom_calls(statements, cwd):
+    return json.loads(_run_fresh(DOM_CALL_PROBE, statements, cwd=cwd))
+
+
+def test_dom_call_probe_sees_the_dom_plane(document_workspace):
+    report = _dom_calls(
+        "from repro.transform import evaluate_transformation\n"
+        "from repro.xmlmodel import parse_document\n"
+        "from repro.xmlmodel.dtd import parse_dtd\n"
+        "parse_dtd(open('r.dtd').read()).validate(parse_document(open('doc.xml').read()))\n",
+        cwd=document_workspace,
+    )
+    assert report == {
+        "calls": ["repro.xmlmodel.dtd.DTD.validate", "repro.xmlmodel.parser.parse_document"],
+        "evaluate": True,
+    }
+
+
+SHRED = ["shred", "--transform", "rules.dsl", "--xml", "doc.xml"]
+CHECK_DOC = ["check-doc", "--keys", "keys.txt", "--xml", "doc.xml"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SHRED,
+        SHRED + ["--keys", "keys.txt"],
+        SHRED + ["--dtd", "r.dtd"],
+        SHRED + ["--jobs", "2"],
+        CHECK_DOC,
+        CHECK_DOC + ["--dtd", "r.dtd"],
+        CHECK_DOC + ["--dtd", "r.dtd", "--prune"],
+        CHECK_DOC + ["--jobs", "2"],
+    ],
+    ids=lambda argv: " ".join([argv[0]] + [arg for arg in argv[5:] if arg.startswith("--")]),
+)
+def test_document_commands_run_no_dom_plane(document_workspace, argv):
+    report = _dom_calls(f"assert main({argv!r}) == 0", cwd=document_workspace)
+    assert report == {"calls": [], "evaluate": False}
+
+
 def test_importing_the_cli_loads_no_plane():
     loaded = _loaded_after("import repro.cli")
     assert [

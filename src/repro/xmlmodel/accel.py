@@ -35,8 +35,11 @@ chosen from what it can observe, with no user switch.  ``auto`` uses the
 accelerated backend for in-memory strings and file paths, and leaves
 file-like objects and chunk iterables on the pure incremental tokenizer,
 whose peak memory is bounded by the longest token rather than the
-document.  Only the tokenizer entry points of :mod:`repro.xmlmodel`
-(:func:`~repro.xmlmodel.events.iter_events` and
+document.  Expat always emits the full stream: a run with a
+:class:`~repro.xmlmodel.static.SkipSet` goes to the string scanner of
+:mod:`repro.xmlmodel.events`, the one tokenizer that elides subtrees, so
+no skip set reaches this module.  Only the tokenizer entry points of
+:mod:`repro.xmlmodel` (:func:`~repro.xmlmodel.events.iter_events` and
 :func:`~repro.xmlmodel.shards.fragment_events`) take an ``engine=``
 keyword, so tests and benchmarks can pin each backend; every plane above
 consumes :class:`~repro.xmlmodel.events.Event` streams and never names
@@ -57,7 +60,7 @@ import re
 from contextlib import contextmanager
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from repro.xmlmodel.events import ATTR, END, SKIP, START, TEXT, Event, read_document
+from repro.xmlmodel.events import ATTR, END, START, TEXT, Event, read_document
 from repro.xmlmodel.parser import XMLSyntaxError
 
 #: ``tokenizer.calls`` label of the default, source-routed backend choice.
@@ -172,9 +175,7 @@ def _gc_paused():
 # ----------------------------------------------------------------------
 # The expat event stream
 # ----------------------------------------------------------------------
-def _expat_segments(
-    data: str, root: int, strip_whitespace: bool, skip=None
-) -> Iterator[List[Event]]:
+def _expat_segments(data: str, root: int, strip_whitespace: bool) -> Iterator[List[Event]]:
     """Parse ``data`` from ``root`` with expat, yielding batches of
     pure-dialect events.
 
@@ -186,18 +187,8 @@ def _expat_segments(
     replay.  The handler bodies are the throughput floor of the whole
     accelerated plane, hence the caching: START/END events are interned
     per tag, so the steady state allocates one tuple per *distinct*
-    element name rather than two per element.
-
-    With a ``skip`` set the handlers run in one of two modes: normal
-    event emission, or (between a skippable non-root start tag and its
-    matching end) a count-only mode that verifies every interior tag and
-    tallies the node ids the subtree would have consumed, emitting a
-    single SKIP event at the close.  A tag the set cannot verify raises
-    :exc:`_Fallback` — expat cannot rewind, but the pure replay runs with
-    the *same* skip set and the skip decision is a deterministic function
-    of (document, skip set), so the replayed stream reproduces the
-    delivered prefix exactly (then tokenizes the offending region
-    normally, which is the correct continuation).
+    element name rather than two per element.  Every node is emitted:
+    eliding skippable subtrees is the string scanner's job alone.
     """
     expat_mod = _expat_module()
     parser = expat_mod.ParserCreate()
@@ -270,91 +261,6 @@ def _expat_segments(
             if keep_all or (content and not content.isspace()):
                 append(tuple_new(Event, (TEXT, "#text", content)))
 
-    if skip:
-        skip_attempt = skip.attempt
-        # Inline SkipSet.verifies: a dict probe defaulting to the anonymous
-        # "any other label" verdict.  This runs once per elided element.
-        skip_verdict = skip.verdicts.get
-        skip_other = skip.other_safe
-        depth = 0  # open elements in normal mode (the root is never skipped)
-        skip_depth = 0
-        skip_ids = 0
-        skip_tag = ""
-        plain_start = start_element
-        plain_end = end_element
-        plain_flush = flush_misc
-
-        def start_element(name, attrs):  # noqa: F811 - skip-aware wrapper
-            nonlocal depth, skip_depth, skip_ids, skip_tag
-            if skip_depth:
-                if not skip_verdict(name, skip_other):
-                    raise _Fallback  # the pure replay re-decides identically
-                if parts:
-                    # Count the text run the full stream would have
-                    # emitted without joining the pieces: the id tally
-                    # needs only "would a text event flush here", which
-                    # is "some piece has a non-space character" (or any
-                    # flush at all in keep-whitespace mode).
-                    if keep_all:
-                        skip_ids += 1
-                    else:
-                        for piece in parts:
-                            if piece and not piece.isspace():
-                                skip_ids += 1
-                                break
-                    parts.clear()
-                skip_depth += 1
-                # One id for the element, one per attribute (expat rejects
-                # duplicate names, so every pair is distinct).
-                skip_ids += 1 + (len(attrs) >> 1)
-                return
-            if depth and name in skip_attempt:
-                if parts:  # text preceding the subtree is real output
-                    content = "".join(parts)
-                    parts.clear()
-                    if keep_all or (content and not content.isspace()):
-                        append(tuple_new(Event, (TEXT, "#text", content)))
-                skip_depth = 1
-                skip_tag = name
-                skip_ids = 1 + (len(attrs) >> 1)
-                return
-            depth += 1
-            plain_start(name, attrs)
-
-        def end_element(name):  # noqa: F811 - skip-aware wrapper
-            nonlocal depth, skip_depth, skip_ids
-            if skip_depth:
-                if parts:
-                    if keep_all:
-                        skip_ids += 1
-                    else:
-                        for piece in parts:
-                            if piece and not piece.isspace():
-                                skip_ids += 1
-                                break
-                    parts.clear()
-                skip_depth -= 1
-                if not skip_depth:
-                    append(tuple_new(Event, (SKIP, skip_tag, skip_ids)))
-                return
-            depth -= 1
-            plain_end(name)
-
-        def flush_misc(*_unused):  # noqa: F811 - skip-aware wrapper
-            nonlocal skip_ids
-            if skip_depth:
-                if parts:
-                    if keep_all:
-                        skip_ids += 1
-                    else:
-                        for piece in parts:
-                            if piece and not piece.isspace():
-                                skip_ids += 1
-                                break
-                    parts.clear()
-                return
-            plain_flush()
-
     parser.StartElementHandler = start_element
     parser.EndElementHandler = end_element
     parser.CharacterDataHandler = parts_append  # C-to-C, no Python frame
@@ -389,7 +295,7 @@ def _expat_segments(
 # ----------------------------------------------------------------------
 # Source coercion + the public accelerated entry point
 # ----------------------------------------------------------------------
-def _expat_events(data: str, strip_whitespace: bool, skip=None) -> Iterator[Event]:
+def _expat_events(data: str, strip_whitespace: bool) -> Iterator[Event]:
     """Tokenize one fully materialized document with expat.
 
     On any parse error the pure tokenizer replays the *whole* document
@@ -409,9 +315,7 @@ def _expat_events(data: str, strip_whitespace: bool, skip=None) -> Iterator[Even
     from repro.xmlmodel import events as events_mod
 
     def pure() -> Iterator[Event]:
-        return events_mod.iter_events(
-            data, strip_whitespace=strip_whitespace, engine=PURE, skip=skip
-        )
+        return events_mod.iter_events(data, strip_whitespace=strip_whitespace, engine=PURE)
 
     if _diverges(data):
         return pure()
@@ -425,14 +329,10 @@ def _expat_events(data: str, strip_whitespace: bool, skip=None) -> Iterator[Even
     def batches() -> Iterator[Iterable[Event]]:
         emitted = 0
         try:
-            for batch in _expat_segments(data, root, strip_whitespace, skip):
+            for batch in _expat_segments(data, root, strip_whitespace):
                 yield batch
                 emitted += len(batch)
         except _Fallback:
-            # The replay runs with the *same* skip set: skip decisions are
-            # a deterministic function of (document, skip set), so the
-            # pure stream reproduces the delivered prefix event-for-event
-            # and the count-based resume stays exact.
             replay = pure()
             if emitted:
                 next(itertools.islice(replay, emitted, emitted), None)
@@ -448,7 +348,7 @@ def _materialize(source) -> str:
 
 
 def accelerated_events(
-    source, strip_whitespace: bool, resolved: str, skip=None
+    source, strip_whitespace: bool, resolved: str
 ) -> Optional[Iterator[Event]]:
     """The accelerated side of :func:`repro.xmlmodel.events.iter_events`.
 
@@ -459,17 +359,18 @@ def accelerated_events(
     strings (fixed costs dominate), and file-like objects or chunk
     iterables (whose bounded-memory contract buffering would break).  A
     path is read here, past the size rule for text, so it reaches expat
-    at any size and with any skip set.  An *explicit* backend request
-    accepts every source and buffers when it must.
+    at any size.  An *explicit* backend request accepts every source and
+    buffers when it must.  The stream is always the full one: a skip set
+    never reaches this module, because only the string scanner elides.
     """
     if resolved == AUTO and _expat_module() is None:  # pragma: no cover
         return None  # expat ships with CPython
     if isinstance(source, str):
         if resolved == AUTO and len(source) < _AUTO_THRESHOLD:
             return None
-        return _expat_events(source, strip_whitespace, skip)
+        return _expat_events(source, strip_whitespace)
     if hasattr(source, "__fspath__"):
-        return _expat_events(read_document(source), strip_whitespace, skip)
+        return _expat_events(read_document(source), strip_whitespace)
     if resolved == AUTO:
         return None
-    return _expat_events(_materialize(source), strip_whitespace, skip)
+    return _expat_events(_materialize(source), strip_whitespace)

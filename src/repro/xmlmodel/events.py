@@ -36,6 +36,7 @@ events.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import mmap
 import os
@@ -112,26 +113,13 @@ _NAME_RE = re.compile(r"[^\s=<>/?\"']+")
 _ATTR_RE = re.compile(r"\s*([^\s=<>/?\"']+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)')")
 _END_TAG_RE = re.compile(r"([^\s=<>/?\"']+)\s*>")
 
-# Bulk skip machinery: the fast-forward of `_skip_string_subtree` first
-# tries to account for a whole region with a handful of C-level scans
-# (`str.count`, `findall`, one anchored validation match) instead of a
-# per-tag Python walk.  Any doubt — entities, comments, PIs, CDATA,
-# unbalanced counts, a tag shape outside the plain `<name attr="v">`
-# grammar — punts back to the exact walk, which remains the authority.
-# The \x00 exclusions keep the validation anchored to one tag span at a
-# time once the spans are joined on "\x00".
-_TAG_SPLIT_RE = re.compile(r"(<[^>]*>)")
-_OPEN_NAME_RE = re.compile(r"<([^\s=<>/?\"']+)")
-_SIMPLE_TAG_RE = re.compile(r"<(?:/([^\s=<>/?\"']+)\s*|([^\s=<>/?\"']+)\s*/?)>\Z")
-_TAGS_OK_RE = re.compile(
-    r"(?:(?:<[^\s=<>/?\"'\x00]+"
-    r"(?:\s*[^\s=<>/?\"'\x00]+\s*=\s*(?:\"[^\"\x00]*\"|'[^'\x00]*'))*"
-    r"\s*/?>"
-    r"|</[^\s=<>/?\"'\x00]+\s*>)\x00)+\Z"
-)
-_BULK_ATTR_RE = re.compile(
-    r"[\s\"']([^\s=<>/?\"'\x00]+)\s*=\s*(?:\"[^\"\x00]*\"|'[^'\x00]*')"
-)
+#: Element levels below a skipped element that :func:`_bulk_pattern`
+#: spells out; a deeper region takes the per-tag walk.
+_BULK_NESTING = 12
+
+#: A whitespace-only text run in a region :func:`_bulk_pattern` matched:
+#: ``strip_whitespace`` flushes no text event for it.
+_BLANK_TEXT_RE = re.compile(r">\s++<")
 
 
 # ----------------------------------------------------------------------
@@ -158,13 +146,9 @@ def iter_events(
     * ``None`` (``auto``, the default) — accelerate in-memory strings,
       buffers and paths; keep file-like objects and chunk iterables on the
       pure incremental tokenizer, preserving its bounded-memory contract.
-      When a non-empty ``skip`` set accompanies an in-memory string,
-      ``auto`` prefers the pure scanner: its bulk fast-forward elides
-      skippable regions at C speed, which beats a C parser that must
-      still visit every node.  That preference is for strings only: a
-      byte buffer, decoded on entry, otherwise routes like a string, and
-      a path, read with :func:`read_document`, goes to expat at any size
-      and with any ``skip`` set;
+      A non-empty ``skip`` set sends text, byte buffers (decoded on entry)
+      and paths (read with :func:`read_document`) to the pure string
+      scanner instead, at any size: it is the one tokenizer that elides;
     * ``"pure"`` — the in-tree reference tokenizer below;
     * ``"expat"`` — the expat front-end of :mod:`repro.xmlmodel.accel`,
       which emits the identical event stream and errors (falling back to
@@ -180,16 +164,17 @@ def iter_events(
 
     ``skip`` is an optional :class:`~repro.xmlmodel.static.SkipSet`: when a
     non-root element opens whose label the set marks skippable, the
-    tokenizer fast-forwards to the matching close tag without
+    string scanner fast-forwards to the matching close tag without
     materializing the subtree's events, emitting one ``skip`` event in
-    their place.  Every tag inside the fast-forwarded region is verified
-    against the set; an unverifiable tag aborts the attempt and the region
-    tokenizes normally, so the (document, skip set) pair fully determines
-    the stream — including on documents that violate the schema the set
-    was compiled from.  The in-memory string scanner and the expat backend
-    implement skipping; the bounded-memory chunked tokenizer accepts the
-    parameter but always tokenizes in full (its stream simply contains no
-    ``skip`` events, which is also correct).
+    their place.  The fast-forward accepts only a well-formed region
+    whose every interior tag the set verifies; anything else aborts the
+    attempt and the region tokenizes normally, so the (document, skip
+    set) pair fully determines the stream, and a pruned stream raises
+    the unpruned stream's error — including on documents that violate
+    the schema the set was compiled from.  Only the string scanner
+    skips: expat and the bounded-memory chunked tokenizer accept the
+    parameter but always tokenize in full (their streams simply contain
+    no ``skip`` events, which is also correct).
     """
     from repro.xmlmodel import accel
 
@@ -231,17 +216,19 @@ def _route_events(
     """:func:`iter_events` after the backend is resolved, uncounted."""
     from repro.xmlmodel import accel
 
-    if resolved == accel.AUTO and skip and isinstance(source, str):
-        # Under a selective plan the pure scanner is the fastest backend:
-        # its bulk fast-forward settles skippable regions with a few
-        # C-level scans, while a C parser still pays a Python callback
-        # per element it visits.  An explicit ``engine`` is honored
-        # unchanged.
-        return _string_events(source, strip_whitespace, skip)
     if isinstance(source, _BUFFER_TYPES):
         source = str(source, "utf-8")
+    if resolved == accel.AUTO and skip:
+        # A skip set selects the string scanner, the one tokenizer that
+        # elides: its bulk skip settles a skippable region with one
+        # pattern match and a few counts, while a C parser still pays a
+        # Python callback per element it visits.
+        if hasattr(source, "__fspath__"):
+            source = read_document(source)
+        if isinstance(source, str):
+            return _string_events(source, strip_whitespace, skip)
     if resolved != accel.PURE:
-        accelerated = accel.accelerated_events(source, strip_whitespace, resolved, skip)
+        accelerated = accel.accelerated_events(source, strip_whitespace, resolved)
         if accelerated is not None:
             return accelerated
     if hasattr(source, "__fspath__"):
@@ -333,12 +320,7 @@ def _string_events(source: str, strip_whitespace: bool, skip=None) -> Iterator[E
     find = source.find
     startswith = source.startswith
 
-    if skip:
-        skip_attempt = skip.attempt
-        skip_verifies = skip.verifies
-    else:
-        skip_attempt = None
-        skip_verifies = None
+    skip_attempt = skip.attempt if skip else None
 
     pos = _skip_string_prolog(source)
     if pos >= length or source[pos] != "<":
@@ -362,7 +344,7 @@ def _string_events(source: str, strip_whitespace: bool, skip=None) -> Iterator[E
             # run with one SKIP event and nothing is reordered.
             if skip_attempt is not None and stack and name in skip_attempt:
                 skipped = _skip_string_subtree(
-                    source, pos, name, skip_verifies, not strip_whitespace
+                    source, pos, name, skip, not strip_whitespace
                 )
                 if skipped is not None:
                     pos, id_count = skipped
@@ -514,90 +496,71 @@ def _string_events(source: str, strip_whitespace: bool, skip=None) -> Iterator[E
         raise XMLSyntaxError("content after the root element", pos)
 
 
-def _skip_bulk_region(source, pos, name, verifies, keep_all):
+@functools.lru_cache(maxsize=None)
+def _bulk_pattern() -> "re.Pattern[str]":
+    """The content of one element, from past its start tag to its close.
+
+    :func:`~repro.xmlmodel.shards._child_pattern`'s grammar with close
+    names checked: each of :data:`_BULK_NESTING` levels captures its start
+    tag's name in a group of its own and closes with ``</(?P=n_k)\\s*>``,
+    so every element the match spans closes under its own name, as the
+    per-tag walk demands.  Text excludes ``<>=&`` and quoted attribute
+    values exclude ``<>=&``, so over a matched region every ``<`` opens or
+    closes a tag, every ``=`` belongs to an attribute and every ``>`` ends
+    a tag: :func:`_skip_bulk_region` counts node ids with C-level scans.
+    Every quantifier is possessive, and a region holding a construct
+    outside the grammar (``<!``, ``<?``, an entity, a mismatched or
+    missing close, deeper nesting) is never matched to its end.
+    """
+    name = r"[^\s=<>/?\"']++"
+    attrs = (
+        r"(?:\s*+" + name + r"\s*+=\s*+(?:\"[^\"<>=&]*+\"|'[^'<>=&]*+'))*+\s*+"
+    )
+    content = r"(?:[^<>=&]++|<(?!!)" + name + attrs + r"/>)*+"
+    for level in range(_BULK_NESTING):
+        group = f"n{level}"
+        content = (
+            rf"(?:[^<>=&]++|<(?!!)(?P<{group}>{name}){attrs}"
+            rf"(?:/>|>{content}</(?P={group})\s*+>))*+"
+        )
+    return re.compile(content)
+
+
+def _skip_bulk_region(source, pos, name, skip, keep_all):
     """Account for the whole content of ``name`` with C-level scans.
 
     ``pos`` is just past the ``>`` of the opening tag.  On success returns
     ``(end_pos, interior_ids)``: the position just past the matching close
     tag and the node identifiers the normal tokenization would spend on
-    everything strictly inside the element.  Returns ``None`` to punt to
-    the per-tag walk — on any entity/comment/PI/CDATA, any count the bulk
-    arithmetic cannot reconcile, any tag shape outside the plain
-    ``<name attr="v">`` grammar, or any interior label the skip set cannot
-    verify as safe (the walk then re-discovers the unsafe tag and aborts
-    the skip with canonical behavior).
-
-    The only inputs where bulk accounting accepts a region the walk would
-    reject are ill-formed documents whose per-label counts nevertheless
-    balance — interleaved mismatched pairs (``<a><b></a></b>``) and
-    tag-shaped markup hidden inside attribute values.  Well-formed
-    documents (everything the serializer emits, and everything the DOM
-    parser accepts) are counted identically by construction, which the
-    differential suites pin stream-for-stream.
+    everything strictly inside the element.  The region is accepted only
+    when :func:`_bulk_pattern` matches all of it — well-formed, names
+    checked at every close, within the pattern's nesting — and ``skip``
+    verifies every interior label, so the bulk skip accepts only regions
+    the per-tag walk accepts, and counts them identically.
+    Anything else returns ``None`` and the walk decides: an entity,
+    comment, PI, CDATA, ``>`` or ``=`` in text, deeper nesting, an
+    unverified label, or an ill-formed region (which the walk rejects and
+    the scanner then reports canonically).
     """
-    find = source.find
-    close_token = "</" + name
-    search = pos
-    while True:
-        close = find(close_token, search)
-        if close < 0:
-            return None  # unterminated: the walk reports it canonically
-        match = _END_TAG_RE.match(source, close + 2)
-        if match is not None and match.group(1) == name:
-            break
-        search = close + 1  # a longer name sharing the prefix, keep looking
-    region = source[pos:close]
-    if "&" in region or "<!" in region or "<?" in region:
+    end = _bulk_pattern().match(source, pos).end()
+    if not source.startswith("</", end):
         return None
-    n_lt = region.count("<")
-    if n_lt:
-        if region.count(">") != n_lt:
-            return None
-        n_close = region.count("</")
-        n_open = n_lt - n_close
-        if n_open != n_close + region.count("/>"):
-            return None  # some open lacks its close inside the region
-        pieces = _TAG_SPLIT_RE.split(region)
-        spans = pieces[1::2]
-        if len(spans) != n_lt:
-            return None  # a '<' hid inside a tag span
-        parts = pieces[0::2]
-        if "=" in region:
-            joined = "\x00".join(spans) + "\x00"
-            if _TAGS_OK_RE.match(joined) is None:
-                return None
-            opens = _OPEN_NAME_RE.findall(region)
-            if len(opens) != n_open:
-                return None
-            for child in set(opens):
-                if not verifies(child):
-                    return None
-            attr_ids = len(_BULK_ATTR_RE.findall(joined))
-        else:
-            # Attribute-free region: the handful of *distinct* tag spans
-            # is all that needs shape validation and safety verification.
-            attr_ids = 0
-            for span in set(spans):
-                shape = _SIMPLE_TAG_RE.match(span)
-                if shape is None:
-                    return None
-                child = shape.group(2)
-                if child is not None and not verifies(child):
-                    return None
-    else:
-        n_open = attr_ids = 0
-        parts = [region]
-    # One text run lives between consecutive tags; the walk flushes a run
-    # when it is non-empty (keep_all) or contains non-whitespace.
-    empties = parts.count("")
-    if keep_all:
-        text_ids = len(parts) - empties
-    else:
-        text_ids = len(parts) - empties - sum(map(str.isspace, parts))
-    return match.end(), n_open + attr_ids + text_ids
+    close = _END_TAG_RE.match(source, end + 2)
+    if close is None or close.group(1) != name:
+        return None
+    if skip.unverified_tag.search(source, pos, end) is not None:
+        return None
+    count = source.count
+    # Each text run follows a tag's ``>`` (the opening tag's own ``>`` at
+    # ``pos - 1`` starts the leading run) and ends at the next ``<``.
+    text_ids = count(">", pos - 1, end) - count("><", pos - 1, end + 1)
+    if not keep_all:
+        text_ids -= len(_BLANK_TEXT_RE.findall(source, pos - 1, end + 1))
+    elements = count("<", pos, end) - count("</", pos, end)
+    return close.end(), elements + count("=", pos, end) + text_ids
 
 
-def _skip_string_subtree(source, pos, name, verifies, keep_all):
+def _skip_string_subtree(source, pos, name, skip, keep_all):
     """Fast-forward over one element without materializing its events.
 
     ``pos`` is just past the tag name of the opened element ``name``; on
@@ -611,6 +574,7 @@ def _skip_string_subtree(source, pos, name, verifies, keep_all):
     would reject — in which case the caller re-tokenizes the region
     normally so errors keep their canonical messages and positions.
     """
+    verifies = skip.verifies
     length = len(source)
     find = source.find
     startswith = source.startswith
@@ -646,7 +610,7 @@ def _skip_string_subtree(source, pos, name, verifies, keep_all):
             # Once, at the outer element's content start: try to settle
             # the whole region with C-level counting before walking it.
             bulk_tried = True
-            bulk = _skip_bulk_region(source, pos, name, verifies, keep_all)
+            bulk = _skip_bulk_region(source, pos, name, skip, keep_all)
             if bulk is not None:
                 end, interior = bulk
                 return end, ids + interior

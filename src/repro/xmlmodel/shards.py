@@ -73,7 +73,6 @@ from repro.xmlmodel.events import (
     Event,
     record_tokenizer_call,
 )
-from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.parser import XMLSyntaxError, expand_entities
 
 #: One complete start tag (after its ``<``): name, any number of quoted

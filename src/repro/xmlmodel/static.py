@@ -61,6 +61,8 @@ computation, so the skip plane never hides their matches).
 
 from __future__ import annotations
 
+import functools
+import re
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.keys.key import XMLKey
@@ -291,6 +293,24 @@ class SkipSet:
         if verdict is None:
             return self.other_safe
         return verdict
+
+    @functools.cached_property
+    def unverified_tag(self) -> "re.Pattern[str]":
+        """Finds a start tag whose label :meth:`verifies` rejects.
+
+        Made for markup where every ``<`` starts a tag and every name ends
+        at whitespace, ``/`` or ``>`` — a region the string scanner's bulk
+        skip has matched — so one C-level search verifies all of its
+        labels at once.
+        """
+        labels = "|".join(
+            re.escape(label)
+            for label, ok in sorted(self.verdicts.items())
+            if ok != self.other_safe
+        )
+        if self.other_safe:  # the labels listed are the rejected ones
+            return re.compile(rf"<(?:{labels})[\s/>]")
+        return re.compile(rf"<(?!/|(?:{labels})[\s/>])")  # the verified ones
 
     def __bool__(self) -> bool:
         return bool(self.attempt)

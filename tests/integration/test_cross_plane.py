@@ -8,10 +8,10 @@ DOM reference renders in-process (:mod:`tests.dom_reference`).  This
 suite holds them to it on the schema-shaped stress corpora of
 :mod:`repro.experiments.scenarios` (entity-dense text, a DBLP-shaped
 bibliography, deep recursive nesting), on an ill-formed document, whose
-syntax error must read the same on every plane (``apply-delta`` and a
-service upload included), on carriage returns, which every plane keeps,
-and on a file that is not UTF-8, whose decode error must read the same on
-every plane.  The pure tokenizer is not a CLI plane (the backend is the
+syntax error must read the same on every plane (``apply-delta``, a
+verified ``load`` and a service upload included), on carriage returns,
+which every plane keeps, and on a file that is not UTF-8, whose decode
+error must read the same on every plane.  The pure tokenizer is not a CLI plane (the backend is the
 tokenizer's own choice), so its events are fed to the pipeline driver
 in-process and compared with the default plane's answer.
 """
@@ -117,6 +117,21 @@ def _run(argv, capsys):
 
 def _argv(args, ws):
     return [arg.format(**ws) for arg in args]
+
+
+def _loaded_rows(db):
+    """Rows over every table of a SQLite database."""
+    connection = sqlite3.connect(db)
+    try:
+        tables = connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        ).fetchall()
+        return sum(
+            connection.execute(f'SELECT COUNT(*) FROM "{name}"').fetchone()[0]
+            for (name,) in tables
+        )
+    finally:
+        connection.close()
 
 
 class TestCheckDocPlanesAgree:
@@ -274,12 +289,6 @@ class TestIllFormedDocument:
             run_pipeline(events, keys=keys)
         assert f"error: {caught.value}\n" == expected[2]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: the pure bulk skip accepts balanced but "
-        "interleaved tags, and the path route's ExpatError falls back to "
-        "that same skip, so --prune accepts the ill-formed document",
-    )
     @pytest.mark.parametrize(
         "plane",
         [["--jobs", "1"], ["--jobs", "2"]],
@@ -293,6 +302,18 @@ class TestIllFormedDocument:
             "--dtd", ill_formed["dtd"], "--prune",
         ]
         assert _run(argv + plane, capsys) == expected
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_verified_load_reports_the_serial_error_and_loads_nothing(
+        self, ill_formed, expected, jobs, tmp_path, capsys
+    ):
+        db = str(tmp_path / "verified.db")
+        argv = [
+            "load", "--transform", ill_formed["rules"], "--keys", ill_formed["keys"],
+            "--xml", ill_formed["doc"], "--db", db, "--verify", "--jobs", jobs,
+        ]
+        assert _run(argv, capsys) == expected
+        assert _loaded_rows(db) == 0
 
     @pytest.mark.parametrize(
         "command",
@@ -426,15 +447,4 @@ class TestNotUtf8Document:
         paths, message = not_utf8
         argv = _argv(["load", "--transform", "{rules}", "--xml", "{doc}", "--db", "{db}"], paths)
         assert _run(argv, capsys) == (2, "", message)
-        connection = sqlite3.connect(paths["db"])
-        try:
-            tables = connection.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table'"
-            ).fetchall()
-            rows = sum(
-                connection.execute(f'SELECT COUNT(*) FROM "{name}"').fetchone()[0]
-                for (name,) in tables
-            )
-        finally:
-            connection.close()
-        assert rows == 0
+        assert _loaded_rows(paths["db"]) == 0

@@ -30,7 +30,13 @@ actual tags on the wire and aborted on mismatch.
 
 * **DTD keys** — :func:`keys_from_dtd`, which ``check-doc --dtd`` adds to
   the stated keys, derives exactly one absolute key per ``ID`` attribute,
-  in declaration order, under a name that survives the key syntax.
+  in declaration order, under a name that survives the key syntax;
+
+* **Damaged documents** — on ill-formed and markup-dense documents
+  (interleaved closes, tag-shaped values, ``>``/``=``/``&`` in text, deep
+  skippable nesting) a pruned stream is the unpruned one with whole
+  subtrees elided, or raises the unpruned stream's syntax error, on text,
+  path and sharded sources.
 """
 
 import re
@@ -43,13 +49,13 @@ from hypothesis import strategies as st
 from repro.incremental import IncrementalEngine, insert, replace
 from repro.keys import parse_keys
 from repro.keys.stream import stream_violations
-from repro.parallel import run_sharded
+from repro.parallel import run_pipeline, run_sharded
 from repro.transform.stream import stream_evaluate_rule
 from repro.xmlmodel.dtd import keys_from_dtd, parse_dtd, stream_dtd_violations
-from repro.xmlmodel.events import iter_events
-from repro.xmlmodel.parser import parse_document
+from repro.xmlmodel.events import END, SKIP, START, Event, iter_events
+from repro.xmlmodel.parser import XMLSyntaxError, parse_document
 from repro.xmlmodel.serializer import serialize
-from repro.xmlmodel.static import compile_plan
+from repro.xmlmodel.static import SkipSet, compile_plan
 
 from test_parallel_differential import (
     ATTRIBUTES,
@@ -296,3 +302,153 @@ class TestDTDKeyDerivation:
     def test_derivation_is_deterministic(self, text):
         first, second = (keys_from_dtd(parse_dtd(text)) for _ in range(2))
         assert [key.text for key in first] == [key.text for key in second]
+
+
+# ----------------------------------------------------------------------
+# 7. Damaged documents: pruning elides whole subtrees or nothing
+# ----------------------------------------------------------------------
+#: A key on ``//chapter`` makes every label but ``r``, ``book`` and
+#: ``chapter`` skippable under this book schema; ``chapter`` is the only
+#: label the skip set rejects.
+DAMAGE_PLAN = compile_plan(
+    parse_dtd(
+        "<!ELEMENT r (book|chapter|section)*>\n<!ELEMENT book (title, chapter*)>\n"
+        "<!ELEMENT chapter (title, section*)>\n<!ELEMENT title (#PCDATA)>\n"
+        "<!ELEMENT section (title|section|para|note)*>\n"
+        "<!ELEMENT para (#PCDATA|em|note)*>\n<!ELEMENT note (#PCDATA|em)*>\n"
+        "<!ELEMENT em (#PCDATA)>\n<!ATTLIST chapter number CDATA #REQUIRED>\n"
+    ),
+    keys=parse_keys("K = (., (//chapter, {@number}))\n"),
+)
+DAMAGE_KEYS = DAMAGE_PLAN.keys
+SKIPPABLE = ["title", "section", "para", "note", "em"]
+#: The same attempts with undeclared labels unverified, so an ``x``
+#: inside a skippable element aborts the skip.
+STRICT_SKIP = SkipSet(SKIPPABLE, dict.fromkeys(SKIPPABLE, True), False)
+DAMAGE_LABELS = SKIPPABLE + ["x", "book", "chapter"]
+#: Skippable labels drawn most often, so damage lands in skipped regions.
+ELEMENT_LABELS = SKIPPABLE + DAMAGE_LABELS
+#: Text and attribute values, plain or markup-dense.  Markup characters
+#: send the bulk skip to the walk, so half the documents keep them out and
+#: leave their other damage within the bulk skip's reach.
+PLAIN = (["t", " ", "\n "], ["1", "v", ""])
+MARKUP = (
+    PLAIN[0] + ["a>b", "k=v", "&amp;", "&#62;", "x & y"],
+    PLAIN[1] + ["<title>", "</section>", "a=b", "x>y", "&lt;"],
+)
+
+
+@st.composite
+def damaged_elements(draw, alphabet, depth=0):
+    """One element as a token list: start tag, content, end tag."""
+    texts, values = alphabet
+    label = draw(st.sampled_from(ELEMENT_LABELS))
+    start = "<" + label
+    for name in draw(st.sampled_from([[], [], ["n"], ["number", "n"]])):
+        quote = draw(st.sampled_from(['"', "'"]))
+        start += f" {name}={quote}{draw(st.sampled_from(values))}{quote}"
+    if depth >= 4 or draw(st.sampled_from([False, False, True])):
+        return [start + "/>"]
+    content = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            content.append(draw(st.sampled_from(texts)))
+        else:
+            content.extend(draw(damaged_elements(alphabet, depth + 1)))
+    if draw(st.sampled_from([False] * 7 + [True])):
+        # Nesting past the bulk skip's pattern levels.
+        chain = draw(st.lists(st.sampled_from(ELEMENT_LABELS), min_size=11, max_size=15))
+        opens = [f"<{tag}>" for tag in chain]
+        content = opens + content + [f"</{tag}>" for tag in reversed(chain)]
+    if depth and content and content[-1].startswith("</") and draw(st.booleans()):
+        # Interleaved closes: the last child closes after its parent.
+        return [start + ">"] + content[:-1] + [f"</{label}>", content[-1]]
+    return [start + ">"] + content + [f"</{label}>"]
+
+
+@st.composite
+def damaged_documents(draw):
+    """A document whose root content then takes up to two more damages."""
+    alphabet = draw(st.sampled_from([PLAIN, MARKUP]))
+    tokens = []
+    for _ in range(draw(st.integers(1, 5))):
+        tokens.extend(draw(damaged_elements(alphabet)))
+    for _ in range(draw(st.integers(0, 2))):
+        if not tokens:
+            break
+        damage = draw(st.sampled_from(["rename", "drop", "double"]))
+        at = draw(st.integers(0, len(tokens) - 1))
+        if damage == "rename" and tokens[at].startswith("</"):
+            tokens[at] = f"</{draw(st.sampled_from(DAMAGE_LABELS))}>"
+        elif damage == "drop":
+            del tokens[at]
+        else:
+            tokens.insert(at, tokens[at])
+    return "<r>" + "".join(tokens) + "</r>"
+
+
+def drain(events):
+    """The events up to the first syntax error, and that error."""
+    seen = []
+    try:
+        for event in events:
+            seen.append(event)
+    except XMLSyntaxError as error:
+        return seen, (error.message, error.position)
+    return seen, None
+
+
+def expand_skips(pruned, full):
+    """``pruned`` with each SKIP event replaced by the subtree of ``full``
+    it stands for, checking the subtree spends the ids the event claims."""
+    expanded = []
+    for event in pruned:
+        if event.kind != SKIP:
+            expanded.append(event)
+            continue
+        begin, depth = len(expanded), 0
+        for inner in full[begin:]:
+            expanded.append(inner)
+            depth += (inner.kind == START) - (inner.kind == END)
+            if not depth:
+                break
+        subtree = expanded[begin:]
+        assert subtree and subtree[0] == Event(START, event.name)
+        assert sum(inner.kind != END for inner in subtree) == event.value
+    return expanded
+
+
+def assert_elides_only(pruned, full):
+    (pruned, pruned_error), (full, full_error) = drain(pruned), drain(full)
+    assert pruned_error == full_error
+    assert expand_skips(pruned, full) == full
+
+
+def pipeline_answer(doc, plan):
+    try:
+        run = run_pipeline(doc, keys=DAMAGE_KEYS, jobs=2, plan=plan, use_processes=False)
+    except XMLSyntaxError as error:
+        return error.message, error.position
+    return fingerprint(run.violations)
+
+
+class TestDamagedDocumentsDifferential:
+    @differential_settings
+    @given(doc=damaged_documents(), strip=st.booleans(), strict=st.booleans())
+    def test_text_and_path_streams_elide_only(self, doc, strip, strict, tmp_path_factory):
+        skip = STRICT_SKIP if strict else DAMAGE_PLAN.skipset
+        assert_elides_only(
+            iter_events(doc, strip_whitespace=strip, skip=skip),
+            iter_events(doc, strip_whitespace=strip),
+        )
+        path = tmp_path_factory.getbasetemp() / "damaged.xml"
+        path.write_text(doc)
+        assert_elides_only(
+            iter_events(path, strip_whitespace=strip, skip=skip),
+            iter_events(path, strip_whitespace=strip),
+        )
+
+    @differential_settings
+    @given(doc=damaged_documents())
+    def test_sharded_answers_match(self, doc):
+        assert pipeline_answer(doc, DAMAGE_PLAN) == pipeline_answer(doc, None)

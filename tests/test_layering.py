@@ -124,6 +124,16 @@ def test_expat_is_fed_text_only():
         assert not hasattr(accel, name), name
 
 
+def test_accel_takes_no_skip_set():
+    """Only the string scanner elides subtrees: expat's entry points take
+    no skip set, and the accelerated module never builds a SKIP event."""
+    from repro.xmlmodel import accel
+
+    for function in (accel._expat_segments, accel._expat_events, accel.accelerated_events):
+        assert "skip" not in inspect.signature(function).parameters, function.__name__
+    assert "SKIP" not in vars(accel)
+
+
 @pytest.mark.parametrize("entry", [run_pipeline, run_sharded], ids=_name)
 def test_pipeline_takes_no_executor(entry):
     assert "executor" not in inspect.signature(entry).parameters

@@ -276,8 +276,8 @@ LARGE = _routing_document(2 * accel._AUTO_THRESHOLD)
 ROUTES = [
     ("path", SMALL, False, None, "expat"),
     ("path", LARGE, False, None, "expat"),
-    ("path", SMALL, True, None, "expat"),
-    ("path", LARGE, True, None, "expat"),
+    ("path", SMALL, True, None, "string"),
+    ("path", LARGE, True, None, "string"),
     ("text", SMALL, False, None, "string"),
     ("text", LARGE, False, None, "expat"),
     ("text", SMALL, True, None, "string"),
@@ -285,11 +285,12 @@ ROUTES = [
     ("bytes", SMALL, False, None, "string"),
     ("bytes", LARGE, False, None, "expat"),
     ("bytes", SMALL, True, None, "string"),
-    ("bytes", LARGE, True, None, "expat"),
+    ("bytes", LARGE, True, None, "string"),
     ("file-like", LARGE, False, None, "chunked"),
     ("chunks", LARGE, False, None, "chunked"),
     ("path", SMALL, False, "pure", "chunked"),
     ("path", LARGE, True, "pure", "chunked"),
+    ("text", LARGE, True, "expat", "expat"),
 ]
 
 
@@ -340,4 +341,4 @@ class TestRouting:
         stream = list(iter_events(source, engine=engine, skip=skip))
         assert taken == [backend]
         elided = [event for event in stream if event.kind == "skip"]
-        assert len(elided) == (1 if use_skip and backend != "chunked" else 0)
+        assert len(elided) == (1 if use_skip and backend == "string" else 0)

@@ -10,6 +10,7 @@ from repro.transform.rule import TableRule
 from repro.xmlmodel.dtd import parse_dtd
 from repro.xmlmodel.events import SKIP, iter_events
 from repro.xmlmodel.matching import PathNFA
+from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.paths import parse_path
 from repro.xmlmodel.static import (
     OTHER_LABEL,
@@ -247,20 +248,55 @@ class TestBulkFastForward:
         # a close tag whose name shares the skipped label as a prefix
         "<r><book isbn='1'><chapter number='1'><title>T</title>"
         "<section><titlex>y</titlex></section></chapter></book></r>",
-        # attributes inside the skipped region (the validated-attr branch)
+        # attributes inside the skipped region
         "<r><book isbn='1'><chapter number='1'><title>T</title>"
         "<section><title a='1' b='2'>s</title></section></chapter></book></r>",
+        # tag-shaped and '='-bearing attribute values
+        "<r><book isbn='1'><chapter number='1'><title a='<x>' b=\"</title>\">T</title>"
+        "<section><title c='k=v' d='x>y'>s</title></section></chapter></book></r>",
+        # '>', '=' and '&' in text
+        "<r><book isbn='1'><chapter number='1'><title>a>b k=v x & y</title>"
+        "<section><title> > </title></section></chapter></book></r>",
+        # a skippable element nested inside itself
+        "<r><book isbn='1'><chapter number='1'><title>T</title><section><section>"
+        "<title>S</title></section> <section/></section></chapter></book></r>",
+        # nesting beyond the bulk pattern's levels
+        "<r><book isbn='1'><chapter number='1'><title>T</title>"
+        + "<section> " * 14 + "<title>deep</title>" + "</section> " * 14
+        + "</chapter></book></r>",
+        # ill-formed regions: interleaved closes (balanced per label), a
+        # close crossing a nested skippable element, and a stray close
+        "<r><book isbn='1'><chapter number='1'><title>T</title>"
+        "<section><title><x></title></x></section></chapter></book></r>",
+        "<r><book isbn='1'><chapter number='1'><title>T</title><section><section>"
+        "<title></section></title></section></chapter></book></r>",
+        "<r><book isbn='1'><title>T</x></title></book></r>",
     ]
 
-    def _streams(self, doc, dtd, monkeypatch):
+    def _streams(self, doc, dtd, monkeypatch, strip_whitespace=True):
+        """The pruned stream with and without the bulk skip, each as its
+        events up to the first syntax error and that error; the error is
+        the unpruned stream's."""
         from repro.xmlmodel import events as events_module
 
         plan = compile_plan(dtd, keys=[parse_key("(., (//chapter, {@number}))")])
-        with_bulk = list(iter_events(doc, skip=plan.skipset))
+
+        def drain(skip):
+            seen = []
+            try:
+                for event in iter_events(doc, strip_whitespace, skip=skip):
+                    seen.append(event)
+            except XMLSyntaxError as error:
+                return seen, (error.message, error.position)
+            return seen, None
+
+        unpruned_error = drain(None)[1]
+        with_bulk = drain(plan.skipset)
         monkeypatch.setattr(
             events_module, "_skip_bulk_region", lambda *args: None
         )
-        walk_only = list(iter_events(doc, skip=plan.skipset))
+        walk_only = drain(plan.skipset)
+        assert with_bulk[1] == walk_only[1] == unpruned_error
         return with_bulk, walk_only
 
     @pytest.mark.parametrize("doc", DOCS)
@@ -272,14 +308,7 @@ class TestBulkFastForward:
     def test_bulk_and_walk_agree_without_whitespace_stripping(
         self, dtd, doc, monkeypatch
     ):
-        from repro.xmlmodel import events as events_module
-
-        plan = compile_plan(dtd, keys=[parse_key("(., (//chapter, {@number}))")])
-        with_bulk = list(iter_events(doc, strip_whitespace=False, skip=plan.skipset))
-        monkeypatch.setattr(
-            events_module, "_skip_bulk_region", lambda *args: None
-        )
-        walk_only = list(iter_events(doc, strip_whitespace=False, skip=plan.skipset))
+        with_bulk, walk_only = self._streams(doc, dtd, monkeypatch, strip_whitespace=False)
         assert with_bulk == walk_only
 
     def test_duplicate_attribute_ids_match_the_scanner(self, dtd):
@@ -300,24 +329,29 @@ class TestBulkFastForward:
         )
         assert spent_pruned == spent_full
 
-    def test_auto_engine_prefers_pure_scanner_under_skip(self, dtd, monkeypatch):
-        # With a non-empty skip set on an in-memory string, auto must not
-        # route through a C backend that visits every node.
+    def test_auto_engine_prefers_pure_scanner_under_skip(self, dtd, monkeypatch, tmp_path):
+        # With a non-empty skip set, auto sends text and paths to the
+        # string scanner, the one tokenizer that elides; an explicit
+        # expat request tokenizes in full.
         from repro.xmlmodel import accel
 
         plan = compile_plan(dtd, keys=[parse_key("(., (//chapter, {@number}))")])
         calls = []
         original = accel.accelerated_events
 
-        def spying(source, strip_whitespace, resolved, skip=None):
+        def spying(source, strip_whitespace, resolved):
             calls.append(resolved)
-            return original(source, strip_whitespace, resolved, skip)
+            return original(source, strip_whitespace, resolved)
 
         monkeypatch.setattr(accel, "accelerated_events", spying)
-        assert any(e.kind == SKIP for e in iter_events(DOC, skip=plan.skipset))
-        assert calls == []  # the pure scanner handled it directly
-        list(iter_events(DOC, engine="expat", skip=plan.skipset))
+        path = tmp_path / "doc.xml"
+        path.write_text(DOC)
+        for source in (DOC, path):
+            assert any(e.kind == SKIP for e in iter_events(source, skip=plan.skipset))
+        assert calls == []  # the pure scanner handled both directly
+        full = list(iter_events(DOC, engine="expat", skip=plan.skipset))
         assert calls == ["expat"]  # explicit requests are honored
+        assert full == list(iter_events(DOC))
 
 
 class TestSkipEvents:

@@ -114,8 +114,18 @@ _ATTR_RE = re.compile(r"\s*([^\s=<>/?\"']+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)')")
 _END_TAG_RE = re.compile(r"([^\s=<>/?\"']+)\s*>")
 
 #: Element levels below a skipped element that :func:`_bulk_pattern`
-#: spells out; a deeper region takes the per-tag walk.
+#: spells out; a deeper region is tokenized in full.
 _BULK_NESTING = 12
+
+#: The attributes of a start tag in :func:`_bulk_pattern`'s grammar:
+#: quoted values exclude ``<>=&``, so every ``=`` belongs to an attribute.
+_BULK_ATTRS = (
+    r"(?:\s*+[^\s=<>/?\"']++\s*+=\s*+(?:\"[^\"<>=&]*+\"|'[^'<>=&]*+'))*+\s*+"
+)
+
+#: The rest of a skipped element's start tag, from just past its name;
+#: the group is ``/`` when the element closes itself.
+_SKIP_HEAD_RE = re.compile(_BULK_ATTRS + r"(/?)>")
 
 #: A whitespace-only text run in a region :func:`_bulk_pattern` matched:
 #: ``strip_whitespace`` flushes no text event for it.
@@ -166,15 +176,18 @@ def iter_events(
     non-root element opens whose label the set marks skippable, the
     string scanner fast-forwards to the matching close tag without
     materializing the subtree's events, emitting one ``skip`` event in
-    their place.  The fast-forward accepts only a well-formed region
-    whose every interior tag the set verifies; anything else aborts the
-    attempt and the region tokenizes normally, so the (document, skip
-    set) pair fully determines the stream, and a pruned stream raises
-    the unpruned stream's error — including on documents that violate
-    the schema the set was compiled from.  Only the string scanner
-    skips: expat and the bounded-memory chunked tokenizer accept the
-    parameter but always tokenize in full (their streams simply contain
-    no ``skip`` events, which is also correct).
+    their place.  The fast-forward is one pattern match: it accepts only
+    a well-formed element in the plain dialect — no entity, comment, PI
+    or CDATA, no ``>`` or ``=`` in text, no ``<>=&`` in a quoted value,
+    at most :data:`_BULK_NESTING` levels deep — whose every interior
+    label the set verifies.  A miss costs speed, not exactness: the
+    element tokenizes in full, so the (document, skip set) pair fully
+    determines the stream, and a pruned stream raises the unpruned
+    stream's error — including on documents that violate the schema the
+    set was compiled from.  Only the string scanner skips: expat and the
+    bounded-memory chunked tokenizer accept the parameter but always
+    tokenize in full (their streams simply contain no ``skip`` events,
+    which is also correct).
     """
     from repro.xmlmodel import accel
 
@@ -220,7 +233,7 @@ def _route_events(
         source = str(source, "utf-8")
     if resolved == accel.AUTO and skip:
         # A skip set selects the string scanner, the one tokenizer that
-        # elides: its bulk skip settles a skippable region with one
+        # elides: its skip settles a skippable element with one
         # pattern match and a few counts, while a C parser still pays a
         # Python callback per element it visits.
         if hasattr(source, "__fspath__"):
@@ -503,45 +516,51 @@ def _bulk_pattern() -> "re.Pattern[str]":
     :func:`~repro.xmlmodel.shards._child_pattern`'s grammar with close
     names checked: each of :data:`_BULK_NESTING` levels captures its start
     tag's name in a group of its own and closes with ``</(?P=n_k)\\s*>``,
-    so every element the match spans closes under its own name, as the
-    per-tag walk demands.  Text excludes ``<>=&`` and quoted attribute
-    values exclude ``<>=&``, so over a matched region every ``<`` opens or
-    closes a tag, every ``=`` belongs to an attribute and every ``>`` ends
-    a tag: :func:`_skip_bulk_region` counts node ids with C-level scans.
+    so every element the match spans closes under its own name.  Text
+    excludes ``<>=&`` and quoted attribute values exclude ``<>=&``, so
+    over a matched region every ``<`` opens or closes a tag, every ``=``
+    belongs to an attribute and every ``>`` ends a tag:
+    :func:`_skip_string_subtree` counts node ids with C-level scans.
     Every quantifier is possessive, and a region holding a construct
     outside the grammar (``<!``, ``<?``, an entity, a mismatched or
     missing close, deeper nesting) is never matched to its end.
     """
     name = r"[^\s=<>/?\"']++"
-    attrs = (
-        r"(?:\s*+" + name + r"\s*+=\s*+(?:\"[^\"<>=&]*+\"|'[^'<>=&]*+'))*+\s*+"
-    )
-    content = r"(?:[^<>=&]++|<(?!!)" + name + attrs + r"/>)*+"
+    content = r"(?:[^<>=&]++|<(?!!)" + name + _BULK_ATTRS + r"/>)*+"
     for level in range(_BULK_NESTING):
         group = f"n{level}"
         content = (
-            rf"(?:[^<>=&]++|<(?!!)(?P<{group}>{name}){attrs}"
+            rf"(?:[^<>=&]++|<(?!!)(?P<{group}>{name}){_BULK_ATTRS}"
             rf"(?:/>|>{content}</(?P={group})\s*+>))*+"
         )
     return re.compile(content)
 
 
-def _skip_bulk_region(source, pos, name, skip, keep_all):
-    """Account for the whole content of ``name`` with C-level scans.
+def _skip_string_subtree(source, pos, name, skip, keep_all):
+    """Fast-forward over one element without materializing its events.
 
-    ``pos`` is just past the ``>`` of the opening tag.  On success returns
-    ``(end_pos, interior_ids)``: the position just past the matching close
-    tag and the node identifiers the normal tokenization would spend on
-    everything strictly inside the element.  The region is accepted only
-    when :func:`_bulk_pattern` matches all of it — well-formed, names
-    checked at every close, within the pattern's nesting — and ``skip``
-    verifies every interior label, so the bulk skip accepts only regions
-    the per-tag walk accepts, and counts them identically.
-    Anything else returns ``None`` and the walk decides: an entity,
-    comment, PI, CDATA, ``>`` or ``=`` in text, deeper nesting, an
-    unverified label, or an ill-formed region (which the walk rejects and
-    the scanner then reports canonically).
+    ``pos`` is just past the tag name of the opened element ``name``.  On
+    success returns ``(end_pos, id_count)``: the position just past the
+    element (its ``/>`` or its matching close tag) and the node
+    identifiers the normal tokenization would spend on it — the element,
+    each attribute occurrence, each flushed text event, under the
+    scanner's segmentation and ``keep_all`` solidity rules.  The skip is
+    exact or refused: :data:`_SKIP_HEAD_RE` must match the start tag,
+    :func:`_bulk_pattern` all of the content, the close must name
+    ``name``, and ``skip.unverified_tag`` must find no interior label.
+    Anything else returns ``None`` and the scanner tokenizes the element
+    in full: an entity, comment, PI, CDATA, ``>`` or ``=`` in text,
+    ``<>=&`` in a quoted value, deeper nesting, an unverified label, or
+    an ill-formed region (which the scanner then reports canonically).
     """
+    head = _SKIP_HEAD_RE.match(source, pos)
+    if head is None:
+        return None
+    pos = head.end()
+    count = source.count
+    ids = 1 + count("=", head.start(), pos)
+    if head.group(1):
+        return pos, ids
     end = _bulk_pattern().match(source, pos).end()
     if not source.startswith("</", end):
         return None
@@ -550,141 +569,13 @@ def _skip_bulk_region(source, pos, name, skip, keep_all):
         return None
     if skip.unverified_tag.search(source, pos, end) is not None:
         return None
-    count = source.count
     # Each text run follows a tag's ``>`` (the opening tag's own ``>`` at
     # ``pos - 1`` starts the leading run) and ends at the next ``<``.
     text_ids = count(">", pos - 1, end) - count("><", pos - 1, end + 1)
     if not keep_all:
         text_ids -= len(_BLANK_TEXT_RE.findall(source, pos - 1, end + 1))
     elements = count("<", pos, end) - count("</", pos, end)
-    return close.end(), elements + count("=", pos, end) + text_ids
-
-
-def _skip_string_subtree(source, pos, name, skip, keep_all):
-    """Fast-forward over one element without materializing its events.
-
-    ``pos`` is just past the tag name of the opened element ``name``; on
-    success returns ``(end_pos, id_count)`` where ``end_pos`` is just past
-    the matching close tag and ``id_count`` is the number of node
-    identifiers the normal tokenization would have consumed (the element
-    itself, each attribute occurrence, each flushed text event —
-    replicating the normal scanner's text segmentation and solidity rules
-    exactly).  Returns ``None`` on *any* anomaly — an interior tag the
-    skip set cannot verify as safe, or any construct the normal scanner
-    would reject — in which case the caller re-tokenizes the region
-    normally so errors keep their canonical messages and positions.
-    """
-    verifies = skip.verifies
-    length = len(source)
-    find = source.find
-    startswith = source.startswith
-    ids = 1
-    tags = [name]
-    pending = False  # >= 1 text segment accumulated since the last flush
-    solid = False  # the accumulated text has non-whitespace content
-    bulk_tried = False
-    while True:
-        # --- attribute section of the just-opened tags[-1] -------------
-        while True:
-            match = _ATTR_RE.match(source, pos)
-            if match is not None:
-                ids += 1  # one attr event per occurrence, like the scanner
-                pos = match.end()
-                continue
-            while pos < length and source[pos].isspace():
-                pos += 1
-            if pos >= length:
-                return None
-            char = source[pos]
-            if char == ">":
-                pos += 1
-                break
-            if char == "/" and startswith("/>", pos):
-                pos += 2
-                tags.pop()
-                if not tags:
-                    return pos, ids
-                break
-            return None  # malformed attribute: the normal scanner raises
-        if not bulk_tried:
-            # Once, at the outer element's content start: try to settle
-            # the whole region with C-level counting before walking it.
-            bulk_tried = True
-            bulk = _skip_bulk_region(source, pos, name, skip, keep_all)
-            if bulk is not None:
-                end, interior = bulk
-                return end, ids + interior
-        # --- content of tags[-1] ---------------------------------------
-        while True:
-            nxt = find("<", pos)
-            if nxt < 0:
-                return None  # unterminated element
-            if nxt > pos:
-                segment = source[pos:nxt]
-                if "&" in segment:
-                    segment = expand_entities(segment)
-                pending = True
-                if not solid and not segment.isspace():
-                    solid = True
-                pos = nxt
-            after = source[pos + 1] if pos + 1 < length else ""
-            if after == "/":
-                if pending and (keep_all or solid):
-                    ids += 1
-                pending = solid = False
-                match = _END_TAG_RE.match(source, pos + 2)
-                if match is None or match.group(1) != tags[-1]:
-                    return None  # malformed or mismatched end tag
-                pos = match.end()
-                tags.pop()
-                if not tags:
-                    return pos, ids
-                continue
-            if after == "!":
-                if startswith("<!--", pos):
-                    if pending and (keep_all or solid):
-                        ids += 1
-                    pending = solid = False
-                    end = find("-->", pos)
-                    if end < 0:
-                        return None
-                    pos = end + 3
-                    continue
-                if startswith("<![CDATA[", pos):
-                    end = find("]]>", pos)
-                    if end < 0:
-                        return None
-                    pending = True  # raw append, possibly empty
-                    if not solid:
-                        segment = source[pos + 9 : end]
-                        if segment and not segment.isspace():
-                            solid = True
-                    pos = end + 3
-                    continue
-                # anything else after '<!' parses as an element below
-            elif after == "?":
-                if pending and (keep_all or solid):
-                    ids += 1
-                pending = solid = False
-                end = find("?>", pos)
-                if end < 0:
-                    return None
-                pos = end + 2
-                continue
-            # --- a new start tag -------------------------------------
-            if pending and (keep_all or solid):
-                ids += 1
-            pending = solid = False
-            match = _NAME_RE.match(source, pos + 1)
-            if match is None:
-                return None
-            child = match.group()
-            if not verifies(child):
-                return None  # tag the plan cannot prove safe: abort
-            ids += 1
-            tags.append(child)
-            pos = match.end()
-            break  # back to the attribute section of the new element
+    return close.end(), ids + elements + count("=", pos, end) + text_ids
 
 
 def iter_tree_events(tree_or_element: Union[XMLTree, ElementNode]) -> Iterator[Event]:

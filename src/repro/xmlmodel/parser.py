@@ -25,6 +25,7 @@ and :func:`expand_entities`.
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional
 
 from repro.xmlmodel.tree import XMLTree
@@ -55,6 +56,9 @@ _PREDEFINED_ENTITIES = {
     "apos": "'",
     "quot": '"',
 }
+
+#: A character reference's body: decimal digits, or ``x`` and hex digits.
+_CHAR_REF_RE = re.compile(r"#(?:([0-9]+)|x([0-9A-Fa-f]+))")
 
 
 def expand_entities(raw: str) -> str:
@@ -104,16 +108,15 @@ def parse_document(source: str, strip_whitespace: bool = True) -> XMLTree:
 
 
 def _expand_entity(entity: str) -> Optional[str]:
+    """The text ``&entity;`` stands for, or ``None`` to keep it literal:
+    an unknown name, a malformed reference or one past ``chr``'s range."""
     if entity in _PREDEFINED_ENTITIES:
         return _PREDEFINED_ENTITIES[entity]
-    if entity.startswith("#x") or entity.startswith("#X"):
-        try:
-            return chr(int(entity[2:], 16))
-        except ValueError:
-            return None
-    if entity.startswith("#"):
-        try:
-            return chr(int(entity[1:]))
-        except ValueError:
-            return None
-    return None
+    match = _CHAR_REF_RE.fullmatch(entity)
+    if match is None:
+        return None
+    decimal, hexadecimal = match.groups()
+    try:
+        return chr(int(decimal) if hexadecimal is None else int(hexadecimal, 16))
+    except (ValueError, OverflowError):
+        return None

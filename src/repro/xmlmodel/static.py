@@ -16,9 +16,9 @@ a run into a :class:`StaticPlan` holding
   alphabet: the full transition table, per-state attribute acceptance,
   and the *dead states* from which no acceptance is reachable under the
   content models;
-* a :class:`SkipSet` telling the tokenizers which subtrees can be
-  fast-forwarded, and the consumers how to *verify* that decision tag by
-  tag;
+* a :class:`SkipSet` telling the string scanner which subtrees can be
+  fast-forwarded, and how to *verify* that decision over a whole region
+  with one search;
 * liveness verdicts for the keys and rule anchors themselves
   (:attr:`StaticPlan.dead_keys`, :attr:`StaticPlan.dead_anchors`).
 
@@ -34,11 +34,12 @@ obey the DTD.  Two different strengths of fact are therefore kept apart:
   Safe labels produce no matches wherever they occur; this needs no help
   from the document.
 * The DTD's reachability graph only decides where a skip is *attempted*:
-  a declared label whose reachable content is entirely safe.  During the
-  fast-forward itself every interior tag is still **verified** against the
-  safe set (:meth:`SkipSet.verifies`); the first unsafe tag — which on a
-  DTD-obeying document cannot occur — aborts the skip and the region is
-  tokenized normally.  Pruning therefore only engages on facts the
+  a declared label whose reachable content is entirely safe.  The
+  fast-forward still **verifies** every interior label of the region it
+  matched against the safe set, with one search
+  (:attr:`SkipSet.unverified_tag`); an unsafe label — which on a
+  DTD-obeying document cannot occur — refuses the skip and the element is
+  tokenized in full.  Pruning therefore only engages on facts the
   document actually obeys.
 
 Rules that can bind *element* nodes need every event of a bound
@@ -254,16 +255,16 @@ class SpecializedNFA:
 # The skip set
 # ----------------------------------------------------------------------
 class SkipSet:
-    """Which subtrees the tokenizers may fast-forward, and how to verify.
+    """Which subtrees the string scanner may fast-forward, and how to verify.
 
     ``attempt`` holds the declared labels whose *entire* reachable content
     (per the DTD) is safe: opening such an element triggers a skip
-    attempt.  :meth:`verifies` is the per-tag check applied to every
-    element inside the attempted region — labels with an explicit safety
-    verdict use it, anything else falls back to ``other_safe`` (the
-    verdict of the anonymous "any other label" column).  A tag that fails
-    verification aborts the skip; the tokenizer then re-scans the region
-    normally, so DTD-violating documents keep their exact answers.
+    attempt.  ``verdicts`` maps labels to their safety; any other label
+    takes ``other_safe`` (the verdict of the anonymous "any other label"
+    column).  :attr:`unverified_tag` turns the verdicts into one search
+    over the region a skip attempt matched: a hit refuses the skip, and
+    the scanner tokenizes the element in full, so DTD-violating documents
+    keep their exact answers.
 
     Instances are plain picklable values — they cross the process boundary
     of :mod:`repro.parallel` with the rest of the shard arguments.
@@ -284,24 +285,16 @@ class SkipSet:
         """The empty skip set: nothing attempted, nothing verified."""
         return cls((), {}, False)
 
-    def skippable(self, tag: str) -> bool:
-        return tag in self.attempt
-
-    def verifies(self, tag: str) -> bool:
-        """Is ``tag`` safe wherever it occurs (no interesting path accepts)?"""
-        verdict = self.verdicts.get(tag)
-        if verdict is None:
-            return self.other_safe
-        return verdict
-
     @functools.cached_property
     def unverified_tag(self) -> "re.Pattern[str]":
-        """Finds a start tag whose label :meth:`verifies` rejects.
+        """Finds a start tag whose label is not safe wherever it occurs.
 
-        Made for markup where every ``<`` starts a tag and every name ends
-        at whitespace, ``/`` or ``>`` — a region the string scanner's bulk
-        skip has matched — so one C-level search verifies all of its
-        labels at once.
+        A label is safe when its verdict, or ``other_safe`` for a label
+        without one, says no interesting path accepts on it.  Made for
+        markup where every ``<`` starts a tag and every name ends at
+        whitespace, ``/`` or ``>`` — a region the string scanner's skip
+        has matched — so one C-level search verifies all of its labels at
+        once.
         """
         labels = "|".join(
             re.escape(label)
@@ -309,7 +302,7 @@ class SkipSet:
             if ok != self.other_safe
         )
         if self.other_safe:  # the labels listed are the rejected ones
-            return re.compile(rf"<(?:{labels})[\s/>]")
+            return re.compile(rf"<(?:{labels})[\s/>]" if labels else "(?!)")
         return re.compile(rf"<(?!/|(?:{labels})[\s/>])")  # the verified ones
 
     def __bool__(self) -> bool:

@@ -11,7 +11,8 @@ bibliography, deep recursive nesting), on an ill-formed document, whose
 syntax error must read the same on every plane (``apply-delta``, a
 verified ``load`` and a service upload included), on carriage returns,
 which every plane keeps, and on a file that is not UTF-8, whose decode
-error must read the same on every plane.  The pure tokenizer is not a CLI plane (the backend is the
+error must read the same on every plane, and on character references
+outside the grammar, which every plane keeps literal.  The pure tokenizer is not a CLI plane (the backend is the
 tokenizer's own choice), so its events are fed to the pipeline driver
 in-process and compared with the default plane's answer.
 """
@@ -394,6 +395,44 @@ class TestCarriageReturns:
         pure = list(iter_events(target, engine="pure"))
         assert pure == list(iter_events(target, engine="expat"))
         assert pure == list(iter_events(text, engine="pure"))
+
+
+# ----------------------------------------------------------------------
+# Character references outside the grammar: literal on every plane
+# ----------------------------------------------------------------------
+#: A reference past ``chr``'s range, and one ``int()`` would read as 10
+#: beside a real newline.  Both stay literal, so every plane exits 0 and
+#: the key holds.
+CHAR_REF_DOCS = {
+    "huge": ('<r><i k="&#99999999999999999999;"/></r>', "&#99999999999999999999;"),
+    "underscore": ('<r><i k="&#1_0;"/><i k="&#10;"/></r>', "&#1_0;"),
+}
+CHAR_REF_DTD = "<!ELEMENT r (i*)>\n<!ELEMENT i EMPTY>\n<!ATTLIST i k CDATA #REQUIRED>\n"
+
+
+@pytest.fixture(params=sorted(CHAR_REF_DOCS))
+def char_ref(request, tmp_path):
+    doc, literal = CHAR_REF_DOCS[request.param]
+    paths = _write(tmp_path, doc=doc, dtd=CHAR_REF_DTD, keys=CRLF_KEYS, rules=CRLF_RULES)
+    return paths, literal
+
+
+class TestLiteralCharacterReferences:
+    def test_check_doc_planes_hold_the_key(self, char_ref, capsys):
+        paths, _ = char_ref
+        dom = dom_reference.check_doc(paths["keys"], paths["doc"])
+        assert dom == (0, "document satisfies all 1 keys\n", "")
+        base = ["check-doc", "--keys", paths["keys"], "--xml", paths["doc"]]
+        for plane in ([], ["--jobs", "2"], ["--dtd", paths["dtd"], "--prune"]):
+            assert _run(base + plane, capsys) == dom, plane
+
+    def test_shred_planes_keep_the_reference(self, char_ref, capsys):
+        paths, literal = char_ref
+        dom = dom_reference.shred(paths["rules"], paths["doc"], sql_form=True)
+        assert dom[0] == 0 and f"'{literal}'" in dom[1] and dom[2] == ""
+        base = ["shred", "--transform", paths["rules"], "--xml", paths["doc"], "--sql"]
+        for plane in ([], ["--stream"], ["--jobs", "2"]):
+            assert _run(base + plane, capsys) == dom, plane
 
 
 # ----------------------------------------------------------------------

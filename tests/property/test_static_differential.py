@@ -9,7 +9,7 @@ DTDs**, with no conformance assumption whatsoever: the documents here
 routinely violate the DTD the plan was compiled from (wrong roots,
 undeclared elements, stray attributes), and the pruned run must *still*
 be answer-identical, because every skip is re-verified against the
-actual tags on the wire and aborted on mismatch.
+actual tags on the wire and refused on mismatch.
 
 * **Key checking** — :func:`stream_violations` with a plan equals the
   unpruned run violation-for-violation: kinds, witnesses, context ids,
@@ -52,11 +52,12 @@ from repro.keys.stream import stream_violations
 from repro.parallel import run_pipeline, run_sharded
 from repro.transform.stream import stream_evaluate_rule
 from repro.xmlmodel.dtd import keys_from_dtd, parse_dtd, stream_dtd_violations
-from repro.xmlmodel.events import END, SKIP, START, Event, iter_events
+from repro.xmlmodel.events import iter_events
 from repro.xmlmodel.parser import XMLSyntaxError, parse_document
 from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.static import SkipSet, compile_plan
 
+from tests.xmlmodel.elision import assert_elides_only
 from test_parallel_differential import (
     ATTRIBUTES,
     LABELS,
@@ -323,14 +324,15 @@ DAMAGE_PLAN = compile_plan(
 DAMAGE_KEYS = DAMAGE_PLAN.keys
 SKIPPABLE = ["title", "section", "para", "note", "em"]
 #: The same attempts with undeclared labels unverified, so an ``x``
-#: inside a skippable element aborts the skip.
+#: inside a skippable element refuses the skip.
 STRICT_SKIP = SkipSet(SKIPPABLE, dict.fromkeys(SKIPPABLE, True), False)
 DAMAGE_LABELS = SKIPPABLE + ["x", "book", "chapter"]
 #: Skippable labels drawn most often, so damage lands in skipped regions.
 ELEMENT_LABELS = SKIPPABLE + DAMAGE_LABELS
-#: Text and attribute values, plain or markup-dense.  Markup characters
-#: send the bulk skip to the walk, so half the documents keep them out and
-#: leave their other damage within the bulk skip's reach.
+#: Text and attribute values, plain or markup-dense.  A markup character
+#: makes the skip refuse its element, which is then tokenized in full, so
+#: half the documents keep them out and leave their other damage within
+#: the skip's reach.
 PLAIN = (["t", " ", "\n "], ["1", "v", ""])
 MARKUP = (
     PLAIN[0] + ["a>b", "k=v", "&amp;", "&#62;", "x & y"],
@@ -385,43 +387,6 @@ def damaged_documents(draw):
         else:
             tokens.insert(at, tokens[at])
     return "<r>" + "".join(tokens) + "</r>"
-
-
-def drain(events):
-    """The events up to the first syntax error, and that error."""
-    seen = []
-    try:
-        for event in events:
-            seen.append(event)
-    except XMLSyntaxError as error:
-        return seen, (error.message, error.position)
-    return seen, None
-
-
-def expand_skips(pruned, full):
-    """``pruned`` with each SKIP event replaced by the subtree of ``full``
-    it stands for, checking the subtree spends the ids the event claims."""
-    expanded = []
-    for event in pruned:
-        if event.kind != SKIP:
-            expanded.append(event)
-            continue
-        begin, depth = len(expanded), 0
-        for inner in full[begin:]:
-            expanded.append(inner)
-            depth += (inner.kind == START) - (inner.kind == END)
-            if not depth:
-                break
-        subtree = expanded[begin:]
-        assert subtree and subtree[0] == Event(START, event.name)
-        assert sum(inner.kind != END for inner in subtree) == event.value
-    return expanded
-
-
-def assert_elides_only(pruned, full):
-    (pruned, pruned_error), (full, full_error) = drain(pruned), drain(full)
-    assert pruned_error == full_error
-    assert expand_skips(pruned, full) == full
 
 
 def pipeline_answer(doc, plan):

@@ -27,6 +27,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,32 @@ def test_accel_takes_no_skip_set():
     for function in (accel._expat_segments, accel._expat_events, accel.accelerated_events):
         assert "skip" not in inspect.signature(function).parameters, function.__name__
     assert "SKIP" not in vars(accel)
+
+
+def _loops_and_names(source):
+    """The ``while``/``for`` statements and the names read in ``source``."""
+    tree = ast.parse(textwrap.dedent(source))
+    loops = [node for node in ast.walk(tree) if isinstance(node, (ast.While, ast.For))]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return loops, names
+
+
+def test_one_skip_route():
+    """The string scanner skips an element by one exact match or not at
+    all: its skip function walks no tags, the events module never asks the
+    skip set about one label, and the skip set has no per-tag check."""
+    from repro.xmlmodel import events
+    from repro.xmlmodel.static import SkipSet
+
+    loops, _ = _loops_and_names(inspect.getsource(events._skip_string_subtree))
+    assert loops == []
+    _, names = _loops_and_names(inspect.getsource(events))
+    assert "verifies" not in names and "skippable" not in names
+    loops, _ = _loops_and_names(inspect.getsource(SkipSet))
+    assert loops == []
+    for name in ("verifies", "skippable"):
+        assert not hasattr(SkipSet, name), name
 
 
 @pytest.mark.parametrize("entry", [run_pipeline, run_sharded], ids=_name)

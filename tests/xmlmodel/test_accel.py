@@ -31,7 +31,7 @@ from test_chunk_boundaries import ADVERSARIAL_DOCUMENTS
 from repro.xmlmodel import accel
 from repro.xmlmodel import events as events_mod
 from repro.xmlmodel.accel import available_backends, resolve_engine
-from repro.xmlmodel.events import iter_events
+from repro.xmlmodel.events import ATTR, END, START, TEXT, Event, iter_events
 from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.shards import fragment_events
 from repro.xmlmodel.static import SkipSet
@@ -171,6 +171,32 @@ class TestCapabilityProbe:
         # attribute values does expat normalize them.
         document = "<a>tab\there\nand a line</a>"
         assert not accel._diverges(document)
+
+
+# ----------------------------------------------------------------------
+# Character references outside the grammar stay literal
+# ----------------------------------------------------------------------
+#: A reference body is ``#`` and decimal digits or ``#x`` and hex digits;
+#: a sign, an underscore, a blank, an uppercase ``X`` or a code point past
+#: ``chr``'s range keeps the reference as written.
+LITERAL_REFERENCES = [
+    "&#1_0;", "&#+10;", "&# 10;", "&#x_a;", "&#X41;", "&#1114112;",
+    "&#99999999999999999999;",
+]
+
+
+class TestLiteralCharacterReferences:
+    @pytest.mark.parametrize("reference", LITERAL_REFERENCES)
+    def test_expat_replays_the_pure_literal(self, reference):
+        document = f'<r k="{reference}">{reference}</r>'
+        with pytest.raises(accel._Fallback):
+            list(accel._expat_segments(document, 0, True))
+        pure = outcome(document, engine="pure")
+        assert pure == ("events", [
+            Event(START, "r"), Event(ATTR, "k", reference),
+            Event(TEXT, "#text", reference), Event(END, "r"),
+        ])
+        assert outcome(document, engine="expat") == pure
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.scenarios import deep_nesting_chunks
 from repro.xmlmodel.events import iter_events, tree_from_events
-from repro.xmlmodel.parser import XMLSyntaxError, parse_document
+from repro.xmlmodel.parser import XMLSyntaxError, expand_entities, parse_document
 from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.tree import XMLTree
 
@@ -90,6 +90,23 @@ class TestEntities:
     def test_unknown_entity_left_verbatim(self):
         tree = parse_document("<r>&unknown;</r>")
         assert tree.root.text_content() == "&unknown;"
+
+    @pytest.mark.parametrize(
+        "reference",
+        ["&#1_0;", "&#+10;", "&# 10;", "&#x_a;", "&#X41;", "&#x;", "&#;"],
+    )
+    def test_reference_outside_the_grammar_left_verbatim(self, reference):
+        # int() would read a sign, an underscore or blanks; the dialect
+        # takes decimal digits, or 'x' and hex digits, only.
+        assert expand_entities(f"a{reference}b") == f"a{reference}b"
+
+    @pytest.mark.parametrize(
+        "reference", ["&#1114112;", "&#99999999999999999999;", "&#x110000;"]
+    )
+    def test_reference_past_the_code_point_range_left_verbatim(self, reference):
+        tree = parse_document(f'<r k="{reference}">{reference}</r>')
+        assert tree.root.text_content() == reference
+        assert tree.root.attribute_value("k") == reference
 
 
 class TestDepth:

@@ -10,7 +10,6 @@ from repro.transform.rule import TableRule
 from repro.xmlmodel.dtd import parse_dtd
 from repro.xmlmodel.events import SKIP, iter_events
 from repro.xmlmodel.matching import PathNFA
-from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.paths import parse_path
 from repro.xmlmodel.static import (
     OTHER_LABEL,
@@ -20,6 +19,8 @@ from repro.xmlmodel.static import (
     StaticPlan,
     compile_plan,
 )
+
+from tests.xmlmodel.elision import assert_elides_only
 
 
 BOOK_DTD = """
@@ -135,15 +136,23 @@ class TestSkipSet:
     def test_disabled_is_falsy_and_attempts_nothing(self):
         skip = SkipSet.disabled()
         assert not skip
-        assert not skip.skippable("anything")
-        assert not skip.verifies("anything")
+        assert "anything" not in skip.attempt
+        assert skip.unverified_tag.search("<anything>")
 
-    def test_verifies_falls_back_to_other_verdict(self):
-        skip = SkipSet({"a"}, {"a": True, "b": False}, other_safe=True)
-        assert skip.verifies("a")
-        assert not skip.verifies("b")
-        assert skip.verifies("never-mentioned")
-        assert SkipSet({"a"}, {"a": True}, other_safe=False).verifies("x") is False
+    def test_verdicts_fall_back_to_other_verdict(self):
+        search = SkipSet({"a"}, {"a": True, "b": False}, other_safe=True).unverified_tag.search
+        assert search("<a x='1'></a>") is None
+        assert search("<ab/>") is None  # a longer name is not its prefix
+        assert search("<b/>")
+        assert search("<never-mentioned>") is None
+        strict = SkipSet({"a"}, {"a": True}, other_safe=False).unverified_tag.search
+        assert strict("<a></a>") is None
+        assert strict("<x ")
+
+    def test_nothing_rejected_finds_nothing(self):
+        # Every label safe: close tags and self-closing tags find no hit.
+        skip = SkipSet({"a"}, {"a": True}, other_safe=True)
+        assert skip.unverified_tag.search("<a><b/> <c></c></a>") is None
 
     def test_pickles_across_process_boundaries(self):
         skip = SkipSet({"a", "b"}, {"a": True, "b": True, "c": False}, other_safe=True)
@@ -163,9 +172,7 @@ class TestCompilePlan:
         # chapter is the target (unsafe); r and book contain chapters.
         assert plan.skipset.attempt == frozenset({"section", "title"})
         assert plan.skipset.other_safe  # undeclared labels never match //chapter
-        assert not plan.skipset.skippable("chapter")
-        assert not plan.skipset.skippable("r")
-        assert not plan.skipset.skippable("book")
+        assert plan.skipset.attempt.isdisjoint({"chapter", "r", "book"})
 
     def test_key_touching_everything_disables_skipping(self, dtd):
         plan = compile_plan(dtd, keys=[parse_key("(., (//title, {}))")])
@@ -187,7 +194,7 @@ class TestCompilePlan:
         rule.add_field("f", "v")
         plan = compile_plan(dtd, rules=[rule])
         assert not plan.skip_disabled_by_rules
-        assert plan.skipset.skippable("section")
+        assert "section" in plan.skipset.attempt
 
     def test_statically_dead_key_is_diagnosed(self, dtd):
         dead = parse_key("(., (//ghost, {@x}))")
@@ -223,10 +230,10 @@ DOC = (
 
 
 class TestBulkFastForward:
-    """The C-level bulk accounting must be indistinguishable from the
-    per-tag walk: same end position, same id count, or a punt that lets
-    the walk decide.  Exercised by comparing the skip stream with the
-    bulk path enabled against the same stream with it disabled."""
+    """The skip is one exact pattern match or a refusal.  On every
+    document, with and without whitespace stripping, the pruned stream is
+    the unpruned one with whole subtrees elided, each SKIP spending the
+    ids its subtree spends, and it raises the unpruned stream's error."""
 
     DOCS = [
         DOC,
@@ -240,7 +247,7 @@ class TestBulkFastForward:
         # whitespace-only and mixed text runs
         "<r><book isbn='1'><title>  \n </title><chapter number='1'>"
         "<title>a b</title><section><title>\t</title></section></chapter></book></r>",
-        # entities, comments, PIs and CDATA all punt to the walk
+        # entities, comments, PIs and CDATA: the element tokenizes in full
         "<r><book isbn='1'><title>a&amp;b</title></book></r>",
         "<r><book isbn='1'><title>a<!-- c -->b</title></book></r>",
         "<r><book isbn='1'><title><?pi d?>x</title></book></r>",
@@ -273,47 +280,55 @@ class TestBulkFastForward:
         "<r><book isbn='1'><title>T</x></title></book></r>",
     ]
 
-    def _streams(self, doc, dtd, monkeypatch, strip_whitespace=True):
-        """The pruned stream with and without the bulk skip, each as its
-        events up to the first syntax error and that error; the error is
-        the unpruned stream's."""
-        from repro.xmlmodel import events as events_module
+    #: Shapes with the SKIP events their pruned streams hold, in order.
+    SHAPES = [
+        # still skipped: a self-closing element with attributes, a close
+        # tag with blanks before its '>', and nesting the pattern spells
+        ("<r><book isbn='1'><title a='1' b=\"2\" /></book></r>", ["title"]),
+        ("<r><book isbn='1'><title>T</title ></book></r>", ["title"]),
+        (
+            "<r><book isbn='1'><chapter number='1'><section>" + "<x>" * 12
+            + "</x>" * 12 + "</section></chapter></book></r>",
+            ["section"],
+        ),
+        # tokenized in full: an entity, comment, CDATA section or PI in
+        # the region, 13 levels below the skipped element, and '>', '='
+        # or '<' in its own attribute value
+        ("<r><book isbn='1'><title>a&lt;b</title></book></r>", []),
+        ("<r><book isbn='1'><title>a<!--c-->b</title></book></r>", []),
+        ("<r><book isbn='1'><title><![CDATA[c]]></title></book></r>", []),
+        ("<r><book isbn='1'><title>a<?pi?></title></book></r>", []),
+        (
+            "<r><book isbn='1'><chapter number='1'><section>" + "<x>" * 13
+            + "</x>" * 13 + "</section></chapter></book></r>",
+            [],
+        ),
+        ("<r><book isbn='1'><title a='x>y'>T</title></book></r>", []),
+        ("<r><book isbn='1'><title a='k=v'/></book></r>", []),
+        ("<r><book isbn='1'><title a='<t'>T</title></book></r>", []),
+    ]
 
+    @staticmethod
+    def _pruned(dtd, doc, strip_whitespace):
         plan = compile_plan(dtd, keys=[parse_key("(., (//chapter, {@number}))")])
-
-        def drain(skip):
-            seen = []
-            try:
-                for event in iter_events(doc, strip_whitespace, skip=skip):
-                    seen.append(event)
-            except XMLSyntaxError as error:
-                return seen, (error.message, error.position)
-            return seen, None
-
-        unpruned_error = drain(None)[1]
-        with_bulk = drain(plan.skipset)
-        monkeypatch.setattr(
-            events_module, "_skip_bulk_region", lambda *args: None
+        return assert_elides_only(
+            iter_events(doc, strip_whitespace, skip=plan.skipset),
+            iter_events(doc, strip_whitespace),
         )
-        walk_only = drain(plan.skipset)
-        assert with_bulk[1] == walk_only[1] == unpruned_error
-        return with_bulk, walk_only
 
-    @pytest.mark.parametrize("doc", DOCS)
-    def test_bulk_and_walk_streams_identical(self, dtd, doc, monkeypatch):
-        with_bulk, walk_only = self._streams(doc, dtd, monkeypatch)
-        assert with_bulk == walk_only
+    @pytest.mark.parametrize("strip_whitespace", [True, False])
+    @pytest.mark.parametrize("doc", DOCS + [doc for doc, _ in SHAPES])
+    def test_pruned_stream_elides_only(self, dtd, doc, strip_whitespace):
+        self._pruned(dtd, doc, strip_whitespace)
 
-    @pytest.mark.parametrize("doc", DOCS)
-    def test_bulk_and_walk_agree_without_whitespace_stripping(
-        self, dtd, doc, monkeypatch
-    ):
-        with_bulk, walk_only = self._streams(doc, dtd, monkeypatch, strip_whitespace=False)
-        assert with_bulk == walk_only
+    @pytest.mark.parametrize("doc, skipped", SHAPES)
+    def test_skip_settles_or_refuses(self, dtd, doc, skipped):
+        pruned = self._pruned(dtd, doc, True)
+        assert [event.name for event in pruned if event.kind == SKIP] == skipped
 
     def test_duplicate_attribute_ids_match_the_scanner(self, dtd):
         # The scanner emits one attr event per occurrence, repeated names
-        # included; the skip accounting (walk and bulk) must agree.
+        # included; the skip accounting must agree.
         doc = (
             "<r><book isbn='1'><chapter number='1'><title>T</title>"
             "<section><title a='1' a='2'>s</title></section></chapter></book></r>"

@@ -523,20 +523,21 @@ def _parse_delta_op(text: str):
 
 
 def _describe_report(report) -> None:
-    print(
+    lines = [
         f"{report.delta.kind} {report.delta.position}: "
         f"{report.subtrees} subtree(s), "
         f"+{len(report.appeared)}/-{len(report.disappeared)} violation(s) "
         f"(total {report.violations})"
-    )
-    for violation in report.appeared:
-        print(f"  + {violation}")
-    for violation in report.disappeared:
-        print(f"  - {violation}")
+    ]
+    lines.extend(f"  + {violation}" for violation in report.appeared)
+    lines.extend(f"  - {violation}" for violation in report.disappeared)
     for table in sorted(set(report.rows_inserted) | set(report.rows_deleted)):
         inserted = report.rows_inserted.get(table, 0)
         deleted = report.rows_deleted.get(table, 0)
-        print(f"  {table}: +{inserted}/-{deleted} row(s)")
+        lines.append(f"  {table}: +{inserted}/-{deleted} row(s)")
+    # One write per report (stdout may be unbuffered): a watching client
+    # reads the whole reply at once.
+    print("\n".join(lines) + "\n", end="")
 
 
 def cmd_apply_delta(args: argparse.Namespace) -> int:

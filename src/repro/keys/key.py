@@ -37,7 +37,10 @@ class XMLKey:
     mathematical sets :math:`Σ` of the paper.
     """
 
-    __slots__ = ("name", "context", "target", "attributes", "context_target", "_hash")
+    __slots__ = (
+        "name", "context", "target", "attributes", "context_target", "text",
+        "_sorted_attributes", "_hash",
+    )
 
     def __init__(
         self,
@@ -55,6 +58,13 @@ class XMLKey:
         #: every key on every probe.
         self.context_target: PathExpression = concat(self.context, self.target)
         self._hash = hash((self.context, self.target, self.attributes))
+        self._sorted_attributes = tuple(sorted(self.attributes))
+        # Nothing reassigns a key's fields, so its text is rendered once:
+        # violation reports and delta bookkeeping read it per violation.
+        attrs = ", ".join(f"@{name}" for name in self._sorted_attributes)
+        body = f"({self.context.text}, ({self.target.text}, {{{attrs}}}))"
+        #: The concise syntax :func:`parse_key` reads, name prefix included.
+        self.text: str = f"{name} = {body}" if name else body
 
     # ------------------------------------------------------------------
     # Derived properties
@@ -71,7 +81,7 @@ class XMLKey:
     @property
     def attribute_list(self) -> List[str]:
         """Sorted attribute names (without the leading ``@``)."""
-        return sorted(self.attributes)
+        return list(self._sorted_attributes)
 
     @property
     def size(self) -> int:
@@ -100,14 +110,6 @@ class XMLKey:
 
     def __str__(self) -> str:
         return self.text
-
-    @property
-    def text(self) -> str:
-        attrs = ", ".join(f"@{name}" for name in self.attribute_list)
-        body = f"({self.context.text}, ({self.target.text}, {{{attrs}}}))"
-        if self.name:
-            return f"{self.name} = {body}"
-        return body
 
     # ------------------------------------------------------------------
     # Helpers used by the algorithms

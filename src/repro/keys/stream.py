@@ -87,20 +87,98 @@ class _ContextBucket:
     a context node costs one dictionary hit per element.
     """
 
-    __slots__ = ("machines", "targets")
+    __slots__ = ("machines", "members", "targets")
 
     def __init__(self, machines: List[_KeyMachine]) -> None:
         self.machines = machines
+        #: The member keys' indexes in the checked set, by slot.
+        self.members = [machine.index for machine in machines]
         self.targets = PathNFA([machine.key.target for machine in machines])
 
 
-#: A violation before materialization: ``(kind, node ids, key values)``.
-#: Kept raw (no :class:`KeyViolation`, no detail string) so that node ids
-#: can still be rebased when shard-local results are merged.
-_RawViolation = Tuple[str, Tuple[int, ...], Optional[Tuple[str, ...]]]
+def context_buckets(keys: Sequence[XMLKey]) -> List[List[int]]:
+    """The checked set's key indexes grouped by context path — one list
+    per context bucket, in bucket order, slot order within a bucket.
+
+    This is the whole layout :func:`merge_raw_violations` needs to close
+    the root's records, so a merge never compiles an automaton.
+    """
+    by_context: Dict[PathExpression, List[int]] = {}
+    for index, key in enumerate(keys):
+        by_context.setdefault(key.context, []).append(index)
+    return list(by_context.values())
+
+
+#: A violation of one context before materialization: ``(kind, node ids,
+#: key values)``.  Kept raw (no :class:`KeyViolation`, no detail string)
+#: so that node ids can still be rebased when shard-local results are
+#: merged.
+_ContextViolation = Tuple[str, Tuple[int, ...], Optional[Tuple[str, ...]]]
 
 #: One flushed context: ``(key index, context node id, raw violations)``.
-_FlushEntry = Tuple[int, int, List[_RawViolation]]
+_FlushEntry = Tuple[int, int, List[_ContextViolation]]
+
+#: A whole violation before materialization: ``(key index, context node
+#: id, kind, node ids, key values)``.  Hashable and compared in C — the
+#: form the incremental engine diffs answers in — and it determines the
+#: :class:`KeyViolation` (detail string included) given the checked keys.
+RawViolation = Tuple[int, int, str, Tuple[int, ...], Optional[Tuple[str, ...]]]
+
+
+def _flush_groups(
+    members: Sequence[int],
+    context_node_id: int,
+    groups: Dict[Tuple[int, Tuple[str, ...]], List[int]],
+    missing: List[Tuple[int, int]],
+) -> List[_FlushEntry]:
+    """One context's raw violations per member key: (key index, context
+    id, raws) — targets lacking a key attribute, then value groups holding
+    two or more targets."""
+    per_slot: Dict[int, List[_ContextViolation]] = {}
+    for slot, node_id in missing:
+        per_slot.setdefault(slot, []).append(("missing-attribute", (node_id,), None))
+    for (slot, values), ids in groups.items():
+        if len(ids) > 1:
+            per_slot.setdefault(slot, []).append(("duplicate-value", tuple(ids), values))
+    return [
+        (members[slot], context_node_id, violations)
+        for slot, violations in per_slot.items()
+    ]
+
+
+def _flatten(flushed: List[_FlushEntry]) -> List[RawViolation]:
+    """Flushed contexts as raw violations, ordered by (key, context
+    document order) — the order every checker reports in."""
+    flushed.sort(key=lambda entry: (entry[0], entry[1]))
+    return [
+        (key_index, context_id, kind, node_ids, values)
+        for key_index, context_id, violations in flushed
+        for kind, node_ids, values in violations
+    ]
+
+
+def materialize_violation(key: XMLKey, raw: RawViolation) -> KeyViolation:
+    """The user-facing violation of ``key`` (the checked set's key at
+    ``raw[0]``) that a raw tuple stands for, detail string included."""
+    _, context_id, kind, node_ids, values = raw
+    if kind == "missing-attribute":
+        detail = (
+            f"target node {node_ids[0]} under context "
+            f"{context_id} lacks one of the key attributes "
+            f"{key.attribute_list}"
+        )
+    else:
+        detail = (
+            f"{len(node_ids)} distinct target nodes {node_ids} under context "
+            f"{context_id} share the key value {values!r}"
+        )
+    return KeyViolation(
+        key=key,
+        context_node_id=context_id,
+        kind=kind,
+        detail=detail,
+        node_ids=node_ids,
+    )
 
 
 class _ContextRecord:
@@ -140,21 +218,9 @@ class _ContextRecord:
 
     def flush(self) -> List[_FlushEntry]:
         """Raw violations per member key: (key index, context id, raws)."""
-        per_slot: Dict[int, List[_RawViolation]] = {}
-        for slot, node_id in self.missing:
-            per_slot.setdefault(slot, []).append(
-                ("missing-attribute", (node_id,), None)
-            )
-        for (slot, values), ids in self.groups.items():
-            if len(ids) > 1:
-                per_slot.setdefault(slot, []).append(
-                    ("duplicate-value", tuple(ids), values)
-                )
-        machines = self.bucket.machines
-        return [
-            (machines[slot].index, self.context_node_id, violations)
-            for slot, violations in per_slot.items()
-        ]
+        return _flush_groups(
+            self.bucket.members, self.context_node_id, self.groups, self.missing
+        )
 
 
 class _Frame:
@@ -199,13 +265,14 @@ class KeyStreamChecker:
     """
 
     def __init__(self, keys: Iterable[XMLKey]) -> None:
+        keys = list(keys)
         self.machines = [_KeyMachine(index, key) for index, key in enumerate(keys)]
-        by_context: Dict[PathExpression, List[_KeyMachine]] = {}
-        for machine in self.machines:
-            by_context.setdefault(machine.key.context, []).append(machine)
-        self.buckets = [_ContextBucket(machines) for machines in by_context.values()]
+        self.buckets = [
+            _ContextBucket([self.machines[index] for index in members])
+            for members in context_buckets(keys)
+        ]
         #: One automaton over every bucket's context path (slot = bucket).
-        self.contexts = PathNFA(list(by_context))
+        self.contexts = PathNFA([bucket.machines[0].key.context for bucket in self.buckets])
         self._frames: List[_Frame] = []
         self._next_id = 0
         self._flushed: List[_FlushEntry] = []
@@ -364,42 +431,13 @@ class KeyStreamChecker:
                 self._resolve_attrs(frame)
             self._next_id += event.value
 
-    def _materialize(
-        self, key_index: int, context_id: int, raw: _RawViolation
-    ) -> KeyViolation:
-        """Build the user-facing violation object from a raw tuple."""
-        kind, node_ids, values = raw
-        machine = self.machines[key_index]
-        if kind == "missing-attribute":
-            detail = (
-                f"target node {node_ids[0]} under context "
-                f"{context_id} lacks one of the key attributes "
-                f"{machine.attributes}"
-            )
-        else:
-            detail = (
-                f"{len(node_ids)} distinct target nodes {node_ids} under context "
-                f"{context_id} share the key value {values!r}"
-            )
-        return KeyViolation(
-            key=machine.key,
-            context_node_id=context_id,
-            kind=kind,
-            detail=detail,
-            node_ids=node_ids,
-        )
-
-    def _materialize_all(self, flushed: List[_FlushEntry]) -> List[KeyViolation]:
-        flushed.sort(key=lambda entry: (entry[0], entry[1]))
-        result: List[KeyViolation] = []
-        for key_index, context_id, violations in flushed:
-            for raw in violations:
-                result.append(self._materialize(key_index, context_id, raw))
-        return result
-
     def finish(self) -> List[KeyViolation]:
         """All violations, ordered by key and context document order."""
-        found = self._materialize_all(self._flushed)
+        machines = self.machines
+        found = [
+            materialize_violation(machines[raw[0]].key, raw)
+            for raw in _flatten(self._flushed)
+        ]
         if obs.enabled():
             obs.metrics().inc("check.violations", len(found))
             self._record_index_sizes()
@@ -509,27 +547,33 @@ class CheckerShardResult:
         if delta < 0:
             raise ValueError("merge target has consumed less than the prologue")
 
-        def rebase(node_id: int) -> int:
-            return node_id if node_id < prologue_ids else node_id + delta
+        def rebase(node_ids: Iterable[int]) -> List[int]:
+            # One comprehension per id list, not a call per id: the
+            # incremental engine folds every piece's state per delta.
+            return [n if n < prologue_ids else n + delta for n in node_ids]
 
-        for key_index, context_id, violations in other.flushed:
-            self.flushed.append(
-                (
-                    key_index,
-                    rebase(context_id),
-                    [
-                        (kind, tuple(rebase(n) for n in node_ids), values)
-                        for kind, node_ids, values in violations
-                    ],
-                )
+        self.flushed.extend(
+            (
+                key_index,
+                context_id if context_id < prologue_ids else context_id + delta,
+                [
+                    (kind, tuple(rebase(node_ids)), values)
+                    for kind, node_ids, values in violations
+                ],
             )
+            for key_index, context_id, violations in other.flushed
+        )
         for bucket_index, groups in other.open_groups.items():
             target = self.open_groups.setdefault(bucket_index, {})
             for group_key, node_ids in groups.items():
-                target.setdefault(group_key, []).extend(rebase(n) for n in node_ids)
+                mine = target.get(group_key)
+                if mine is None:
+                    target[group_key] = rebase(node_ids)
+                else:
+                    mine.extend(rebase(node_ids))
         for bucket_index, missing in other.open_missing.items():
             self.open_missing.setdefault(bucket_index, []).extend(
-                (slot, rebase(n)) for slot, n in missing
+                [(slot, n if n < prologue_ids else n + delta) for slot, n in missing]
             )
         self.consumed += other.consumed - prologue_ids
         return self
@@ -608,6 +652,40 @@ class CheckerShardResult:
         return self
 
 
+def merge_raw_violations(
+    buckets: Sequence[Sequence[int]],
+    results: Sequence[CheckerShardResult],
+    prologue_ids: int,
+) -> List[RawViolation]:
+    """Merge per-shard checker states into the serial checker's answer,
+    as raw violations (see :func:`merge_shard_results`).
+
+    ``buckets`` is :func:`context_buckets` of the checked keys; the root's
+    records close here, in no shard.
+    """
+    # Fold the binary, associative merge in document order; an "empty"
+    # state whose counter sits right after the prologue is the identity.
+    merged = CheckerShardResult(consumed=prologue_ids)
+    for result in results:
+        merged.merge(result, prologue_ids)
+    flushed = merged.flushed
+    in_shards = len(flushed)
+    for bucket_index in sorted(set(merged.open_groups) | set(merged.open_missing)):
+        flushed.extend(
+            _flush_groups(
+                buckets[bucket_index],
+                0,
+                merged.open_groups.get(bucket_index, {}),
+                merged.open_missing.get(bucket_index, []),
+            )
+        )
+    if obs.enabled():
+        # The root's context records close here, in no shard: their
+        # flushes complete the serial pass's ``check.flushed_contexts``.
+        obs.metrics().gauge_add("check.flushed_contexts", len(flushed) - in_shards)
+    return _flatten(flushed)
+
+
 def merge_shard_results(
     keys: Iterable[XMLKey],
     results: Sequence[CheckerShardResult],
@@ -623,27 +701,11 @@ def merge_shard_results(
     their first-occurrence order and cross-shard duplicates surface with
     exactly the witnesses the serial pass reports.
     """
-    checker = KeyStreamChecker(keys)
-    # Fold the binary, associative merge in document order; an "empty"
-    # state whose counter sits right after the prologue is the identity.
-    merged = CheckerShardResult(consumed=prologue_ids)
-    for result in results:
-        merged.merge(result, prologue_ids)
-    flushed = merged.flushed
-    in_shards = len(flushed)
-    if merged.open_groups or merged.open_missing:
-        for bucket_index in sorted(
-            set(merged.open_groups) | set(merged.open_missing)
-        ):
-            record = _ContextRecord(checker.buckets[bucket_index], 0)
-            record.groups = merged.open_groups.get(bucket_index, {})
-            record.missing = merged.open_missing.get(bucket_index, [])
-            flushed.extend(record.flush())
-    if obs.enabled():
-        # The root's context records close here, in no shard: their
-        # flushes complete the serial pass's ``check.flushed_contexts``.
-        obs.metrics().gauge_add("check.flushed_contexts", len(flushed) - in_shards)
-    return checker._materialize_all(flushed)
+    keys = list(keys)
+    return [
+        materialize_violation(keys[raw[0]], raw)
+        for raw in merge_raw_violations(context_buckets(keys), results, prologue_ids)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,8 @@ common core of SQLite / PostgreSQL / MySQL (``COPY`` is PostgreSQL).
 
 from __future__ import annotations
 
+import re
+from operator import itemgetter
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.relational.instance import RelationInstance, Row, Value, is_null
@@ -70,8 +72,8 @@ def encode_value(value: object) -> Optional[str]:
     into ``'1.0e+20'`` and ``True`` into ``'1'``; PostgreSQL rejects an
     integer parameter against a ``TEXT`` column), whereas ``str()`` gives
     ``'1e+20'`` and ``'True'`` everywhere.  Every emission path — literals
-    (:func:`quote_literal`), parameters (:func:`encode_row`, the loader's
-    batch encoder), ``COPY`` payloads (:func:`copy_literal`) — goes
+    (:func:`quote_literal`), parameters (:func:`encode_row`, which the
+    loader's batches share), ``COPY`` payloads (:func:`copy_literal`) — goes
     through this rendering, so the same value round-trips to the same
     text no matter the backend or the path.
     """
@@ -259,15 +261,31 @@ def encode_row(
 ) -> Tuple[Optional[str], ...]:
     """The positional parameter tuple of one row (``NULL`` → ``None``).
 
-    Attribute order follows the schema; ``extra_values`` are appended
-    verbatim (they fill the ``extra_columns`` of :func:`insert_template`).
+    Attribute order follows the schema (a missing attribute is ``NULL``);
+    ``extra_values`` are appended and fill the ``extra_columns`` of
+    :func:`insert_template`.  Every value takes the :func:`encode_value`
+    text.  This is the one row encoder of the storage plane — the loader's
+    batches, the delta store's row identities and ``COPY`` payloads all
+    come from here — so its fast path matters: a row of strings is one
+    C-level projection of the row's dict (``dict.get`` per attribute when
+    one is missing), and only a row holding a NULL or a typed value is
+    re-encoded value by value.
     """
-    get = row.get_value if isinstance(row, Row) else lambda a, _row=row: _row.get(a)
-    encoded = tuple(
-        encode_value(value)
-        for value in (get(attribute) for attribute in schema.attributes)
-    )
-    return encoded + tuple(encode_value(value) for value in extra_values)
+    data = row._values if row.__class__ is Row else row
+    attributes = schema.attributes
+    if len(attributes) > 1:
+        try:
+            values = itemgetter(*attributes)(data)
+        except KeyError:  # a missing attribute is NULL
+            values = tuple(map(data.get, attributes))
+    else:
+        values = tuple(map(data.get, attributes))
+    if extra_values:
+        values += tuple(extra_values)
+    for value in values:
+        if value.__class__ is not str:
+            return tuple(map(encode_value, values))
+    return values
 
 
 def iter_parameter_batches(
@@ -312,6 +330,11 @@ def copy_literal(value: object) -> str:
     )
 
 
+#: A character ``COPY``'s text format must escape (the NULL marker ``\N``
+#: is written, never escaped).
+_COPY_SPECIAL = re.compile(r"[\\\t\n\r]")
+
+
 def copy_statement(
     schema: RelationSchema, rows: Iterable[Mapping[str, Value]]
 ) -> Optional[str]:
@@ -319,14 +342,21 @@ def copy_statement(
 
     Returns ``None`` for an empty row set (``COPY`` with no payload is
     pointless).  ``rows`` may be any iterable of rows, as for
-    :func:`iter_insert_statements`.
+    :func:`iter_insert_statements`.  Each row is encoded once by
+    :func:`encode_row` and tab-joined as is; only a row that holds a NULL
+    or a character the text format escapes renders value by value
+    (:func:`copy_literal`).
     """
     table = quote_identifier(schema.name)
     columns = ", ".join(quote_identifier(a) for a in schema.attributes)
+    special = _COPY_SPECIAL.search
     lines: List[str] = []
     for row in rows:
-        get = row.get_value if isinstance(row, Row) else lambda a, _row=row: _row.get(a)
-        lines.append("\t".join(copy_literal(get(a)) for a in schema.attributes))
+        values = encode_row(schema, row)
+        if None in values or special("".join(values)):
+            lines.append("\t".join(map(copy_literal, values)))
+        else:
+            lines.append("\t".join(values))
     if not lines:
         return None
     header = f"COPY {table} ({columns}) FROM STDIN;"

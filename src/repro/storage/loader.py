@@ -38,11 +38,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from itertools import islice
-from operator import itemgetter
 
 from repro import obs
-from repro.relational.instance import RelationInstance, Row, Value, is_null
-from repro.relational.sql import insert_template
+from repro.relational.instance import RelationInstance, Value
+from repro.relational.sql import encode_row, insert_template
 from repro.storage.backend import Backend, IntegrityViolation, StorageError
 from repro.storage.ddl import StorageDDL, TableDDL
 from repro.transform.rule import TableRule, Transformation
@@ -88,9 +87,9 @@ class LoadReport:
 class _TableSink:
     """Batched, pinpointing insert funnel for one table."""
 
-    __slots__ = ("backend", "template", "schema", "attributes", "getter",
-                 "extra", "batch_size", "pending", "loaded", "rejected",
-                 "guarded", "columns", "use_copy")
+    __slots__ = ("backend", "template", "schema", "extra", "batch_size",
+                 "pending", "loaded", "rejected", "guarded", "columns",
+                 "use_copy")
 
     def __init__(
         self,
@@ -103,10 +102,6 @@ class _TableSink:
     ) -> None:
         self.backend = backend
         self.schema = table.schema
-        self.attributes = table.schema.attributes
-        self.getter = (
-            itemgetter(*self.attributes) if self.attributes else (lambda data: ())
-        )
         extra_columns: Sequence[str] = ()
         self.extra: Tuple[Optional[str], ...] = ()
         if provenance_column is not None:
@@ -117,7 +112,7 @@ class _TableSink:
             extra_columns=extra_columns,
             placeholder=backend.placeholder,
         )
-        self.columns: List[str] = list(self.attributes) + list(extra_columns)
+        self.columns: List[str] = list(self.schema.attributes) + list(extra_columns)
         self.use_copy = backend.supports_copy
         self.batch_size = batch_size
         self.pending: List[Mapping[str, Value]] = []
@@ -136,40 +131,15 @@ class _TableSink:
 
     def _encode_batch(
         self, batch: Sequence[Mapping[str, Value]]
-    ) -> List[Tuple[Value, ...]]:
-        # The loading hot path: one C-level ``itemgetter`` projection per
-        # row (shredded rows always carry every field; rows with missing
-        # attributes fall back to ``dict.get``).  ``NULL`` sentinels pass
-        # through unchanged — binding them as SQL NULL is the backend's
-        # job (see :mod:`repro.storage.backend`).  Non-string non-null
-        # values (ints/floats from counter rules) are canonicalized to
-        # ``str(value)`` here, so every backend stores the same text —
+    ) -> List[Tuple[Optional[str], ...]]:
+        # One parameter tuple per row from the shared encoder: NULL binds
+        # as ``None`` and typed values (ints/floats from counter rules) as
+        # their ``str()`` text, so every backend stores the same text —
         # SQLite's TEXT affinity would otherwise render ``1e20`` or
         # ``True`` differently from Python, and PostgreSQL would reject
         # the typed parameter against a TEXT column outright.
-        attributes = self.attributes
-        extra = self.extra
-        getter = self.getter
-        single = len(attributes) == 1
-        encoded: List[Tuple[Value, ...]] = []
-        append = encoded.append
-        for row in batch:
-            data = row._values if row.__class__ is Row else row
-            try:
-                values = (getter(data),) if single else getter(data)
-            except KeyError:
-                get = data.get
-                values = tuple(get(name) for name in attributes)
-            values = values + extra if extra else values
-            for value in values:
-                if type(value) is not str:
-                    values = tuple(
-                        v if type(v) is str or is_null(v) else str(v)
-                        for v in values
-                    )
-                    break
-            append(values)
-        return encoded
+        schema, extra = self.schema, self.extra
+        return [encode_row(schema, row, extra) for row in batch]
 
     def flush(self) -> None:
         if not self.pending:
@@ -177,7 +147,7 @@ class _TableSink:
         batch, self.pending = self.pending, []
         self.flush_batch(batch)
 
-    def _send_batch(self, parameters: Sequence[Tuple[Value, ...]]) -> None:
+    def _send_batch(self, parameters: Sequence[Tuple[Optional[str], ...]]) -> None:
         # The bulk channel (COPY) when the backend has one, parameterized
         # executemany otherwise; both raise IntegrityViolation on a
         # constraint failure, so the guarded replay below works unchanged.

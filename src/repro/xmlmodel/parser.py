@@ -107,9 +107,19 @@ def parse_document(source: str, strip_whitespace: bool = True) -> XMLTree:
     return tree_from_events(iter_events(source, strip_whitespace=strip_whitespace))
 
 
+def _is_xml_char(code: int) -> bool:
+    """XML 1.0's ``Char`` production: ``#x9 | #xA | #xD | [#x20-#xD7FF] |
+    [#xE000-#xFFFD] | [#x10000-#x10FFFF]``."""
+    if code < 0x20:
+        return code in (0x9, 0xA, 0xD)
+    return code <= 0xD7FF or 0xE000 <= code <= 0xFFFD or 0x10000 <= code <= 0x10FFFF
+
+
 def _expand_entity(entity: str) -> Optional[str]:
     """The text ``&entity;`` stands for, or ``None`` to keep it literal:
-    an unknown name, a malformed reference or one past ``chr``'s range."""
+    an unknown name, a malformed reference or one naming no XML character
+    (NUL, a surrogate, ``U+FFFE``, anything past ``U+10FFFF``) — text no
+    encoder or SQL literal downstream could carry."""
     if entity in _PREDEFINED_ENTITIES:
         return _PREDEFINED_ENTITIES[entity]
     match = _CHAR_REF_RE.fullmatch(entity)
@@ -117,6 +127,7 @@ def _expand_entity(entity: str) -> Optional[str]:
         return None
     decimal, hexadecimal = match.groups()
     try:
-        return chr(int(decimal) if hexadecimal is None else int(hexadecimal, 16))
-    except (ValueError, OverflowError):
+        code = int(decimal) if hexadecimal is None else int(hexadecimal, 16)
+    except ValueError:  # more decimal digits than int() converts
         return None
+    return chr(code) if _is_xml_char(code) else None

@@ -6,6 +6,8 @@ benchmarks directory re-runs the same builders at realistic sizes.
 
 import pytest
 
+from repro.core.minimum_cover import minimum_cover_from_keys
+from repro.core.naive import naive_minimum_cover
 from repro.experiments.figures import (
     figure_7a,
     figure_7b,
@@ -13,6 +15,8 @@ from repro.experiments.figures import (
     naive_blowup_series,
     run_all,
 )
+from repro.experiments.generators import generate_workload
+from repro.keys.implication import ImplicationEngine
 
 
 class TestFigure7a:
@@ -72,6 +76,49 @@ class TestNaiveBlowup:
         cover_growth = counts["minimumCover"][1] / counts["minimumCover"][0]
         naive_growth = counts["naive"][1] / counts["naive"][0]
         assert cover_growth <= 2  # "at most doubles"
+        assert naive_growth > 5 * cover_growth
+
+
+class TestFigure7aCountedWork:
+    """Fig. 7(a) as counted work: the implication queries each cover
+    algorithm asks a fresh engine on ``generate_workload(n, depth=3,
+    num_keys=6, seed=0)``.  Counts do not jitter, so the paper's shapes —
+    ``minimumCover`` grows polynomially in the fields, ``naive`` tests
+    every one of the ``n * 2^(n-1)`` candidate FDs — are asserted exactly."""
+
+    #: fields → (minimumCover queries, naive queries).
+    COUNTS = {5: (22, 224), 9: (33, 6912), 12: (42, 73728)}
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        measured = {}
+        for fields in self.COUNTS:
+            workload = generate_workload(fields, depth=3, num_keys=6, seed=0)
+            queries = []
+            for algorithm in (minimum_cover_from_keys, naive_minimum_cover):
+                engine = ImplicationEngine(list(workload.keys))
+                algorithm(workload.keys, workload.rule, engine=engine)
+                queries.append(engine.query_count)
+            measured[fields] = tuple(queries)
+        return measured
+
+    def test_measured_counts(self, counts):
+        assert counts == self.COUNTS
+
+    def test_minimum_cover_at_most_doubles(self, counts):
+        cover = {fields: queries[0] for fields, queries in counts.items()}
+        assert cover[5] < cover[9] < cover[12] <= 2 * cover[5]
+
+    def test_naive_tests_every_candidate_fd(self, counts):
+        for fields, (_, naive) in counts.items():
+            assert naive >= fields * 2 ** (fields - 1)
+
+    @pytest.mark.parametrize("small, large", [(5, 9), (9, 12)])
+    def test_naive_grows_exponentially_against_minimum_cover(self, counts, small, large):
+        cover_growth = counts[large][0] / counts[small][0]
+        naive_growth = counts[large][1] / counts[small][1]
+        assert cover_growth <= 2
+        assert naive_growth >= 2 ** (large - small)
         assert naive_growth > 5 * cover_growth
 
 

@@ -389,3 +389,84 @@ class TestIndexGauges:
         assert loaded.gauge("check.nfa_memo_entries") > 0
         for name in ("check.nfa_memo_entries", "check.flushed_contexts"):
             assert edited.gauge(name) == loaded.gauge(name), name
+
+
+class TestDeltaStages:
+    """``delta.apply`` splits into three per-delta spans: the fragment
+    (validate, tokenize, fresh states), the store sync and the merge (the
+    re-merged answer and both bag differences)."""
+
+    STAGES = ("delta.fragment", "delta.sync", "delta.merge")
+
+    @pytest.mark.parametrize(
+        "delta",
+        [replace(0, BOOK_DUP_CHAPTER), insert(1, BOOK_333), delete(0)],
+        ids=["replace", "insert", "delete"],
+    )
+    def test_one_call_per_stage_within_the_apply_span(self, transformation, keys, delta):
+        from repro import obs
+
+        backend, store = _store(mode="log")
+        try:
+            with obs.collect():
+                eng = IncrementalEngine(transformation, keys)
+                eng.load(DOC)
+                eng.attach_store(store)
+                snapshot = eng.apply(delta).metrics
+        finally:
+            backend.close()
+        applied = snapshot.histogram("stage.seconds", stage="delta.apply", kind=delta.kind)
+        assert applied is not None and applied.count == 1
+        staged = 0.0
+        for stage in self.STAGES:
+            assert snapshot.counter("stage.calls", stage=stage) == 1, stage
+            staged += snapshot.histogram("stage.seconds", stage=stage).total
+        assert staged <= applied.total
+
+    def test_no_sync_stage_without_a_store(self, engine):
+        from repro import obs
+
+        with obs.collect():
+            snapshot = engine.apply(replace(0, BOOK_333)).metrics
+        assert snapshot.counter("stage.calls", stage="delta.sync") == 0
+        assert snapshot.counter("stage.calls", stage="delta.merge") == 1
+
+
+class TestBoundedAnswerState:
+    """The engine retains its current answer and nothing per delta: the
+    raw violations deltas diff against, and materialized violations only
+    while they describe the current document."""
+
+    def test_replacing_with_itself_retains_only_the_current_answer(self, keys):
+        import gc
+        import tracemalloc
+
+        eng = IncrementalEngine(keys=keys)
+        eng.load(DOC.replace("</bib>", BOOK_DUP_CHAPTER + BOOK_DUP_CHAPTER + "</bib>"))
+        current = eng.violations()
+        assert current
+        same = eng.fragment(2)
+
+        def retained():
+            raws, materialized = eng._raw_cache, eng._violations_cache
+            assert raws is None or len(raws) == len(current)
+            assert materialized is None or len(materialized) == len(current)
+
+        tracemalloc.start()
+        try:
+            for count in range(1, 501):
+                report = eng.apply(replace(2, same))
+                assert not report.appeared and not report.disappeared
+                assert report.violations == len(current)
+                retained()
+                if count == 100:
+                    gc.collect()
+                    early = tracemalloc.get_traced_memory()[0]
+            gc.collect()
+            late = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert eng.violations() == current
+        retained()
+        # 400 more deltas leave no per-delta residue behind.
+        assert late - early < 16 * 1024

@@ -38,7 +38,7 @@ from repro.experiments.scenarios import (
 )
 from repro.keys import parse_keys
 from repro.parallel import run_pipeline
-from repro.transform import parse_transformation
+from repro.transform import evaluate_transformation, parse_transformation
 from repro.xmlmodel import iter_events, parse_document
 from repro.xmlmodel.parser import XMLSyntaxError
 
@@ -400,12 +400,15 @@ class TestCarriageReturns:
 # ----------------------------------------------------------------------
 # Character references outside the grammar: literal on every plane
 # ----------------------------------------------------------------------
-#: A reference past ``chr``'s range, and one ``int()`` would read as 10
-#: beside a real newline.  Both stay literal, so every plane exits 0 and
-#: the key holds.
+#: A reference past ``chr``'s range, one ``int()`` would read as 10
+#: beside a real newline, and two naming no XML character (NUL and a
+#: surrogate, which no SQL literal or UTF-8 encoder could carry).  All
+#: stay literal, so every plane exits 0 and the key holds.
 CHAR_REF_DOCS = {
     "huge": ('<r><i k="&#99999999999999999999;"/></r>', "&#99999999999999999999;"),
     "underscore": ('<r><i k="&#1_0;"/><i k="&#10;"/></r>', "&#1_0;"),
+    "nul": ('<r><i k="&#0;"/></r>', "&#0;"),
+    "surrogate": ('<r><i k="&#xD800;"/></r>', "&#xD800;"),
 }
 CHAR_REF_DTD = "<!ELEMENT r (i*)>\n<!ELEMENT i EMPTY>\n<!ATTLIST i k CDATA #REQUIRED>\n"
 
@@ -433,6 +436,38 @@ class TestLiteralCharacterReferences:
         base = ["shred", "--transform", paths["rules"], "--xml", paths["doc"], "--sql"]
         for plane in ([], ["--stream"], ["--jobs", "2"]):
             assert _run(base + plane, capsys) == dom, plane
+
+    def test_load_stores_the_reference(self, char_ref, capsys):
+        paths, literal = char_ref
+        argv = [
+            "load", "--transform", paths["rules"], "--keys", paths["keys"],
+            "--xml", paths["doc"], "--db", paths["db"],
+        ]
+        code, _, err = _run(argv, capsys)
+        assert (code, err) == (0, "")
+        tree = parse_document(Path(paths["doc"]).read_text())
+        rules = parse_transformation(Path(paths["rules"]).read_text())
+        dom = [(row.get_value("k"),) for row in evaluate_transformation(rules, tree)["i"]]
+        connection = sqlite3.connect(paths["db"])
+        try:
+            loaded = connection.execute('SELECT "k" FROM "i"').fetchall()
+        finally:
+            connection.close()
+        assert sorted(loaded) == sorted(dom) and (literal,) in loaded
+
+    def test_apply_delta_holds_the_key(self, char_ref, capsys, monkeypatch):
+        paths, literal = char_ref
+        dom = dom_reference.check_doc(paths["keys"], paths["doc"])
+        monkeypatch.setattr("sys.stdin", io.StringIO(f'violations\nreplace 0 <i k="{literal}"/>\n'))
+        argv = [
+            "apply-delta", "--transform", paths["rules"], "--keys", paths["keys"],
+            "--xml", paths["doc"], "--db", paths["db"], "--repl",
+        ]
+        code, out, err = _run(argv, capsys)
+        assert (code, err) == (dom[0], "")
+        lines = out.splitlines()
+        assert "0 violation(s)" in lines
+        assert lines[-1].startswith("replace 0: ") and lines[-1].endswith("(total 0)")
 
 
 # ----------------------------------------------------------------------

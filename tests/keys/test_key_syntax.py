@@ -38,6 +38,43 @@ class TestConstruction:
         key = XMLKey(".", "//p", {"z", "a", "m"})
         assert key.attribute_list == ["a", "m", "z"]
 
+    def test_attribute_list_is_a_fresh_list(self):
+        key = XMLKey(".", "//p", {"z", "a"})
+        key.attribute_list.append("q")
+        assert key.attribute_list == ["a", "z"]
+        assert key.text == "(., (//p, {@a, @z}))"
+
+
+class TestRenderedOnce:
+    """A key's text is rendered at construction; every way of making a key
+    from another must render its own."""
+
+    KEY = "K2 = (//book, (chapter, {@number, @a}))"
+
+    def test_text_of_a_parsed_key(self):
+        assert parse_key(self.KEY).text == "K2 = (//book, (chapter, {@a, @number}))"
+
+    def test_with_name_renders_the_new_name(self):
+        key = parse_key(self.KEY).with_name("K9")
+        assert key.text == "K9 = (//book, (chapter, {@a, @number}))"
+        assert str(key) == key.text
+
+    def test_rebased_renders_the_new_context(self):
+        key = parse_key(self.KEY).rebased("//lib")
+        assert key.text == "K2 = (//lib//book, (chapter, {@a, @number}))"
+        assert repr(key) == f"XMLKey({key.text!r})"
+
+    def test_unnamed_key_has_no_prefix(self):
+        assert XMLKey("//book", "title", ()).text == "(//book, (title, {}))"
+
+    def test_pickle_round_trip_keeps_the_text(self):
+        import pickle
+
+        key = parse_key(self.KEY)
+        clone = pickle.loads(pickle.dumps(key))
+        assert clone.text == key.text and clone == key and hash(clone) == hash(key)
+        assert parse_key(clone.text) == key
+
 
 class TestValueSemantics:
     def test_equality_ignores_name(self):

@@ -177,11 +177,11 @@ class TestCapabilityProbe:
 # Character references outside the grammar stay literal
 # ----------------------------------------------------------------------
 #: A reference body is ``#`` and decimal digits or ``#x`` and hex digits;
-#: a sign, an underscore, a blank, an uppercase ``X`` or a code point past
-#: ``chr``'s range keeps the reference as written.
+#: a sign, an underscore, a blank, an uppercase ``X`` or a code point
+#: outside XML's ``Char`` production keeps the reference as written.
 LITERAL_REFERENCES = [
     "&#1_0;", "&#+10;", "&# 10;", "&#x_a;", "&#X41;", "&#1114112;",
-    "&#99999999999999999999;",
+    "&#99999999999999999999;", "&#0;", "&#xD800;", "&#xFFFE;",
 ]
 
 

@@ -101,12 +101,37 @@ class TestEntities:
         assert expand_entities(f"a{reference}b") == f"a{reference}b"
 
     @pytest.mark.parametrize(
-        "reference", ["&#1114112;", "&#99999999999999999999;", "&#x110000;"]
+        "reference",
+        ["&#1114112;", "&#99999999999999999999;", "&#x110000;", "&#" + "9" * 5000 + ";"],
+        ids=["&#1114112;", "&#99999999999999999999;", "&#x110000;", "5000-digit-reference"],
     )
     def test_reference_past_the_code_point_range_left_verbatim(self, reference):
         tree = parse_document(f'<r k="{reference}">{reference}</r>')
         assert tree.root.text_content() == reference
         assert tree.root.attribute_value("k") == reference
+
+    @pytest.mark.parametrize(
+        "reference",
+        ["&#0;", "&#x1;", "&#x1F;", "&#xD800;", "&#xDFFF;", "&#xFFFE;", "&#65535;"],
+    )
+    def test_reference_naming_no_xml_character_left_verbatim(self, reference):
+        # XML's Char production excludes C0 controls but tab/LF/CR,
+        # surrogates, U+FFFE and U+FFFF: no encoder or SQL literal could
+        # carry them, so they stay as written.
+        tree = parse_document(f'<r k="{reference}">{reference}</r>')
+        assert tree.root.text_content() == reference
+        assert tree.root.attribute_value("k") == reference
+
+    @pytest.mark.parametrize(
+        "reference, character",
+        [
+            ("&#9;", "\t"), ("&#xA;", "\n"), ("&#13;", "\r"), ("&#x20;", " "),
+            ("&#xD7FF;", "\ud7ff"), ("&#xE000;", "\ue000"), ("&#xFFFD;", "\ufffd"),
+            ("&#x10000;", "\U00010000"), ("&#x10FFFF;", "\U0010ffff"),
+        ],
+    )
+    def test_char_production_bounds_expand(self, reference, character):
+        assert expand_entities(f"a{reference}b") == f"a{character}b"
 
 
 class TestDepth:

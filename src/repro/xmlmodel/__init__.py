@@ -37,7 +37,6 @@ __getattr__, __dir__ = lazy_exports(
         "static": (
             "LabelGraph",
             "SkipSet",
-            "SpecializedNFA",
             "StaticPlan",
             "compile_plan",
         ),
@@ -80,7 +79,6 @@ __all__ = [
     "Event",
     "LabelGraph",
     "SkipSet",
-    "SpecializedNFA",
     "StaticPlan",
     "compile_plan",
     "as_events",

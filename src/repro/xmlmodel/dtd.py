@@ -281,7 +281,11 @@ class DTD:
 # Parsing
 # ----------------------------------------------------------------------
 _ELEMENT_RE = re.compile(r"<!ELEMENT\s+(?P<name>[\w.\-]+)\s+(?P<model>.+?)>", re.DOTALL)
-_ATTLIST_RE = re.compile(r"<!ATTLIST\s+(?P<element>[\w.\-]+)\s+(?P<body>.+?)>", re.DOTALL)
+# A quoted default value may hold ">" (only "<" and "&" are barred from
+# it); each body unit is atomic, so a run of quotes cannot backtrack.
+_ATTLIST_RE = re.compile(
+    r"<!ATTLIST\s+(?P<element>[\w.\-]+)\s+(?P<body>(?>\"[^\"]*\"|'[^']*'|[^>])+?)>", re.DOTALL
+)
 _ATTDEF_RE = re.compile(
     r"(?P<name>[\w.\-]+)\s+(?P<type>CDATA|ID|IDREFS|IDREF|NMTOKENS|NMTOKEN|ENTITY|ENTITIES|\([^)]*\))\s+"
     r"(?P<default>#REQUIRED|#IMPLIED|#FIXED\s+(\"[^\"]*\"|'[^']*')|\"[^\"]*\"|'[^']*')",
@@ -290,17 +294,30 @@ _ATTDEF_RE = re.compile(
 
 
 def parse_dtd(source: str, root_name: Optional[str] = None) -> DTD:
-    """Parse the ``<!ELEMENT>`` / ``<!ATTLIST>`` declarations of a DTD."""
+    """Parse the ``<!ELEMENT>`` / ``<!ATTLIST>`` declarations of a DTD.
+
+    A declaration that runs into the next one (its ``>`` is missing) or an
+    ATTLIST holding text no attribute definition reads raises
+    :class:`DTDSyntaxError` rather than be misread.
+    """
     without_comments = re.sub(r"<!--.*?-->", "", source, flags=re.DOTALL)
     dtd = DTD(root_name=root_name)
     for match in _ELEMENT_RE.finditer(without_comments):
         name = match.group("name")
-        dtd.elements[name] = ElementDecl(name=name, content_model=match.group("model").strip())
+        model = match.group("model").strip()
+        if "<" in model:
+            raise DTDSyntaxError(f"ELEMENT {name}: declaration is not closed by '>'")
+        dtd.elements[name] = ElementDecl(name=name, content_model=model)
         if dtd.root_name is None and root_name is None:
             dtd.root_name = name  # first declared element, the usual convention
     for match in _ATTLIST_RE.finditer(without_comments):
         element = match.group("element")
         body = match.group("body")
+        if "<" in body:
+            raise DTDSyntaxError(f"ATTLIST {element}: declaration is not closed by '>'")
+        unread = _ATTDEF_RE.sub("", body).strip()
+        if unread:
+            raise DTDSyntaxError(f"ATTLIST {element}: cannot read {unread!r}")
         for attr_match in _ATTDEF_RE.finditer(body):
             decl = AttributeDecl(
                 element=element,

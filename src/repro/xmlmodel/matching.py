@@ -15,7 +15,7 @@ into a child element costs one dictionary hit regardless of how often the
 same shapes repeat (which on real documents is always).
 
 The key checker, the streaming shredder's anchors and the static plan's
-specialized tables all step this one automaton.
+skip-set compiler all step this one automaton.
 
 The semantics mirror :func:`repro.xmlmodel.paths._evaluate_steps` exactly:
 ``//`` traverses element nodes only, attribute steps consume an attribute of

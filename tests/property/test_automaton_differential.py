@@ -1,8 +1,8 @@
 """Differential pinning of the one path automaton (:class:`PathNFA`).
 
 The key checker, the streaming shredder's anchors and the static plan's
-specialized tables all read element and attribute matches off the same
-multi-path automaton.  This suite holds it directly to the DOM semantics
+skip-set compiler all read element and attribute matches off the same
+path automaton.  This suite holds it directly to the DOM semantics
 of :meth:`PathExpression.evaluate`: for random sets of paths over labels,
 ``@attribute`` steps and ``//`` — trailing ``//`` and attribute steps in
 mid-path included, which no key or rule compiler generates — and random

@@ -28,9 +28,15 @@ actual tags on the wire and refused on mismatch.
   the DOM :meth:`DTD.validate` witness-for-witness (kind, node id and
   detail) on arbitrary — mostly invalid — documents;
 
-* **DTD keys** — :func:`keys_from_dtd`, which ``check-doc --dtd`` adds to
-  the stated keys, derives exactly one absolute key per ``ID`` attribute,
-  in declaration order, under a name that survives the key syntax;
+* **DTD keys** — :func:`keys_from_dtd`, the library bridge from a DTD's
+  ``ID`` attributes to keys (no command calls it), derives exactly one
+  absolute key per ``ID`` attribute, in declaration order, under a name
+  that survives the key syntax;
+
+* **The skip set itself** — :func:`compile_plan`'s skip set, read off
+  each path's :class:`~repro.xmlmodel.matching.PathNFA` states, equals the
+  table-walk reference of ``tests/xmlmodel/static_reference.py`` on
+  ``attempt``, ``verdicts`` and ``other_safe``;
 
 * **Damaged documents** — on ill-formed and markup-dense documents
   (interleaved closes, tag-shaped values, ``>``/``=``/``&`` in text, deep
@@ -58,6 +64,7 @@ from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.static import SkipSet, compile_plan
 
 from tests.xmlmodel.elision import assert_elides_only
+from tests.xmlmodel.static_reference import reference_skipset
 from test_parallel_differential import (
     ATTRIBUTES,
     LABELS,
@@ -303,6 +310,24 @@ class TestDTDKeyDerivation:
     def test_derivation_is_deterministic(self, text):
         first, second = (keys_from_dtd(parse_dtd(text)) for _ in range(2))
         assert [key.text for key in first] == [key.text for key in second]
+
+
+# ----------------------------------------------------------------------
+# 6. The skip set ≡ the table-walk reference
+# ----------------------------------------------------------------------
+class TestSkipSetDifferential:
+    @differential_settings
+    @given(
+        dtd=random_dtds(),
+        keys=st.lists(xml_keys(), max_size=3),
+        rules=st.lists(table_rules(), max_size=2),
+    )
+    def test_skipset_matches_reference(self, dtd, keys, rules):
+        skip = compile_plan(dtd, keys=keys, rules=rules).skipset
+        reference = reference_skipset(dtd, keys=keys, rules=rules)
+        assert skip.attempt == reference.attempt
+        assert skip.verdicts == reference.verdicts
+        assert skip.other_safe == reference.other_safe
 
 
 # ----------------------------------------------------------------------

@@ -834,6 +834,46 @@ class TestEnvironmentErrors:
         assert "REPRO_JOBS" in capsys.readouterr().err
 
 
+#: Two DTDs whose other declarations all read: one ELEMENT lacks its
+#: ``>`` (its model would swallow the next declaration), one attribute
+#: definition lacks its default.
+MALFORMED_DTDS = {
+    "element-unclosed": "<!ELEMENT r (a|b)*\n<!ELEMENT a EMPTY>\n<!ELEMENT b (c)>\n"
+    "<!ELEMENT c EMPTY>\n<!ATTLIST a k CDATA #REQUIRED>\n",
+    "attdef-no-default": "<!ELEMENT r (a|b)*>\n<!ELEMENT a EMPTY>\n<!ELEMENT b (c)>\n"
+    "<!ELEMENT c EMPTY>\n<!ATTLIST a k CDATA>\n",
+}
+
+
+class TestMalformedDTD:
+    """A DTD that cannot be read exactly is a usage error (exit 2) on every
+    command that takes ``--dtd``, never a report against a misread DTD."""
+
+    @pytest.mark.parametrize("dtd_name", sorted(MALFORMED_DTDS))
+    @pytest.mark.parametrize(
+        "command",
+        [["check-doc", "--keys", "keys.txt"], ["check-doc", "--keys", "keys.txt", "--prune"],
+         ["shred", "--transform", "rules.dsl"]],
+        ids=["check-doc", "check-doc-prune", "shred"],
+    )
+    def test_usage_error(self, tmp_path, capsys, monkeypatch, command, dtd_name):
+        files = {
+            "doc.xml": '<r><a k="1"/><a k="1"/><b><c/></b></r>',
+            "keys.txt": "K = (., (//a, {@k}))\n",
+            "rules.dsl": "table a\n  var x <- xr : //a\n  var k <- x : @k\n  field k = value(k)\n",
+            "bad.dtd": MALFORMED_DTDS[dtd_name],
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code = main(command + ["--xml", "doc.xml", "--dtd", "bad.dtd"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestCrashPaths:
     """Ctrl-C and a hung-up stdout reader exit cleanly, not with tracebacks."""
 

@@ -46,6 +46,7 @@ from repro.transform.stream import (
 )
 from repro.xmlmodel.dtd import stream_dtd_violations
 from repro.xmlmodel.events import as_events, iter_events
+from repro.xmlmodel.matching import PathNFA
 from repro.xmlmodel.shards import DocumentShards
 
 #: Entry points of the planes: neither setting is a parameter of these.
@@ -159,6 +160,24 @@ def test_one_skip_route():
     assert loops == []
     for name in ("verifies", "skippable"):
         assert not hasattr(SkipSet, name), name
+
+
+def test_static_plan_defines_no_automaton():
+    """Every path match steps ``PathNFA``: the static plan reads its skip
+    set off that automaton's states and tabulates no second one."""
+    from repro.xmlmodel import static
+
+    classes = {
+        name
+        for name, member in inspect.getmembers(static, inspect.isclass)
+        if member.__module__ == static.__name__
+    }
+    assert classes == {"LabelGraph", "SkipSet", "StaticPlan"}
+    _, names = _loops_and_names(inspect.getsource(static))
+    names |= set(vars(static))
+    for name in ("SpecializedNFA", "OTHER_LABEL", "advance"):
+        assert name not in names, name
+    assert static.PathNFA is PathNFA
 
 
 @pytest.mark.parametrize("entry", [run_pipeline, run_sharded], ids=_name)

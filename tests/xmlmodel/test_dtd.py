@@ -228,9 +228,12 @@ class TestConstraintExtraction:
 # and the streaming validator against the DOM validator.
 # ----------------------------------------------------------------------
 class TestParseErrorPinning:
-    """parse_dtd's contract on malformed input: declarations the regex
-    grammar cannot read are *ignored*; if nothing readable remains, the
-    parse fails loudly with :class:`DTDSyntaxError`."""
+    """parse_dtd's contract on malformed input: it raises
+    :class:`DTDSyntaxError` when nothing readable remains, when an
+    ELEMENT or ATTLIST declaration runs into the next one (its ``>`` is
+    missing, so its model or body holds a ``<``), and when an ATTLIST
+    body holds text no attribute definition reads.  A content model cut
+    short inside one declaration keeps its readable prefix."""
 
     @pytest.mark.parametrize(
         "source",
@@ -258,6 +261,41 @@ class TestParseErrorPinning:
     def test_unreadable_input_raises(self, source):
         with pytest.raises(DTDSyntaxError):
             parse_dtd(source)
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                "<!ELEMENT r (a|b)*\n<!ELEMENT a EMPTY>\n<!ELEMENT b (c)>\n"
+                "<!ELEMENT c EMPTY>\n<!ATTLIST a k CDATA #REQUIRED>",
+                "ELEMENT r: declaration is not closed",
+            ),
+            (
+                "<!ELEMENT r (a|b)*>\n<!ELEMENT a EMPTY>\n<!ELEMENT b (c)>\n"
+                "<!ELEMENT c EMPTY>\n<!ATTLIST a k CDATA>",
+                "ATTLIST a: cannot read 'k CDATA'",
+            ),
+            (
+                "<!ELEMENT a EMPTY>\n<!ATTLIST a k CDATA #REQUIRED\n<!ELEMENT b EMPTY>",
+                "ATTLIST a: declaration is not closed",
+            ),
+            (
+                "<!ELEMENT a EMPTY>\n<!ATTLIST a k CDATA #IMPLIED j CDATA>",
+                "ATTLIST a: cannot read 'j CDATA'",
+            ),
+        ],
+        ids=["element-unclosed", "attdef-no-default", "attlist-unclosed", "attdef-trailing"],
+    )
+    def test_misread_declaration_raises(self, source, message):
+        # Each declaration around the broken one reads: the parse must
+        # fail, not return a DTD without the broken declaration.
+        with pytest.raises(DTDSyntaxError, match=message):
+            parse_dtd(source)
+
+    def test_quoted_default_may_hold_a_closing_bracket(self):
+        parsed = parse_dtd("<!ELEMENT a EMPTY>\n<!ATTLIST a k CDATA \"x>y\" j CDATA 'p>q'>")
+        assert parsed.attributes[("a", "k")].default == '"x>y"'
+        assert parsed.attributes[("a", "j")].default == "'p>q'"
 
     def test_truncated_content_model_keeps_readable_prefix(self):
         # "(a,>" is cut short at the first ">": the declaration parses and

@@ -1,26 +1,21 @@
-"""Unit tests for the static optimization plane (label graph, NFA
-specialization, skip sets, plan compilation)."""
+"""Unit tests for the static optimization plane (label graph, safety
+verdicts, skip sets, plan compilation)."""
 
 import pickle
 
 import pytest
 
+from repro.experiments.scenarios import MONDIAL_DTD
 from repro.keys.key import parse_key
 from repro.transform.rule import TableRule
 from repro.xmlmodel.dtd import parse_dtd
 from repro.xmlmodel.events import SKIP, iter_events
 from repro.xmlmodel.matching import PathNFA
 from repro.xmlmodel.paths import parse_path
-from repro.xmlmodel.static import (
-    OTHER_LABEL,
-    LabelGraph,
-    SkipSet,
-    SpecializedNFA,
-    StaticPlan,
-    compile_plan,
-)
+from repro.xmlmodel.static import LabelGraph, SkipSet, StaticPlan, compile_plan
 
 from tests.xmlmodel.elision import assert_elides_only
+from tests.xmlmodel.static_reference import reference_skipset
 
 
 BOOK_DTD = """
@@ -55,78 +50,101 @@ class TestLabelGraph:
         assert graph.reachable("section") == frozenset({"title"})
         assert "r" not in graph.reachable("r")
 
-    def test_root_labels_pin_declared_root(self, dtd):
-        graph = LabelGraph(dtd)
-        assert graph.root_labels() == frozenset({"r"})
-
     def test_reachable_handles_cycles(self):
         graph = LabelGraph(parse_dtd("<!ELEMENT a (a|b)*>\n<!ELEMENT b EMPTY>"))
         assert graph.reachable("a") == frozenset({"a", "b"})
 
 
 # ----------------------------------------------------------------------
-# SpecializedNFA: full-table transitions must agree with the on-line
-# automaton for every label, declared or not.
+# Safety verdicts: a label judged safe never completes a path, whatever
+# labels came before it, declared or not.
 # ----------------------------------------------------------------------
 PATHS = ["//chapter", "book/chapter", "//book//section", "r//title", "//chapter/@number"]
 TAG_RUNS = [
     ["r", "book", "chapter"],
     ["r", "book", "title"],
     ["book", "book", "chapter", "section"],
-    ["zzz", "book", "chapter"],  # undeclared label takes the other column
+    ["zzz", "book", "chapter"],  # undeclared label takes the other verdict
     ["r", "zzz", "zzz", "section"],
 ]
 
 
-class TestSpecializedNFA:
+def _key_on(path_text):
+    return parse_key(f"(., ({path_text}, {{}}))")
+
+
+def _rule_on(path_text):
+    rule = TableRule("T")
+    rule.add_mapping("v", rule.root_variable, path_text)
+    rule.add_field("f", "v")
+    return rule
+
+
+class TestSafeLabelsNeverComplete:
     @pytest.mark.parametrize("path_text", PATHS)
     @pytest.mark.parametrize("run", TAG_RUNS, ids=["-".join(r) for r in TAG_RUNS])
-    def test_agrees_with_base_automaton(self, dtd, path_text, run):
-        path = parse_path(path_text)
-        base = PathNFA([path])
-        spec = SpecializedNFA(path, dtd)
-        base_state, spec_state = base.initial, spec.initial
-        assert spec_state == frozenset(pos for _, pos in base_state.items)
+    def test_completing_label_is_unsafe(self, dtd, path_text, run):
+        skip = compile_plan(dtd, keys=[_key_on(path_text)]).skipset
+        nfa = PathNFA([parse_path(path_text)])
+        state = nfa.initial
         for tag in run:
-            base_state = base.move(base_state, tag)
-            spec_state = spec.advance(spec_state, tag)
-            assert spec_state == frozenset(pos for _, pos in base_state.items)
-            assert spec.accepts(spec_state) == (base_state.accepts == (0,))
-            for name in ("number", "isbn", "nope"):
-                completed = (base_state.attrs or {}).get(name, ())
-                assert (name in spec.attr_names(spec_state)) == (completed == (0,))
+            state = nfa.move(state, tag)
+            if state.accepts or state.attrs:
+                assert not skip.verdicts.get(tag, skip.other_safe), tag
+                assert tag not in skip.attempt
 
-    def test_alphabet_covers_mentioned_and_declared(self, dtd):
-        spec = SpecializedNFA(parse_path("//chapter"), dtd)
-        assert set(spec.alphabet) == {"r", "book", "title", "chapter", "section"}
-        assert OTHER_LABEL not in spec.alphabet
+    def test_verdicts_cover_mentioned_and_declared(self, dtd):
+        skip = compile_plan(dtd, keys=[_key_on("//chapter/zzz")]).skipset
+        assert set(skip.verdicts) == {"r", "book", "title", "chapter", "section", "zzz"}
+        assert skip.verdicts["chapter"] and not skip.verdicts["zzz"]
 
-    def test_mismatch_state_is_dead(self, dtd):
-        spec = SpecializedNFA(parse_path("section/book"), dtd)
-        mismatch = spec.advance(spec.initial, "book")
-        assert mismatch == frozenset()
-        assert spec.dead(mismatch)
-        assert not spec.dead(spec.initial)
 
-    def test_descendant_paths_have_no_dead_states(self, dtd):
-        spec = SpecializedNFA(parse_path("//chapter"), dtd)
-        assert spec.dead_states == frozenset()
+# ----------------------------------------------------------------------
+# The skip set against the table-walk reference
+# ----------------------------------------------------------------------
+#: perfbench's Mondial key sets: mondial-doc's two keys, and the
+#: organization key alone that ``benchmarks/bench_static.py`` gates.
+MONDIAL_KEY_SETS = {
+    "mondial-doc": ["(., (//country, {@car_code}))", "(., (//organization, {@abbrev}))"],
+    "bench-static": ["(., (//organization, {@abbrev}))"],
+}
 
-    def test_without_dtd_nothing_is_dead(self):
-        spec = SpecializedNFA(parse_path("section/book"))
-        # With no content models, any label may follow any other: the
-        # mismatch state is still unable to accept, but the analysis only
-        # declares states dead relative to a DTD's declared labels.
-        assert spec.advance(spec.initial, "book") == frozenset()
 
-    def test_attribute_acceptance_at_target(self, dtd):
-        spec = SpecializedNFA(parse_path("//chapter/@number"), dtd)
-        at_chapter = spec.advance(spec.initial, "chapter")
-        assert spec.attr_names(at_chapter) == frozenset({"number"})
-        assert spec.can_accept_attribute(at_chapter)
-        assert not spec.can_accept_attribute(spec.initial) or spec.attr_names(
-            spec.initial
-        )
+def assert_matches_reference(skip, reference):
+    assert skip.attempt == reference.attempt
+    assert skip.verdicts == reference.verdicts
+    assert skip.other_safe == reference.other_safe
+
+
+class TestSkipSetReference:
+    @pytest.mark.parametrize("name", sorted(MONDIAL_KEY_SETS))
+    def test_mondial_key_sets(self, name):
+        mondial = parse_dtd(MONDIAL_DTD)
+        keys = [parse_key(text) for text in MONDIAL_KEY_SETS[name]]
+        skip = compile_plan(mondial, keys=keys).skipset
+        assert skip.attempt  # both sets leave whole sections skippable
+        assert_matches_reference(skip, reference_skipset(mondial, keys))
+
+    @pytest.mark.parametrize("path_text", PATHS)
+    def test_book_path_as_key_target(self, dtd, path_text):
+        keys = [_key_on(path_text)]
+        skip = compile_plan(dtd, keys=keys).skipset
+        assert_matches_reference(skip, reference_skipset(dtd, keys))
+
+    @pytest.mark.parametrize("path_text", ["//@number", "chapter//"])
+    def test_path_completing_on_unnamed_labels(self, dtd, path_text):
+        # A trailing ``//`` or ``//@name`` completes below labels the path
+        # never names, so the "any other label" verdict is unsafe too.
+        keys = [_key_on(path_text)]
+        skip = compile_plan(dtd, keys=keys).skipset
+        assert not skip.other_safe and not skip.attempt
+        assert_matches_reference(skip, reference_skipset(dtd, keys))
+
+    @pytest.mark.parametrize("path_text", PATHS)
+    def test_book_path_as_rule_anchor(self, dtd, path_text):
+        rules = [_rule_on(path_text)]
+        skip = compile_plan(dtd, rules=rules).skipset
+        assert_matches_reference(skip, reference_skipset(dtd, rules=rules))
 
 
 # ----------------------------------------------------------------------
@@ -181,35 +199,29 @@ class TestCompilePlan:
         assert not plan.skipset
 
     def test_element_capturing_rule_disables_skipping(self, dtd):
-        rule = TableRule("T")
-        rule.add_mapping("v", rule.root_variable, "//book")
-        rule.add_field("f", "v")
-        plan = compile_plan(dtd, rules=[rule])
-        assert plan.skip_disabled_by_rules
+        plan = compile_plan(dtd, rules=[_rule_on("//book")])
         assert not plan.skipset
+        assert plan.skipset.verdicts == {}
 
     def test_attribute_anchored_rule_keeps_skipping(self, dtd):
-        rule = TableRule("T")
-        rule.add_mapping("v", rule.root_variable, "//chapter/@number")
-        rule.add_field("f", "v")
-        plan = compile_plan(dtd, rules=[rule])
-        assert not plan.skip_disabled_by_rules
+        plan = compile_plan(dtd, rules=[_rule_on("//chapter/@number")])
         assert "section" in plan.skipset.attempt
 
-    def test_statically_dead_key_is_diagnosed(self, dtd):
-        dead = parse_key("(., (//ghost, {@x}))")
-        live = parse_key("(., (//book, {@isbn}))")
-        plan = compile_plan(dtd, keys=[dead, live])
-        assert dead in plan.dead_keys
-        assert live in plan.live_keys
-        assert dead not in plan.live_keys
+    def test_root_field_disables_skipping(self, dtd):
+        rule = TableRule("T")
+        rule.add_field("whole", rule.root_variable)
+        assert not compile_plan(dtd, rules=[rule]).skipset
+        assert compile_plan(dtd, rules=[_rule_on("//chapter/@number")]).skipset
 
-    def test_describe_mentions_the_essentials(self, dtd):
-        plan = compile_plan(dtd, keys=[parse_key("(., (//chapter, {@number}))")])
-        report = plan.describe()
-        assert "static plan" in report
-        assert "skippable labels" in report
-        assert "section" in report
+    def test_key_unreachable_under_the_dtd_keeps_its_labels_unsafe(self, dtd):
+        # No DTD-obeying document has a ghost, but the plan trusts the
+        # DTD only for where skips are attempted: the ghost's label stays
+        # unsafe, so a ghost inside a skippable region refuses the skip.
+        ghost = parse_key("(., (//ghost, {@x}))")
+        plan = compile_plan(dtd, keys=[ghost, parse_key("(., (//book, {@isbn}))")])
+        assert plan.skipset.verdicts["ghost"] is False
+        assert plan.skipset.attempt == frozenset({"title", "chapter", "section"})
+        assert plan.skipset.unverified_tag.search("<title><ghost x='1'/></title>")
 
     def test_empty_workload_compiles(self, dtd):
         plan = compile_plan(dtd)
